@@ -71,6 +71,7 @@ from .hamiltonian import (
     closed_form_spectrum,
     hamiltonian_polynomial,
     reality_scan,
+    symmetric_similarity,
 )
 from .oracle import (
     MembershipResult,

@@ -19,7 +19,7 @@ import numpy as np
 from .closedform import evaluate_basis_stack
 from .errors import DegenerateSpectrumError, DimensionError, DomainError
 from .exact import Matrix, eigs_symmetric
-from .hamiltonian import HamiltonianSpec, build_hamiltonian
+from .hamiltonian import HamiltonianSpec, build_hamiltonian, symmetric_similarity
 
 __all__ = [
     "BiorthogonalSystem",
@@ -34,6 +34,9 @@ __all__ = [
     "positivity_closed_form",
     "sample_positivity_region",
 ]
+
+# Smallest eigenvalue a candidate needs to count as positive definite.
+POSITIVE_MARGIN = 1e-10
 
 
 def _as_float_matrix(theta: Any) -> np.ndarray:
@@ -61,39 +64,35 @@ class BiorthogonalSystem:
 
 
 def biorthogonal_system(
-    spec: HamiltonianSpec, *, reality_tol: float = 1e-9, gap_tol: float = 1e-9
+    spec: HamiltonianSpec, *, gap_tol: float = 1e-9
 ) -> BiorthogonalSystem:
     """Eigendecomposition with normalized biorthogonal partners.
 
-    Requires |lam| < 1 so the spectrum is real and simple; complex or
-    (nearly) degenerate spectra are rejected.
+    Requires |lam| < 1, where the symmetric similarity H = D S D^{-1}
+    makes the spectrum real: with S = U diag(E) U^T, the right vectors are
+    D U and the left vectors D^{-1} U, rescaled together so that the
+    overlaps stay the identity.  (Nearly) degenerate spectra are rejected.
     """
     lam = float(spec.lam)
     if not -1.0 < lam < 1.0:
         raise DegenerateSpectrumError(
             "spectral representation requires a coupling inside (-1, 1)"
         )
-    h = build_hamiltonian(HamiltonianSpec(spec.n, lam)).to_numpy()
-    values, vectors = np.linalg.eig(h)
-    if np.max(np.abs(values.imag)) > reality_tol:
-        raise DegenerateSpectrumError("spectrum is not real")
-    values = values.real
-    vectors = vectors.real
-    order = np.argsort(values)
-    values = values[order]
-    vectors = vectors[:, order]
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if np.min(np.diff(values)) <= gap_tol * scale:
+    diag, off, scale = symmetric_similarity(spec)
+    values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    bound = max(1.0, float(np.max(np.abs(values))))
+    if np.min(np.diff(values)) <= gap_tol * bound:
         raise DegenerateSpectrumError("spectrum is (nearly) degenerate")
-    for idx in range(spec.n):
-        column = vectors[:, idx] / np.linalg.norm(vectors[:, idx])
-        lead = np.argmax(np.abs(column) > 1e-12)
-        if column[lead] < 0:
-            column = -column
-        vectors[:, idx] = column
-    left = np.linalg.inv(vectors).T
+    right = scale[:, None] * vectors
+    norms = np.linalg.norm(right, axis=0)
+    lead = np.argmax(np.abs(right) > 1e-12 * norms, axis=0)
+    factor = np.sign(right[lead, np.arange(spec.n)]) / norms
     return BiorthogonalSystem(
-        n=spec.n, lam=lam, energies=values, right=vectors, left=left
+        n=spec.n,
+        lam=lam,
+        energies=values,
+        right=right * factor,
+        left=vectors / scale[:, None] / factor,
     )
 
 
@@ -141,7 +140,7 @@ class PositivityReport:
 
 
 def positivity(
-    theta: Any, *, margin: float = 1e-10, sym_tol: float = 1e-12
+    theta: Any, *, margin: float = POSITIVE_MARGIN, sym_tol: float = 1e-12
 ) -> PositivityReport:
     """Positive-definiteness verdict via the symmetric eigensolver.
 
@@ -253,7 +252,7 @@ def sample_positivity_region(
         theta = np.tensordot(alpha, stack, axes=1)
         eigenvalues = np.linalg.eigvalsh(theta)
         minimum = float(eigenvalues[0])
-        is_positive = minimum > 1e-10
+        is_positive = minimum > POSITIVE_MARGIN
         positives += is_positive
         near = abs(minimum) <= margin
         cf_verdict: Optional[bool] = None

@@ -88,6 +88,8 @@ def parse_grid(text: str) -> list[float]:
         count = int(parts[2])
     except ValueError as exc:
         raise UsageError(f"invalid grid {text!r}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"grid endpoints must be finite, got {text!r}")
     if count < 1:
         raise UsageError("grid count must be >= 1")
     if count == 1:
@@ -95,6 +97,8 @@ def parse_grid(text: str) -> list[float]:
             raise UsageError("a single-point grid needs start == stop")
         return [start]
     step = (stop - start) / (count - 1)
+    if not math.isfinite(step):
+        raise UsageError(f"grid step overflows in {text!r}")
     return [start + i * step for i in range(count)]
 
 
@@ -301,6 +305,8 @@ def cmd_positivity(args: argparse.Namespace) -> int:
         raise UsageError("need --alpha or --sample")
     if args.sample < 1:
         raise UsageError("--sample must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     result = sample_positivity_region(args.n, lam_float, args.seed, args.sample)
     header = (
         ["index"]

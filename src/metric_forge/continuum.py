@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analysis import PositivityReport, positivity
-from .errors import DegenerateSpectrumError, DimensionError, DomainError
-from .hamiltonian import HamiltonianSpec, build_hamiltonian
+from .errors import DimensionError, DomainError
+from .hamiltonian import HamiltonianSpec, symmetric_similarity
 
 __all__ = [
     "LatticeGrid",
@@ -55,24 +55,23 @@ class LatticeGrid:
         return tuple(-1.0 + 2.0 * k / (self.n + 1) for k in range(self.n + 2))
 
 
-def _real_eigenpair(
-    n: int, lam: float, state: int, *, imag_tol: float = 1e-9
-) -> tuple[float, np.ndarray]:
-    """Selected eigenvalue (ascending by real part, 1-based) and its
-    max-normalized right eigenvector; complex selections are rejected."""
-    h = build_hamiltonian(HamiltonianSpec(n, float(lam))).to_numpy()
-    values, vectors = np.linalg.eig(h)
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
+def _real_eigenpair(n: int, lam: float, state: int) -> tuple[float, np.ndarray]:
+    """Selected eigenvalue (ascending, 1-based) and its max-normalized
+    right eigenvector, from the symmetric similarity; only that one pair
+    is computed."""
+    # scipy is imported here, not at module level, so that CLI start-up
+    # does not pay for it
+    from scipy.linalg import eigh_tridiagonal
+
     if not 1 <= state <= n:
         raise DomainError(f"state index must lie in 1..{n}")
-    value = values[state - 1]
-    if abs(value.imag) > imag_tol:
-        raise DegenerateSpectrumError("selected eigenvalue is not real")
-    vector = np.real(vectors[:, state - 1])
+    diag, off, scale = symmetric_similarity(HamiltonianSpec(n, float(lam)))
+    values, vectors = eigh_tridiagonal(
+        diag, off, select="i", select_range=(state - 1, state - 1)
+    )
+    vector = scale * vectors[:, 0]
     vector = vector / np.max(np.abs(vector))
-    return float(value.real), vector
+    return float(values[0]), vector
 
 
 @dataclass(frozen=True, eq=False)

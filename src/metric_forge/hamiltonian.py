@@ -4,7 +4,11 @@ Every member is an n by n (n = 2K even) kinetic chain: 2 on the
 diagonal, -1 on the off-diagonals, except that the middle bond carries
 the only asymmetry, entry (K, K+1) = -1-lam against (K+1, K) = -1+lam
 in 1-based indexing.  Transposition therefore flips the sign of the
-coupling, and the spectrum stays real for |lam| < 1.
+coupling, and the spectrum stays real for |lam| < 1: there the two
+middle-bond entries multiply to 1 - lam^2 > 0, so a diagonal similarity
+maps the chain onto a symmetric tridiagonal matrix (Parlett, The
+Symmetric Eigenvalue Problem), and every float eigensolve inside the
+window goes through that symmetric form.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from ._threads import ordered_map
+import numpy as np
+
 from .errors import DimensionError, DomainError
 from .exact import IntPolynomial, Matrix, eigs_general
 
@@ -26,6 +31,7 @@ __all__ = [
     "build_hamiltonian",
     "hamiltonian_polynomial",
     "closed_form_spectrum",
+    "symmetric_similarity",
     "reality_scan",
 ]
 
@@ -154,24 +160,53 @@ def closed_form_spectrum(spec: HamiltonianSpec) -> list[float]:
     return sorted(values)
 
 
+def symmetric_similarity(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of S and diagonal of D with H = D S D^{-1}.
+
+    S is symmetric tridiagonal: the chain with middle bond
+    -sqrt(1 - lam^2); D = diag(1, ..., 1, r, ..., r) with
+    r = sqrt((1 - lam)/(1 + lam)) on the right half.  Eigenvectors map
+    back as right = D u and left = D^{-1} u.  Defined only for a coupling
+    strictly inside (-1, 1), where both middle-bond entries are negative.
+    """
+    lam = float(spec.lam)
+    if not -1.0 < lam < 1.0:
+        raise DomainError("the symmetric similarity requires |lam| < 1")
+    k = spec.k
+    diag = np.full(spec.n, 2.0)
+    off = np.full(spec.n - 1, -1.0)
+    off[k - 1] = -math.sqrt((1.0 - lam) * (1.0 + lam))
+    scale = np.ones(spec.n)
+    scale[k:] = math.sqrt((1.0 - lam) / (1.0 + lam))
+    return diag, off, scale
+
+
 def reality_scan(
     n: int, lambdas: Iterable[float], *, tol: float = 1e-9
 ) -> list[SpectrumReport]:
     """One spectrum report per grid value, in input order.
 
-    Eigenvalues come from the general dense solver; a point is flagged
-    all-real when every imaginary part stays within `tol`.
+    Inside (-1, 1) the eigenvalues come from the symmetric similarity and
+    are real by construction; elsewhere from the general dense solver.  A
+    point is flagged all-real when every imaginary part stays within `tol`.
     """
-
-    def report(lam: float) -> SpectrumReport:
-        matrix = build_hamiltonian(HamiltonianSpec(n, float(lam)))
-        eigenvalues = tuple(complex(v) for v in eigs_general(matrix))
+    reports = []
+    for lam in lambdas:
+        spec = HamiltonianSpec(n, float(lam))
+        if -1.0 < spec.lam < 1.0:
+            diag, off, _ = symmetric_similarity(spec)
+            s = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            values = np.linalg.eigvalsh(s)
+        else:
+            values = eigs_general(build_hamiltonian(spec))
+        eigenvalues = tuple(complex(v) for v in values)
         max_imag = max(abs(v.imag) for v in eigenvalues)
-        return SpectrumReport(
-            lam=float(lam),
-            eigenvalues=eigenvalues,
-            max_imag=max_imag,
-            all_real=max_imag <= tol,
+        reports.append(
+            SpectrumReport(
+                lam=spec.lam,
+                eigenvalues=eigenvalues,
+                max_imag=max_imag,
+                all_real=max_imag <= tol,
+            )
         )
-
-    return ordered_map(report, lambdas)
+    return reports

@@ -69,6 +69,14 @@ class TestBiorthogonalSystem:
         with pytest.raises(DegenerateSpectrumError):
             biorthogonal_system(HamiltonianSpec(4, 1.2))
 
+    def test_well_conditioned_near_exceptional_point(self):
+        spec = HamiltonianSpec(40, -0.9999)
+        system = biorthogonal_system(spec)
+        h = build_hamiltonian(spec).to_numpy()
+        left, right = system.left, system.right
+        assert np.max(np.abs(h.T @ left - left * system.energies)) <= 5e-13
+        assert np.max(np.abs(left.T @ right - np.eye(40))) <= 1e-13
+
 
 class TestThetaFromWeights:
     def test_reproduces_displayed_size2_matrix(self):

@@ -288,3 +288,40 @@ class TestDeterminism:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["lambda"] == "1/2"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--n", "4", "--grid", "nan:1:3"),
+            ("spectrum", "--n", "4", "--grid", "0:inf:3"),
+            ("spectrum", "--n", "4", "--grid", "-1e308:1e308:3"),
+            ("positivity", "--n", "2", "--lambda", "0.5", "--sample", "3", "--seed", "-1"),
+        ],
+    )
+    def test_single_error_line_and_exit_code_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import metric_forge
+
+        src = str(Path(metric_forge.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = "import sys, metric_forge.cli; print('scipy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"

@@ -86,6 +86,20 @@ class TestMatchingResiduals:
         slope = fit_loglog_slope(sizes, residuals)
         assert 1.7 <= slope <= 2.3
 
+    @pytest.mark.parametrize("n, lam", [(1280, 0.999), (1280, -0.999), (200, 0.9999)])
+    def test_eigenpair_near_exceptional_point(self, n, lam):
+        data = matching_data(HamiltonianSpec(n, lam), 1)
+        psi = np.array(data.psi)
+        h_psi = 2.0 * psi
+        h_psi[1:] -= psi[:-1]
+        h_psi[:-1] -= psi[1:]
+        half = n // 2
+        # the middle bond carries -1 -/+ lam instead of -1
+        h_psi[half - 1] -= lam * psi[half]
+        h_psi[half] += lam * psi[half - 1]
+        assert np.max(np.abs(psi)) == 1.0
+        assert np.max(np.abs(h_psi - data.f * psi)) <= 1e-12
+
     def test_free_coupling_allowed_for_matching(self):
         value = matching_residual(HamiltonianSpec(40, 0.0), 1)
         assert value >= 0.0

@@ -14,6 +14,7 @@ from metric_forge.hamiltonian import (
     closed_form_spectrum,
     hamiltonian_polynomial,
     reality_scan,
+    symmetric_similarity,
 )
 
 exact_couplings = st.fractions(min_value=-2, max_value=2, max_denominator=7)
@@ -136,9 +137,41 @@ class TestRealityScan:
         reports = reality_scan(4, grid)
         assert [r.lam for r in reports] == grid
 
-    def test_threaded_scan_matches_sequential(self, monkeypatch):
-        grid = list(np.linspace(-0.9, 0.9, 25))
-        sequential = reality_scan(6, grid)
-        monkeypatch.setenv("METRIC_FORGE_THREADS", "4")
-        threaded = reality_scan(6, grid)
-        assert sequential == threaded
+    def test_window_points_match_general_solver(self):
+        grid = list(np.linspace(-0.999, 0.999, 41))
+        for n in (2, 6, 40):
+            for report in reality_scan(n, grid):
+                general = eigs_general(build_hamiltonian(HamiltonianSpec(n, report.lam)))
+                assert report.max_imag == 0.0 and report.all_real
+                assert np.allclose(
+                    [v.real for v in report.eigenvalues], general.real, rtol=0, atol=1e-12
+                )
+
+    def test_window_edges_use_general_solver(self):
+        low, high = reality_scan(4, [-1.0, 1.0])
+        for report in (low, high):
+            general = eigs_general(build_hamiltonian(HamiltonianSpec(4, report.lam)))
+            assert report.eigenvalues == tuple(complex(v) for v in general)
+
+
+class TestSymmetricSimilarity:
+    @pytest.mark.parametrize("n", [2, 4, 8, 20])
+    @pytest.mark.parametrize("lam", [-0.999, -0.4, 0.0, 0.3, 0.9999])
+    def test_similarity_reproduces_chain(self, n, lam):
+        spec = HamiltonianSpec(n, lam)
+        diag, off, scale = symmetric_similarity(spec)
+        s = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        rebuilt = scale[:, None] * s / scale[None, :]
+        assert np.allclose(rebuilt, build_hamiltonian(spec).to_numpy(), rtol=0, atol=1e-14)
+
+    def test_middle_bond_and_scaling(self):
+        diag, off, scale = symmetric_similarity(HamiltonianSpec(6, 0.6))
+        assert list(diag) == [2.0] * 6
+        assert list(off) == [-1.0, -1.0, -0.8, -1.0, -1.0]
+        assert list(scale[:3]) == [1.0] * 3
+        assert np.allclose(scale[3:], 0.5, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("lam", [1.0, -1.0, 1.5, -3.0, float("nan")])
+    def test_outside_window_rejected(self, lam):
+        with pytest.raises(DomainError):
+            symmetric_similarity(HamiltonianSpec(4, lam))

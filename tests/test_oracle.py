@@ -5,7 +5,7 @@ import pytest
 
 from metric_forge.errors import DimensionError, DomainError
 from metric_forge.exact import Matrix, null_space, rank
-from metric_forge.hamiltonian import HamiltonianSpec, build_hamiltonian
+from metric_forge.hamiltonian import HamiltonianSpec, build_hamiltonian, symmetric_similarity
 from metric_forge.oracle import (
     SymmetricIndexer,
     intertwining_system,
@@ -176,3 +176,30 @@ class TestVerifyMembership:
     def test_size_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             verify_membership(Matrix.identity(3), HamiltonianSpec(4, 0))
+
+
+class TestSimilarityAnchor:
+    """Theta = D^{-2} from H = D S D^{-1} is an exact positive member."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize(
+        "lam", [Fraction(1, 3), Fraction(-2, 3), Fraction(4, 5), Fraction(-1, 7)]
+    )
+    def test_inverse_square_scaling_is_exact_positive_member(self, n, lam):
+        spec = HamiltonianSpec(n, lam)
+        ratio = (1 + lam) / (1 - lam)
+        weights = [Fraction(1)] * (n // 2) + [ratio] * (n // 2)
+        theta = Matrix.from_rows(
+            [[weights[i] if i == k else Fraction(0) for k in range(n)] for i in range(n)]
+        )
+        ok, residual = verify_membership(theta, spec)
+        assert ok and residual == 0
+        space = solve_metric_space(spec)
+        rows = [upper_triangle_vector(b) for b in space.basis]
+        rows.append(upper_triangle_vector(theta))
+        assert rank(Matrix.from_rows(rows)) == n
+        # diagonal with positive diagonal entries: positive definite exactly
+        assert all(theta[i, i] > 0 for i in range(n))
+        # the float similarity scales by the square roots of the same entries
+        _, _, scale = symmetric_similarity(HamiltonianSpec(n, float(lam)))
+        assert np.allclose(scale**-2, [float(w) for w in weights], rtol=1e-14, atol=0)
