@@ -36,6 +36,7 @@ from .closedform import (
     occupancy_matrix,
     occupancy_positions,
     reflection_symmetry_holds,
+    triangle_entry,
 )
 from .continuum import (
     FreeMetricParams,

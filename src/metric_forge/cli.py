@@ -26,11 +26,11 @@ from .analysis import (
 from .closedform import (
     assemble_theta,
     basis_family,
-    entry_polynomial,
     incidence_family,
     intertwining_defect,
     occupancy_matrix,
     reflection_symmetry_holds,
+    triangle_entry,
 )
 from .continuum import (
     fit_loglog_slope,
@@ -104,9 +104,12 @@ def parse_grid(text: str) -> list[float]:
 
 def parse_float_list(text: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
+        values = [float(p) for p in text.split(",") if p.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"invalid list {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"list values must be finite, got {text!r}")
+    return values
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -158,6 +161,8 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     grid = parse_grid(args.grid)
+    if not (math.isfinite(args.reality_tol) and args.reality_tol >= 0):
+        raise UsageError("--reality-tol must be finite and >= 0")
     reports = reality_scan(args.n, grid, tol=args.reality_tol)
     if args.format == "json":
         payload = [
@@ -182,13 +187,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _basis_entry_payload(n: int, element_j: int, i: int, k: int, degree: int, lam) -> dict:
-    if i + k == n + 1:
-        poly = entry_polynomial(degree)
-    elif i + k < n + 1:
-        poly = entry_polynomial(degree, "minus")
-    else:
-        poly = entry_polynomial(degree, "plus")
+def _basis_entry_payload(n: int, i: int, k: int, degree: int, lam) -> dict:
+    poly = triangle_entry(n, i, k, degree)
     payload = {"i": i, "k": k, "degree": degree, "coefficients": list(poly.coeffs)}
     if lam is not None:
         value = poly(lam)
@@ -208,7 +208,7 @@ def cmd_metric_basis(args: argparse.Namespace) -> int:
     elements = []
     for incidence in family:
         entries = [
-            _basis_entry_payload(args.n, incidence.j, i, k, degree, lam)
+            _basis_entry_payload(args.n, i, k, degree, lam)
             for (i, k), degree in sorted(incidence.degrees.items())
         ]
         elements.append({"j": incidence.j, "entries": entries})
@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # options whose values may legitimately start with a minus sign
-_VALUE_OPTIONS = ("--lambda", "--grid", "--alpha", "--sizes")
+_VALUE_OPTIONS = ("--lambda", "--grid", "--alpha", "--sizes", "--reality-tol")
 
 
 def _normalize_argv(argv: Sequence[str]) -> list[str]:

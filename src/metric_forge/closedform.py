@@ -39,6 +39,7 @@ __all__ = [
     "occupancy_positions",
     "occupancy_matrix",
     "incidence_family",
+    "triangle_entry",
     "basis_element",
     "basis_family",
     "evaluate_basis_stack",
@@ -236,10 +237,22 @@ class MetricBasisElement:
         return self.matrix.map(lambda p: p(lam))
 
 
+def triangle_entry(n: int, i: int, k: int, degree: int) -> IntPolynomial:
+    """Alphabet polynomial of the given degree at 1-based position (i, k)
+    of an n x n basis matrix, by the triangle sign rule: the minus factor
+    above the antidiagonal, the plus factor below it.  Odd degrees on the
+    antidiagonal are impossible by the parity of the occupancy rule and
+    are rejected defensively."""
+    if i + k == n + 1:
+        if degree % 2 == 1:
+            raise ConstructionError(f"odd degree {degree} on the antidiagonal at {(i, k)}")
+        return entry_polynomial(degree)
+    return entry_polynomial(degree, "minus" if i + k < n + 1 else "plus")
+
+
 def basis_element(incidence: IncidenceMatrix) -> MetricBasisElement:
     """Resolve an incidence pattern into its polynomial matrix via the
-    triangle sign rule; odd degrees on the antidiagonal are impossible by
-    the parity of the occupancy rule and are rejected defensively."""
+    triangle sign rule."""
     n = incidence.n
     rows = []
     for i in range(1, n + 1):
@@ -248,16 +261,8 @@ def basis_element(incidence: IncidenceMatrix) -> MetricBasisElement:
             degree = incidence.degree(i, k)
             if degree is None:
                 row.append(IntPolynomial())
-            elif i + k == n + 1:
-                if degree % 2 == 1:
-                    raise ConstructionError(
-                        f"odd degree {degree} on the antidiagonal at {(i, k)}"
-                    )
-                row.append(entry_polynomial(degree))
-            elif i + k < n + 1:
-                row.append(entry_polynomial(degree, "minus"))
             else:
-                row.append(entry_polynomial(degree, "plus"))
+                row.append(triangle_entry(n, i, k, degree))
         rows.append(row)
     return MetricBasisElement(n=n, j=incidence.j, matrix=Matrix.from_rows(rows))
 
@@ -314,6 +319,25 @@ def reflection_symmetry_holds(element: MetricBasisElement) -> bool:
 
 
 def intertwining_defect(element: MetricBasisElement) -> Matrix:
-    """Polynomial matrix M H - H^T M; identically zero for a valid element."""
-    h = hamiltonian_polynomial(element.n)
-    return element.matrix @ h - h.T @ element.matrix
+    """Polynomial matrix M H - H^T M; identically zero for a valid element.
+
+    H is tridiagonal, so each entry sums products over the nonzero entries
+    of one column of H: (M H)[i, k] over column k, (H^T M)[i, k] over
+    column i.  Zero entries of M are skipped as well."""
+    h_columns = hamiltonian_polynomial(element.n).column_nonzeros()
+    m = element.matrix.entries
+    n = element.n
+    rows = []
+    for i in range(n):
+        row = []
+        for k in range(n):
+            acc = IntPolynomial()
+            for r, h in h_columns[k]:
+                if m[i][r]:
+                    acc = acc + m[i][r] * h
+            for r, h in h_columns[i]:
+                if m[r][k]:
+                    acc = acc - h * m[r][k]
+            row.append(acc)
+        rows.append(row)
+    return Matrix.from_rows(rows)

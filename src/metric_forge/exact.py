@@ -4,9 +4,14 @@ eigensolvers.
 Matrices are immutable rows over one scalar kind: `fractions.Fraction`
 for exact work, `IntPolynomial` for symbolic-in-the-coupling work, or
 binary64 floats.  The kernel solver runs fraction-free (Bareiss)
-elimination over integerized rows, so intermediate entries stay
-polynomially bounded in bit size and every returned vector annihilates
-the input exactly.  The floating eigensolvers wrap LAPACK via numpy.
+elimination over sparse integerized rows: each row keeps only its
+nonzero entries, zero rows are dropped, and a row whose leading column
+is not yet reached is not touched until it is used, so the work on the
+oracle's banded systems follows their nonzeros and fill-in rather than
+their dense size.  Intermediate entries are minors of the input, so
+they stay polynomially bounded in bit size, every division is exact,
+and every returned vector annihilates the input exactly.  The floating
+eigensolvers wrap LAPACK via numpy.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .errors import DimensionError
 __all__ = [
     "IntPolynomial",
     "Matrix",
+    "KernelBasis",
     "null_space",
     "rank",
     "eigs_symmetric",
@@ -261,6 +267,12 @@ class Matrix:
             result.append(acc)
         return tuple(result)
 
+    def column_nonzeros(self) -> list[list[tuple[int, Any]]]:
+        """The nonzero entries of each column as (row, entry) pairs."""
+        return [
+            [(r, e) for r, e in enumerate(col) if e] for col in zip(*self.entries)
+        ]
+
     def map(self, fn: Callable[[Any], Any]) -> "Matrix":
         return Matrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
 
@@ -286,81 +298,127 @@ class Matrix:
         )
 
 
-def _integer_rows(a: Matrix) -> list[list[int]]:
+def _integer_rows(a: Matrix) -> list[dict[int, int]]:
+    """Each nonzero row as {column: integer entry}, scaled by the lcm of its
+    denominators.  Zero entries are skipped before any conversion and zero
+    rows are dropped."""
     out = []
     for row in a.entries:
-        exact = [Fraction(v) for v in row]
-        scale = math.lcm(*(f.denominator for f in exact))
-        out.append([int(f * scale) for f in exact])
+        exact = {k: Fraction(v) for k, v in enumerate(row) if v}
+        if exact:
+            scale = math.lcm(*(f.denominator for f in exact.values()))
+            out.append({k: f.numerator * (scale // f.denominator) for k, f in exact.items()})
     return out
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """Fraction-free row echelon form; returns the mutated rows and the
-    pivot (row, column) list.  Columns are processed left to right so the
-    pivot columns, and hence the kernel basis, are canonical."""
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    prev = 1
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot_row is None:
+def _bits(row: dict[int, int]) -> int:
+    return max(map(int.bit_length, row.values()))
+
+
+def _echelon(a: Matrix) -> tuple[list[dict[int, int]], list[int], int]:
+    """Fraction-free (Bareiss) row echelon form over sparse integer rows;
+    returns the pivot rows in pivot order, their pivot columns, and the
+    largest bit length of any entry the elimination produced.
+
+    Columns are processed left to right, so the pivot columns, and hence
+    the kernel basis, are canonical.  Every row waits in the bucket of its
+    leading column.  At step t the first row waiting on column c becomes
+    the pivot row; every other row waiting there is eliminated against it,
+    moves to the bucket of its new leading column, or is dropped once it
+    is zero.  A row waiting on a later column has a zero factor at step t,
+    and Bareiss's update would only rescale it by pivot_t / pivot_(t-1),
+    so it is left alone: it records the step s it was last brought up to
+    and is rescaled entrywise by pivot_t / pivot_s when it is next used.
+    Both that rescaling and the update divide exactly, because every
+    Bareiss entry is a minor of the integerized input (Bareiss 1968).
+    """
+    buckets: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    max_bits = 0
+    for row in _integer_rows(a):
+        buckets.setdefault(min(row), []).append((0, row))
+        max_bits = max(max_bits, _bits(row))
+    pivot_values = [1]  # the pivot of step s; step 0 stands for the input
+    rows: list[dict[int, int]] = []
+    pivot_cols: list[int] = []
+    for c in range(a.cols):
+        waiting = buckets.pop(c, None)
+        if waiting is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, n_rows):
-            factor = rows[i][c]
-            if factor == 0 and piv == prev:
-                continue
-            row_i, row_r = rows[i], rows[r]
-            for k in range(c, n_cols):
-                row_i[k] = (row_i[k] * piv - factor * row_r[k]) // prev
-        prev = piv
-        pivots.append((r, c))
-        r += 1
-    return rows, pivots
+        prev = pivot_values[-1]
+        current = len(pivot_values) - 1
+        lifted = []
+        for stamp, row in waiting:
+            if stamp != current:
+                last = pivot_values[stamp]
+                row = {k: v * prev // last for k, v in row.items()}
+                max_bits = max(max_bits, _bits(row))
+            lifted.append(row)
+        pivot_row = lifted[0]
+        piv = pivot_row[c]
+        for row in lifted[1:]:
+            factor = row[c]
+            merged = {k: piv * v for k, v in row.items() if k != c}
+            for k, v in pivot_row.items():
+                if k != c:
+                    merged[k] = merged.get(k, 0) - factor * v
+            reduced = {k: v // prev for k, v in merged.items() if v}
+            if reduced:
+                buckets.setdefault(min(reduced), []).append((current + 1, reduced))
+                max_bits = max(max_bits, _bits(reduced))
+        pivot_values.append(piv)
+        rows.append(pivot_row)
+        pivot_cols.append(c)
+    return rows, pivot_cols, max_bits
 
 
-def null_space(a: Matrix) -> list[tuple[Fraction, ...]]:
+class KernelBasis(list):
+    """Kernel basis vectors, plus the counters of the elimination that
+    produced them: `pivots` (the rank) and `max_bits`, the largest bit
+    length of any intermediate integer entry."""
+
+    def __init__(self, vectors: list, pivots: int, max_bits: int) -> None:
+        super().__init__(vectors)
+        self.pivots = pivots
+        self.max_bits = max_bits
+
+
+def null_space(a: Matrix) -> KernelBasis:
     """Exact basis of the right kernel of a rational matrix.
 
     Each basis vector is the reduced-echelon one attached to a free
     column: it carries a 1 in that coordinate and the pivot coordinates
     are solved exactly.  An empty list means the kernel is trivial.
+
+    Back-substitution stays in integers: scaled by the last pivot, which
+    is the determinant of the pivot minor, every kernel coordinate is an
+    integer (Cramer's rule), so each division in it is exact.
     """
-    rows = _integer_rows(a)
-    echelon, pivots = _bareiss_echelon(rows)
-    n_cols = a.cols
-    reduced = [[Fraction(v) for v in echelon[r]] for r in range(len(pivots))]
-    for idx in range(len(pivots) - 1, -1, -1):
-        _, c = pivots[idx]
-        piv = reduced[idx][c]
-        reduced[idx] = [v / piv for v in reduced[idx]]
-        for above in range(idx):
-            factor = reduced[above][c]
-            if factor:
-                reduced[above] = [
-                    x - factor * y for x, y in zip(reduced[above], reduced[idx])
-                ]
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for row_idx, c in enumerate(pivot_cols):
-            vec[c] = -reduced[row_idx][free]
-        basis.append(tuple(vec))
-    return basis
+    rows, pivot_cols, max_bits = _echelon(a)
+    pivot_set = set(pivot_cols)
+    free = [c for c in range(a.cols) if c not in pivot_set]
+    det = rows[-1][pivot_cols[-1]] if rows else 1
+    scaled: dict[int, list[int]] = {}
+    for t, f in enumerate(free):
+        scaled[f] = [0] * len(free)
+        scaled[f][t] = det
+    for row, c in zip(reversed(rows), reversed(pivot_cols)):
+        acc = [0] * len(free)
+        for k, v in row.items():
+            if k != c:
+                acc = [x + v * y for x, y in zip(acc, scaled[k])]
+        piv = row[c]
+        scaled[c] = [-x // piv for x in acc]
+    zero = Fraction(0)
+    basis = [
+        tuple(Fraction(scaled[k][t], det) if scaled[k][t] else zero for k in range(a.cols))
+        for t in range(len(free))
+    ]
+    return KernelBasis(basis, len(pivot_cols), max_bits)
 
 
 def rank(a: Matrix) -> int:
     """Exact rank over the rationals."""
-    _, pivots = _bareiss_echelon(_integer_rows(a))
-    return len(pivots)
+    return len(_echelon(a)[1])
 
 
 def _as_float_array(m: Any) -> np.ndarray:

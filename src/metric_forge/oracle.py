@@ -62,12 +62,18 @@ class SymmetricIndexer:
 
 @dataclass(frozen=True)
 class MetricSolutionSpace:
-    """Complete space of real symmetric solutions at one exact coupling."""
+    """Complete space of real symmetric solutions at one exact coupling.
+
+    `pivots` and `max_bits` are the counters of the kernel elimination:
+    its pivot count (the rank of the constraint system) and the largest
+    bit length of any intermediate integer entry."""
 
     n: int
     lam: Fraction
     basis: tuple[Matrix, ...]
     dimension: int
+    pivots: int
+    max_bits: int
 
 
 class MembershipResult(NamedTuple):
@@ -80,19 +86,24 @@ def intertwining_system(h: Matrix) -> Matrix:
     Theta H - H^T Theta = 0 under the symmetric parametrization.
 
     Rows are the n^2 entries of the defect matrix in row-major order;
-    columns follow the canonical upper-triangle ordering.
+    columns follow the canonical upper-triangle ordering.  Row (p, q) is
+    filled only from the nonzero entries of columns p and q of `h`.
     """
     if not h.is_square:
         raise DimensionError("square matrix required")
     n = h.rows
     indexer = SymmetricIndexer(n)
-    rows = [[Fraction(0)] * indexer.count for _ in range(n * n)]
+    zero = Fraction(0)
+    columns = [[(r, Fraction(v)) for r, v in col] for col in h.column_nonzeros()]
+    rows = []
     for p in range(n):
         for q in range(n):
-            row = rows[p * n + q]
-            for r in range(n):
-                row[indexer.flat(p, r)] += Fraction(h[r, q])
-                row[indexer.flat(r, q)] -= Fraction(h[r, p])
+            row = [zero] * indexer.count
+            for r, v in columns[q]:
+                row[indexer.flat(p, r)] += v
+            for r, v in columns[p]:
+                row[indexer.flat(r, q)] -= v
+            rows.append(row)
     return Matrix.from_rows(rows)
 
 
@@ -116,7 +127,12 @@ def solve_metric_space(spec: HamiltonianSpec) -> MetricSolutionSpace:
     indexer = SymmetricIndexer(spec.n)
     basis = tuple(_symmetric_from_flat(spec.n, indexer, vec) for vec in kernel)
     return MetricSolutionSpace(
-        n=spec.n, lam=Fraction(spec.lam), basis=basis, dimension=len(basis)
+        n=spec.n,
+        lam=Fraction(spec.lam),
+        basis=basis,
+        dimension=len(basis),
+        pivots=kernel.pivots,
+        max_bits=kernel.max_bits,
     )
 
 

@@ -298,6 +298,12 @@ class TestUsageErrors:
             ("spectrum", "--n", "4", "--grid", "0:inf:3"),
             ("spectrum", "--n", "4", "--grid", "-1e308:1e308:3"),
             ("positivity", "--n", "2", "--lambda", "0.5", "--sample", "3", "--seed", "-1"),
+            ("positivity", "--n", "2", "--lambda", "0.5", "--alpha", "1,nan"),
+            ("positivity", "--n", "2", "--lambda", "0.5", "--alpha", "inf,1"),
+            ("positivity", "--n", "2", "--lambda", "0.5", "--alpha", "1,-inf"),
+            ("spectrum", "--n", "4", "--grid", "0:0.5:3", "--reality-tol", "nan"),
+            ("spectrum", "--n", "4", "--grid", "0:0.5:3", "--reality-tol", "inf"),
+            ("spectrum", "--n", "4", "--grid", "0:0.5:3", "--reality-tol", "-1e-9"),
         ],
     )
     def test_single_error_line_and_exit_code_two(self, capsys, argv):

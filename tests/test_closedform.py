@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from metric_forge.closedform import (
     IncidenceMatrix,
+    MetricBasisElement,
     SignedPolynomial,
     assemble_theta,
     basis_element,
@@ -19,7 +20,7 @@ from metric_forge.closedform import (
 )
 from metric_forge.errors import ConstructionError, DimensionError, DomainError
 from metric_forge.exact import IntPolynomial, Matrix, rank
-from metric_forge.hamiltonian import HamiltonianSpec
+from metric_forge.hamiltonian import HamiltonianSpec, hamiltonian_polynomial
 from metric_forge.oracle import solve_metric_space, upper_triangle_vector
 
 # incidence patterns exactly as printed for sizes 4 and 6
@@ -238,6 +239,26 @@ class TestBasisElement:
         stacked = [upper_triangle_vector(b) for b in space.basis]
         stacked += [upper_triangle_vector(el.evaluate(lam)) for el in basis_family(n)]
         assert rank(Matrix.from_rows(stacked)) == n
+
+
+class TestBandedDefect:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_matches_dense_products(self, n):
+        h = hamiltonian_polynomial(n)
+        for element in basis_family(n):
+            m = element.matrix
+            assert intertwining_defect(element) == m @ h - h.T @ m
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_changed_entry_gives_nonzero_defect(self, n):
+        for element in basis_family(n):
+            for i in range(n):
+                for k in range(n):
+                    rows = [list(row) for row in element.matrix.entries]
+                    rows[i][k] = rows[i][k] + 1
+                    changed = MetricBasisElement(n, element.j, Matrix.from_rows(rows))
+                    defect = intertwining_defect(changed)
+                    assert any(p for row in defect.entries for p in row)
 
 
 class TestAssembleTheta:

@@ -130,6 +130,84 @@ class TestNullSpace:
             assert rank(Matrix.from_rows(basis)) == len(basis)
 
 
+def gauss_jordan_kernel(a):
+    """Reference: plain Fraction Gauss-Jordan elimination to reduced row
+    echelon form; returns the kernel basis attached to the free columns
+    and the rank."""
+    m = [[Fraction(v) for v in row] for row in a.entries]
+    pivot_cols = []
+    for c in range(a.cols):
+        r = len(pivot_cols)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivot_cols.append(c)
+    basis = []
+    for free in (c for c in range(a.cols) if c not in pivot_cols):
+        vec = [Fraction(0)] * a.cols
+        vec[free] = Fraction(1)
+        for r, c in enumerate(pivot_cols):
+            vec[c] = -m[r][free]
+        basis.append(tuple(vec))
+    return basis, len(pivot_cols)
+
+
+nonzero_fractions = small_fractions.filter(bool)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Random sparse rational matrices with zero rows, negated duplicate
+    rows, all-zero columns, and rows whose support starts late, so that
+    they wait through many pivot steps before they are used."""
+    n_cols = draw(st.integers(min_value=1, max_value=10))
+    dead = draw(st.sets(st.integers(min_value=0, max_value=n_cols - 1), max_size=n_cols // 2))
+    live = [c for c in range(n_cols) if c not in dead] or [0]
+    supports = st.dictionaries(st.sampled_from(live), nonzero_fractions, max_size=4)
+    late = st.dictionaries(st.sampled_from(live[-2:]), nonzero_fractions, min_size=1, max_size=2)
+    entries = draw(st.lists(supports, min_size=1, max_size=9))
+    entries += draw(st.lists(late, max_size=3))
+    entries += [{} for _ in range(draw(st.integers(min_value=0, max_value=2)))]
+    negated = draw(st.lists(st.sampled_from(range(len(entries))), max_size=2))
+    entries += [{c: -v for c, v in entries[i].items()} for i in negated]
+    entries = draw(st.permutations(entries))
+    return Matrix.from_rows(
+        [[row.get(c, Fraction(0)) for c in range(n_cols)] for row in entries]
+    )
+
+
+class TestSparseElimination:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_matrices())
+    def test_matches_gauss_jordan_reference(self, a):
+        basis = null_space(a)
+        expected_basis, expected_rank = gauss_jordan_kernel(a)
+        zero = tuple(Fraction(0) for _ in range(a.rows))
+        for vec in basis:
+            assert a @ vec == zero
+        assert basis == expected_basis
+        assert rank(a) == expected_rank
+        assert basis.pivots == expected_rank
+
+    def test_waiting_row_is_rescaled_exactly(self):
+        # the fourth row is updated at step 2 (pivot 36), then waits on
+        # column 3 through step 3 (pivot -30); it is rescaled by -30/36,
+        # which is not an integer, before step 4 uses it
+        a = Matrix.from_rows(
+            [[6, 0, 1, 0, 0, -1], [5, 0, 0, -4, -3, 0], [0, 6, 0, 1, 0, -6], [0, 5, 0, 5, 0, -3]]
+        )
+        basis = null_space(a)
+        expected_basis, expected_rank = gauss_jordan_kernel(a)
+        assert basis == expected_basis
+        assert rank(a) == expected_rank == 4
+
+
 class TestEigsSymmetric:
     def test_diagonal(self):
         w = eigs_symmetric(np.diag([1 - 0.5, 1 + 0.5]))

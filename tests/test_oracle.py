@@ -101,6 +101,18 @@ class TestSolveMetricSpace:
         space = solve_metric_space(HamiltonianSpec(n, lam))
         assert space.dimension == n
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_pivot_count_is_the_constraint_rank(self, n):
+        space = solve_metric_space(HamiltonianSpec(n, Fraction(5, 9)))
+        assert space.pivots == n * (n + 1) // 2 - n
+
+    def test_intermediate_bit_length_grows_linearly(self):
+        # measured 7n - 10 bits at this coupling for n = 4..30
+        lam = Fraction(5, 9)
+        bits = {n: solve_metric_space(HamiltonianSpec(n, lam)).max_bits for n in range(4, 26, 2)}
+        assert all(b <= 8 * n for n, b in bits.items())
+        assert all(bits[n + 2] - bits[n] <= 16 for n in range(4, 24, 2))
+
     def test_basis_members_are_exact_symmetric_solutions(self):
         spec = HamiltonianSpec(6, Fraction(-1, 3))
         space = solve_metric_space(spec)
