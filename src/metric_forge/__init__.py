@@ -43,11 +43,9 @@ from .continuum import (
     LatticeGrid,
     MatchingData,
     WallReport,
-    central_row_residual,
     fit_loglog_slope,
     free_lattice_metric,
     matching_data,
-    matching_identity_residual,
     matching_residual,
     opaque_wall_check,
 )

@@ -18,8 +18,8 @@ import numpy as np
 
 from .closedform import evaluate_basis_stack
 from .errors import DegenerateSpectrumError, DimensionError, DomainError
-from .exact import Matrix, eigs_symmetric
-from .hamiltonian import HamiltonianSpec, build_hamiltonian, symmetric_similarity
+from .exact import _as_float_array, eigs_symmetric
+from .hamiltonian import HamiltonianSpec, _tridiagonal, build_hamiltonian, symmetric_similarity
 
 __all__ = [
     "BiorthogonalSystem",
@@ -37,13 +37,6 @@ __all__ = [
 
 # Smallest eigenvalue a candidate needs to count as positive definite.
 POSITIVE_MARGIN = 1e-10
-
-
-def _as_float_matrix(theta: Any) -> np.ndarray:
-    arr = theta.to_numpy() if isinstance(theta, Matrix) else np.asarray(theta, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError("expected a square matrix")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +72,7 @@ def biorthogonal_system(
             "spectral representation requires a coupling inside (-1, 1)"
         )
     diag, off, scale = symmetric_similarity(spec)
-    values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    values, vectors = np.linalg.eigh(_tridiagonal(diag, off, off))
     bound = max(1.0, float(np.max(np.abs(values))))
     if np.min(np.diff(values)) <= gap_tol * bound:
         raise DegenerateSpectrumError("spectrum is (nearly) degenerate")
@@ -117,10 +110,10 @@ def weights_from_theta(
     candidate's magnitude) are rejected, since the projection would be
     meaningless for them.
     """
-    arr = _as_float_matrix(theta)
+    arr = _as_float_array(theta)
     if arr.shape != (system.n, system.n):
         raise DimensionError("candidate size differs from the system")
-    h = build_hamiltonian(HamiltonianSpec(system.n, system.lam)).to_numpy()
+    h = build_hamiltonian(HamiltonianSpec(system.n, system.lam))
     defect = float(np.max(np.abs(arr @ h - h.T @ arr)))
     if defect > tol * max(1.0, float(np.max(np.abs(arr)))):
         raise DomainError(
@@ -238,7 +231,8 @@ def sample_positivity_region(
         raise DomainError("need at least one sample")
     lam = float(lam)
     stack = evaluate_basis_stack(n, lam)
-    has_closed_form = n == 2 or (n == 4 and lam == 0.0)
+    # the domain of closed_form_margin
+    has_closed_form = (n == 2 and -1.0 < lam < 1.0) or (n == 4 and lam == 0.0)
     system = None
     if -1.0 < lam < 1.0:
         system = biorthogonal_system(HamiltonianSpec(n, lam))

@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -38,7 +39,7 @@ from .continuum import (
     opaque_wall_check,
 )
 from .errors import ConstructionError, DegenerateSpectrumError, DimensionError, DomainError
-from .exact import Matrix, rank
+from .exact import IntPolynomial, Matrix, rank
 from .hamiltonian import HamiltonianSpec, build_hamiltonian, reality_scan
 from .oracle import solve_metric_space, upper_triangle_vector
 
@@ -127,7 +128,10 @@ def _scalar_json(value: Fraction | float) -> Any:
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write --output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -136,26 +140,20 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
     lam = parse_scalar(args.lam)
     spec = HamiltonianSpec(args.n, lam)
     matrix = build_hamiltonian(spec)
-    exact = spec.is_exact
-    if args.format == "json":
-        if exact:
-            grid = [[str(Fraction(e)) for e in row] for row in matrix.entries]
-        else:
-            grid = [[float(e) for e in row] for row in matrix.entries]
-        payload = {"n": spec.n, "lambda": _scalar_json(lam if not exact else Fraction(lam)), "matrix": grid}
-        _emit(json.dumps(payload) + "\n", args.output)
-    elif args.format == "csv":
-        lines = []
-        for row in matrix.entries:
-            cells = [str(Fraction(e)) if exact else _fmt(e) for e in row]
-            lines.append(",".join(cells))
-        _emit("\n".join(lines) + "\n", args.output)
+    if spec.is_exact:
+        lam = Fraction(lam)
+        grid = cells = [[str(e) for e in row] for row in matrix.entries]
     else:
-        lines = []
-        for row in matrix.entries:
-            cells = [str(Fraction(e)) if exact else _fmt(e) for e in row]
-            lines.append("  ".join(f"{c:>10}" for c in cells))
-        _emit("\n".join(lines) + "\n", args.output)
+        grid = matrix.tolist()
+        cells = [[_fmt(e) for e in row] for row in grid]
+    if args.format == "json":
+        payload = {"n": spec.n, "lambda": _scalar_json(lam), "matrix": grid}
+        text = json.dumps(payload)
+    elif args.format == "csv":
+        text = "\n".join(",".join(row) for row in cells)
+    else:
+        text = "\n".join("  ".join(f"{c:>10}" for c in row) for row in cells)
+    _emit(text + "\n", args.output)
     return 0
 
 
@@ -187,12 +185,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _basis_entry_payload(n: int, i: int, k: int, degree: int, lam) -> dict:
+def _basis_entry_payload(n: int, i: int, k: int, degree: int, value) -> dict:
     poly = triangle_entry(n, i, k, degree)
     payload = {"i": i, "k": k, "degree": degree, "coefficients": list(poly.coeffs)}
-    if lam is not None:
-        value = poly(lam)
-        payload["value"] = str(value) if isinstance(value, (Fraction, int)) else float(value)
+    if value is not None:
+        payload["value"] = value(poly)
     return payload
 
 
@@ -200,6 +197,14 @@ def cmd_metric_basis(args: argparse.Namespace) -> int:
     lam = parse_scalar(args.lam) if args.lam is not None else None
     if isinstance(lam, int):
         lam = Fraction(lam)
+    value = None
+    if lam is not None:
+        # each distinct alphabet polynomial is evaluated once per command
+        @cache
+        def value(poly: IntPolynomial) -> Any:
+            result = poly(lam)
+            return str(result) if isinstance(result, (Fraction, int)) else float(result)
+
     family = incidence_family(args.n)
     if args.j is not None:
         if not 1 <= args.j <= args.n:
@@ -208,7 +213,7 @@ def cmd_metric_basis(args: argparse.Namespace) -> int:
     elements = []
     for incidence in family:
         entries = [
-            _basis_entry_payload(args.n, i, k, degree, lam)
+            _basis_entry_payload(args.n, i, k, degree, value)
             for (i, k), degree in sorted(incidence.degrees.items())
         ]
         elements.append({"j": incidence.j, "entries": entries})

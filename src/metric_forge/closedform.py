@@ -274,19 +274,24 @@ def basis_family(n: int) -> tuple[MetricBasisElement, ...]:
 
 
 def evaluate_basis_stack(n: int, lam: float) -> np.ndarray:
-    """Float stack of the basis family at one coupling, shape (n, n, n)."""
+    """Float stack of the basis family at one coupling, shape (n, n, n).
+    A coupling so large that an entry overflows is rejected."""
     lam = float(lam)
-    return np.array(
+    stack = np.array(
         [
             [[float(p(lam)) for p in row] for row in element.matrix.entries]
             for element in basis_family(n)
         ]
     )
+    if not np.isfinite(stack).all():
+        raise DomainError(f"basis entries overflow at lam = {lam!r}")
+    return stack
 
 
-def assemble_theta(n: int, lam: Any, alpha: Sequence[Any]) -> Matrix:
-    """Superposition sum_j alpha_j M_j(lam); exact when the coupling and
-    all coefficients are exact, float otherwise."""
+def assemble_theta(n: int, lam: Any, alpha: Sequence[Any]) -> Matrix | np.ndarray:
+    """Superposition sum_j alpha_j M_j(lam), summed left to right: a
+    `Matrix` when the coupling and all coefficients are exact, a float
+    array otherwise."""
     coefficients = tuple(alpha)
     if len(coefficients) != n:
         raise DimensionError(f"need exactly {n} coefficients")
@@ -294,15 +299,16 @@ def assemble_theta(n: int, lam: Any, alpha: Sequence[Any]) -> Matrix:
         isinstance(a, (int, Fraction)) for a in coefficients
     )
     if exact:
-        point: Any = Fraction(lam)
-        weights = [Fraction(a) for a in coefficients]
+        point = Fraction(lam)
+        terms = [
+            element.matrix.map(lambda p, w=Fraction(a): p(point) * w)
+            for a, element in zip(coefficients, basis_family(n))
+        ]
     else:
-        point = float(lam)
-        weights = [float(a) for a in coefficients]
-    total = None
-    for weight, element in zip(weights, basis_family(n)):
-        term = element.matrix.map(lambda p, w=weight, x=point: p(x) * w)
-        total = term if total is None else total + term
+        terms = [float(a) * m for a, m in zip(coefficients, evaluate_basis_stack(n, lam))]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
     return total
 
 

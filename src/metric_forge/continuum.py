@@ -26,8 +26,6 @@ __all__ = [
     "WallReport",
     "FreeMetricParams",
     "matching_data",
-    "central_row_residual",
-    "matching_identity_residual",
     "matching_residual",
     "fit_loglog_slope",
     "opaque_wall_check",
@@ -87,7 +85,8 @@ class MatchingData:
 
     Substituting them back reproduces the two coupled rows of the
     eigenproblem identically, so this data satisfies the matching
-    condition by construction (see matching_identity_residual).
+    condition by construction; matching_residual measures the condition
+    on half-chain wave data instead.
     """
 
     n: int
@@ -131,44 +130,19 @@ def matching_data(spec: HamiltonianSpec, state: int = 1) -> MatchingData:
 def _matching_sides(
     lam: float, f: float, h: float, v_r: float, v_l: float, d_r: float, d_l: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Left and right sides of the two matching relations between the
+    right (r) and left (l) boundary values v and one-sided derivatives d.
+    On the stencil data of a psi that satisfies both coupled rows the two
+    sides agree identically; with exact inputs they are exactly equal."""
     lhs = (
-        (h / 2.0) * (-(1.0 + lam) * d_r + (f + 1.0) * d_l),
-        (h / 2.0) * (-(f + 1.0) * d_r + (1.0 - lam) * d_l),
+        (h / 2) * (-(1 + lam) * d_r + (f + 1) * d_l),
+        (h / 2) * (-(f + 1) * d_r + (1 - lam) * d_l),
     )
     rhs = (
-        (1.0 + lam) * v_r + (f - 1.0) * v_l,
-        (f - 1.0) * v_r + (1.0 - lam) * v_l,
+        (1 + lam) * v_r + (f - 1) * v_l,
+        (f - 1) * v_r + (1 - lam) * v_l,
     )
     return lhs, rhs
-
-
-def central_row_residual(spec: HamiltonianSpec, state: int = 1) -> float:
-    """Max defect of the two coupled rows of the eigenproblem themselves;
-    zero up to eigensolver noise for any computed eigenpair."""
-    data = matching_data(spec, state)
-    half = spec.n // 2
-    psi = data.psi
-    p_km1, p_k, p_k1, p_k2 = psi[half - 2], psi[half - 1], psi[half], psi[half + 1]
-    two_cos = 2.0 - data.f
-    row_a = (1.0 + data.lam) * p_k1 - two_cos * p_k + p_km1
-    row_b = p_k2 - two_cos * p_k1 + (1.0 - data.lam) * p_k
-    return max(abs(row_a), abs(row_b))
-
-
-def matching_identity_residual(spec: HamiltonianSpec, state: int = 1) -> float:
-    """Raw matching gap evaluated on the stencil-reconstructed data.
-
-    The stencil inversion is exact for the two-term expansions, so the
-    matching condition is an algebraic rearrangement of the coupled rows
-    and this gap vanishes identically (up to eigensolver noise).  It is a
-    consistency check, not a convergence measure; see matching_residual.
-    """
-    data = matching_data(spec, state)
-    h = LatticeGrid(spec.n).h
-    lhs, rhs = _matching_sides(
-        data.lam, data.f, h, data.psi_r0, data.psi_l0, data.dpsi_r0, data.dpsi_l0
-    )
-    return max(abs(a - b) for a, b in zip(lhs, rhs))
 
 
 def matching_residual(spec: HamiltonianSpec, state: int = 1) -> float:

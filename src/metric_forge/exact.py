@@ -2,9 +2,9 @@
 eigensolvers.
 
 Matrices are immutable rows over one scalar kind: `fractions.Fraction`
-for exact work, `IntPolynomial` for symbolic-in-the-coupling work, or
-binary64 floats.  The kernel solver runs fraction-free (Bareiss)
-elimination over sparse integerized rows: each row keeps only its
+for exact work or `IntPolynomial` for symbolic-in-the-coupling work;
+float work uses numpy arrays.  The kernel solver runs fraction-free
+(Bareiss) elimination over sparse integerized rows: each row keeps only its
 nonzero entries, zero rows are dropped, and a row whose leading column
 is not yet reached is not touched until it is used, so the work on the
 oracle's banded systems follows their nonzeros and fill-in rather than
@@ -161,7 +161,7 @@ class Matrix:
     """Immutable rectangular matrix stored as a tuple of row tuples.
 
     All entries are expected to share one scalar kind; arithmetic works
-    for anything supporting +, -, * (Fraction, IntPolynomial, int, float).
+    for anything supporting +, -, * (Fraction, IntPolynomial, int).
     """
 
     entries: tuple[tuple[Any, ...], ...]
@@ -237,9 +237,6 @@ class Matrix:
                 for ra, rb in zip(self.entries, other.entries)
             )
         )
-
-    def scale(self, factor: Any) -> "Matrix":
-        return Matrix(tuple(tuple(e * factor for e in row) for row in self.entries))
 
     def __matmul__(self, other: Any) -> Any:
         if isinstance(other, Matrix):
@@ -422,12 +419,10 @@ def rank(a: Matrix) -> int:
 
 
 def _as_float_array(m: Any) -> np.ndarray:
-    if isinstance(m, Matrix):
-        arr = m.to_numpy()
-    else:
-        arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError("expected a two-dimensional array")
+    """A `Matrix` or array-like as a square float array."""
+    arr = m.to_numpy() if isinstance(m, Matrix) else np.asarray(m, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionError("expected a square matrix")
     return arr
 
 
@@ -439,8 +434,6 @@ def eigs_symmetric(m: Any, *, tol: float = 1e-12, vectors: bool = False):
     ``vectors=True`` also returns the orthonormal eigenvector columns.
     """
     a = _as_float_array(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError("square matrix required")
     asym = float(np.max(np.abs(a - a.T)))
     if asym > tol:
         raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e} > {tol:.3e})")
@@ -458,8 +451,6 @@ def eigs_general(m: Any) -> np.ndarray:
     (LAPACK guarantees the pairing); sorting keeps the multiset stable.
     """
     a = _as_float_array(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError("square matrix required")
     w = np.linalg.eigvals(a)
     order = np.lexsort((w.imag, w.real))
     return w[order]

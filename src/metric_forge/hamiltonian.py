@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Any, Iterable, Union
 
 import numpy as np
 
@@ -79,60 +79,47 @@ class SpectrumReport:
     all_real: bool
 
 
-def build_hamiltonian(spec: HamiltonianSpec) -> Matrix:
-    """Dense matrix of the chain member; exact entries for exact couplings."""
-    if spec.is_exact:
-        lam: ScalarLike = Fraction(spec.lam)
-        one: ScalarLike = Fraction(1)
-    else:
-        lam = float(spec.lam)
-        one = 1.0
-    zero = one - one
-    two = one + one
-    mid = spec.k
-    rows = []
-    for i in range(1, spec.n + 1):
-        row = []
-        for j in range(1, spec.n + 1):
-            if i == j:
-                row.append(two)
-            elif i == mid and j == mid + 1:
-                row.append(-one - lam)
-            elif i == mid + 1 and j == mid:
-                row.append(-one + lam)
-            elif abs(i - j) == 1:
-                row.append(-one)
-            else:
-                row.append(zero)
-        rows.append(row)
+def _chain_bands(n: int, lam: Any, one: Any) -> tuple[list, list, list]:
+    """Diagonal, super-diagonal and sub-diagonal of the chain over the
+    scalar kind of `one` (Fraction, float or IntPolynomial): 2 on the
+    diagonal, -1 off it, and the middle bond -1 - lam above against
+    -1 + lam below."""
+    upper = [-one] * (n - 1)
+    lower = list(upper)
+    upper[n // 2 - 1] = -one - lam
+    lower[n // 2 - 1] = -one + lam
+    return [one + one] * n, upper, lower
+
+
+def _band_matrix(n: int, lam: Any, one: Any) -> Matrix:
+    diag, upper, lower = _chain_bands(n, lam, one)
+    rows = [[one - one] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = diag[i]
+    for i in range(n - 1):
+        rows[i][i + 1] = upper[i]
+        rows[i + 1][i] = lower[i]
     return Matrix.from_rows(rows)
+
+
+def _tridiagonal(diag: Any, upper: Any, lower: Any) -> np.ndarray:
+    """Dense float matrix with the given diagonal, super- and sub-diagonal."""
+    return np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+
+
+def build_hamiltonian(spec: HamiltonianSpec) -> Matrix | np.ndarray:
+    """Dense chain member: a `Matrix` of Fractions for an exact coupling,
+    a float numpy array otherwise."""
+    if spec.is_exact:
+        return _band_matrix(spec.n, Fraction(spec.lam), Fraction(1))
+    return _tridiagonal(*_chain_bands(spec.n, float(spec.lam), 1.0))
 
 
 def hamiltonian_polynomial(n: int) -> Matrix:
     """The chain member with the coupling kept symbolic (IntPolynomial entries)."""
     if n < 2 or n % 2 != 0:
         raise DimensionError("matrix size must be an even integer >= 2")
-    zero = IntPolynomial()
-    one = IntPolynomial((1,))
-    two = IntPolynomial((2,))
-    x = IntPolynomial((0, 1))
-    mid = n // 2
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i == j:
-                row.append(two)
-            elif i == mid and j == mid + 1:
-                row.append(-one - x)
-            elif i == mid + 1 and j == mid:
-                row.append(-one + x)
-            elif abs(i - j) == 1:
-                row.append(-one)
-            else:
-                row.append(zero)
-        rows.append(row)
-    return Matrix.from_rows(rows)
+    return _band_matrix(n, IntPolynomial((0, 1)), IntPolynomial((1,)))
 
 
 def closed_form_spectrum(spec: HamiltonianSpec) -> list[float]:
@@ -172,12 +159,11 @@ def symmetric_similarity(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray,
     lam = float(spec.lam)
     if not -1.0 < lam < 1.0:
         raise DomainError("the symmetric similarity requires |lam| < 1")
-    k = spec.k
-    diag = np.full(spec.n, 2.0)
-    off = np.full(spec.n - 1, -1.0)
-    off[k - 1] = -math.sqrt((1.0 - lam) * (1.0 + lam))
-    scale = np.ones(spec.n)
-    scale[k:] = math.sqrt((1.0 - lam) / (1.0 + lam))
+    diag, upper, lower = (np.array(band) for band in _chain_bands(spec.n, lam, 1.0))
+    # each bond of S is the geometric mean of the two entries of H, and D
+    # grows across a bond by the square root of their ratio
+    off = -np.sqrt(upper * lower)
+    scale = np.cumprod(np.concatenate(([1.0], np.sqrt(lower / upper))))
     return diag, off, scale
 
 
@@ -195,8 +181,7 @@ def reality_scan(
         spec = HamiltonianSpec(n, float(lam))
         if -1.0 < spec.lam < 1.0:
             diag, off, _ = symmetric_similarity(spec)
-            s = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-            values = np.linalg.eigvalsh(s)
+            values = np.linalg.eigvalsh(_tridiagonal(diag, off, off))
         else:
             values = eigs_general(build_hamiltonian(spec))
         eigenvalues = tuple(complex(v) for v in values)

@@ -16,7 +16,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .exact import Matrix, null_space
+from .exact import Matrix, _as_float_array, null_space
 from .hamiltonian import HamiltonianSpec, build_hamiltonian
 
 __all__ = [
@@ -166,9 +166,9 @@ def verify_membership(
         defect = theta @ h - h.T @ theta
         residual = defect.max_abs()
         return MembershipResult(residual == 0, residual)
-    arr = theta.to_numpy() if isinstance(theta, Matrix) else np.asarray(theta, dtype=float)
+    arr = _as_float_array(theta)
     if arr.shape != (spec.n, spec.n):
         raise DimensionError("candidate size differs from the Hamiltonian")
-    h_float = build_hamiltonian(HamiltonianSpec(spec.n, float(spec.lam))).to_numpy()
+    h_float = build_hamiltonian(HamiltonianSpec(spec.n, float(spec.lam)))
     residual = float(np.max(np.abs(arr @ h_float - h_float.T @ arr)))
     return MembershipResult(residual <= tol, residual)

@@ -52,7 +52,7 @@ class TestBiorthogonalSystem:
 
     def test_left_vectors_are_transpose_eigenvectors(self):
         system = biorthogonal_system(HamiltonianSpec(6, 0.3))
-        h = build_hamiltonian(HamiltonianSpec(6, 0.3)).to_numpy()
+        h = build_hamiltonian(HamiltonianSpec(6, 0.3))
         for idx in range(6):
             w = system.left[:, idx]
             residual = np.max(np.abs(h.T @ w - system.energies[idx] * w))
@@ -72,7 +72,7 @@ class TestBiorthogonalSystem:
     def test_well_conditioned_near_exceptional_point(self):
         spec = HamiltonianSpec(40, -0.9999)
         system = biorthogonal_system(spec)
-        h = build_hamiltonian(spec).to_numpy()
+        h = build_hamiltonian(spec)
         left, right = system.left, system.right
         assert np.max(np.abs(h.T @ left - left * system.energies)) <= 5e-13
         assert np.max(np.abs(left.T @ right - np.eye(40))) <= 1e-13
@@ -104,7 +104,7 @@ class TestThetaFromWeights:
     def test_intertwining_residual_size4(self):
         system = biorthogonal_system(HamiltonianSpec(4, 0.5))
         theta = theta_from_weights(system, [1.0, 1.0, 1.0, 1.0])
-        h = build_hamiltonian(HamiltonianSpec(4, 0.5)).to_numpy()
+        h = build_hamiltonian(HamiltonianSpec(4, 0.5))
         assert np.max(np.abs(theta @ h - h.T @ theta)) < 1e-9
 
     def test_positive_weights_give_positive_matrix(self):
@@ -251,6 +251,13 @@ class TestSampling:
         for record in result.records:
             if record.alpha[0] > 0:
                 assert record.alpha[0] == 1.0
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5])
+    def test_size2_outside_window_leaves_closed_form_empty(self, lam):
+        # closed_form_margin covers size 2 only for |lam| < 1
+        result = sample_positivity_region(2, lam, seed=5, count=20)
+        assert all(record.closed_form_positive is None for record in result.records)
+        assert all(record.weights_positive is None for record in result.records)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_first_basis_vector_always_positive(self, n):

@@ -238,6 +238,16 @@ class TestPositivityCommand:
             if cells[nb_col] == "false":
                 assert cells[pos_col] == cells[cf_col]
 
+    @pytest.mark.parametrize("lam", ["1", "1.5"])
+    def test_size2_sampling_outside_window(self, capsys, lam):
+        code, out, _ = run_cli(
+            capsys, "positivity", "--n", "2", "--lambda", lam, "--sample", "3"
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        cf_col = lines[0].split(",").index("closed_form_positive")
+        assert [row.split(",")[cf_col] for row in lines[1:-1]] == ["", "", ""]
+
 
 class TestContinuumCommand:
     def test_convergence_sweep(self, capsys):
@@ -304,10 +314,26 @@ class TestUsageErrors:
             ("spectrum", "--n", "4", "--grid", "0:0.5:3", "--reality-tol", "nan"),
             ("spectrum", "--n", "4", "--grid", "0:0.5:3", "--reality-tol", "inf"),
             ("spectrum", "--n", "4", "--grid", "0:0.5:3", "--reality-tol", "-1e-9"),
+            # basis entries of degree 2 and more overflow a float
+            ("positivity", "--n", "6", "--lambda", "1e300", "--alpha", "1,2,3,4,5,6"),
+            ("positivity", "--n", "4", "--lambda", "1e200", "--sample", "3"),
         ],
     )
     def test_single_error_line_and_exit_code_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    @pytest.mark.parametrize(
+        "argv",
+        [("hamiltonian", "--n", "2"), ("metric", "verify", "--n", "2", "--lambda", "1/2")],
+    )
+    def test_unwritable_output(self, capsys, tmp_path, argv, target):
+        # a missing parent directory, or a directory as the target
+        code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / target))
         assert code == 2
         assert out == ""
         lines = err.splitlines()

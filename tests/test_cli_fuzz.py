@@ -1,0 +1,121 @@
+"""Fuzz the CLI contract over argument vectors of all six subcommands.
+
+Whatever the arguments, `cli.main` returns 0 or 2 (for `metric verify`,
+0 to 5: the number of failed checks) or argparse exits with status 2;
+nothing else may raise.  Sizes, sample and grid counts stay small so
+the test runs in seconds.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from metric_forge.cli import main
+
+SIZES = st.sampled_from(["-2", "0", "1", "2", "3", "4", "6", "8", "x", ""])
+COUPLINGS = st.one_of(
+    st.sampled_from(
+        ["0", "-0", "1/3", "-2/5", "1", "-1", "3/2", "1/0", "0.3", "-0.99", "1.5",
+         "1e300", "-1e300", "nan", "inf", "abc", ""]
+    ),
+    st.floats(-2.0, 2.0).map(repr),
+)
+GRIDS = st.one_of(
+    st.builds(
+        lambda a, b, c: f"{a}:{b}:{c}",
+        st.sampled_from(["-2", "-1", "0", "0.5", "1", "1e300", "nan", "x"]),
+        st.sampled_from(["-1", "0", "0.5", "1", "2", "-1e300", "inf"]),
+        st.integers(-1, 20),
+    ),
+    st.sampled_from(["0:1", "a:b:c", "0:0:1", "0:1:x", ""]),
+)
+TOLERANCES = st.sampled_from(["1e-9", "0", "-1e-9", "nan", "inf", "x"])
+ALPHAS = st.one_of(
+    st.lists(st.floats(-2.0, 2.0).map(repr), max_size=9).map(",".join),
+    st.sampled_from(["1,0.5", "1,0,0,-0.5", "1,0,0.2,0,0,0.1", "2,-1,1,-2,0,0,0,1"]),
+    st.sampled_from(["1,nan", "inf,1", "1,,2", "a,b", ""]),
+)
+SAMPLES = st.sampled_from(["-1", "0", "1", "7", "50", "x"])
+SEEDS = st.sampled_from(["-1", "0", "7", "x"])
+CONTINUUM_SIZES = st.sampled_from(
+    ["8,16", "10,20,40", "40,80", "8", "16,8", "8,8", "7,16", "-8,16", "8,x", ""]
+)
+STATES = st.sampled_from(["-1", "0", "1", "2", "9", "x"])
+J_INDICES = st.sampled_from(["-1", "0", "1", "3", "9", "x"])
+OUTPUTS = st.sampled_from([None, "file", "missing", "directory"])
+
+
+def _options(**strategies):
+    """Each option present or absent, in a fixed order."""
+    return st.fixed_dictionaries({}, optional=strategies).map(
+        lambda chosen: [token for name, value in chosen.items() for token in (name, value)]
+    )
+
+
+COMMANDS = st.one_of(
+    st.tuples(
+        st.just(["hamiltonian"]),
+        _options(**{
+            "--n": SIZES,
+            "--lambda": COUPLINGS,
+            "--format": st.sampled_from(["json", "csv", "text", "xml"]),
+        }),
+    ),
+    st.tuples(
+        st.just(["spectrum"]),
+        _options(**{
+            "--n": SIZES,
+            "--grid": GRIDS,
+            "--reality-tol": TOLERANCES,
+            "--format": st.sampled_from(["csv", "json"]),
+        }),
+    ),
+    st.tuples(
+        st.just(["metric", "basis"]),
+        _options(**{"--n": SIZES, "--j": J_INDICES, "--lambda": COUPLINGS}),
+    ),
+    st.tuples(
+        st.just(["metric", "verify"]),
+        _options(**{"--n": SIZES, "--lambda": COUPLINGS}),
+    ),
+    st.tuples(
+        st.just(["positivity"]),
+        _options(**{
+            "--n": SIZES,
+            "--lambda": COUPLINGS,
+            "--alpha": ALPHAS,
+            "--sample": SAMPLES,
+            "--seed": SEEDS,
+        }),
+    ),
+    st.tuples(
+        st.just(["continuum"]),
+        _options(**{"--lambda": COUPLINGS, "--sizes": CONTINUUM_SIZES, "--state": STATES}),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=COMMANDS, output=OUTPUTS)
+def test_exit_code_in_documented_set(out_dir, command, output):
+    words, options = command
+    argv = words + options
+    if output is not None:
+        target = {
+            "file": out_dir / "out.txt",
+            "missing": out_dir / "missing" / "out.txt",
+            "directory": out_dir,
+        }[output]
+        argv += ["--output", str(target)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        return
+    allowed = range(6) if words == ["metric", "verify"] else (0, 2)
+    assert code in allowed, argv

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,11 +7,10 @@ import pytest
 from metric_forge.continuum import (
     FreeMetricParams,
     LatticeGrid,
-    central_row_residual,
+    _matching_sides,
     fit_loglog_slope,
     free_lattice_metric,
     matching_data,
-    matching_identity_residual,
     matching_residual,
     opaque_wall_check,
 )
@@ -66,17 +66,6 @@ class TestMatchingData:
 
 
 class TestMatchingResiduals:
-    def test_coupled_rows_hold_to_solver_precision(self):
-        for lam in (0.3, 0.7):
-            for state in (1, 2):
-                assert central_row_residual(HamiltonianSpec(80, lam), state) < 1e-12
-
-    def test_stencil_identity_residual_vanishes(self):
-        # the inverted two-term stencils satisfy the matching condition
-        # identically, so this gap only measures eigensolver noise
-        for lam in (0.3, 0.5):
-            assert matching_identity_residual(HamiltonianSpec(80, lam), 1) < 1e-10
-
     def test_wave_data_residual_order_two(self):
         sizes = [40, 80, 160, 320]
         residuals = [
@@ -86,9 +75,22 @@ class TestMatchingResiduals:
         slope = fit_loglog_slope(sizes, residuals)
         assert 1.7 <= slope <= 2.3
 
-    @pytest.mark.parametrize("n, lam", [(1280, 0.999), (1280, -0.999), (200, 0.9999)])
-    def test_eigenpair_near_exceptional_point(self, n, lam):
-        data = matching_data(HamiltonianSpec(n, lam), 1)
+    @pytest.mark.parametrize(
+        "n, lam, state",
+        [
+            pytest.param(1280, 0.999, 1, id="1280-0.999"),
+            pytest.param(1280, -0.999, 1, id="1280--0.999"),
+            pytest.param(200, 0.9999, 1, id="200-0.9999"),
+            # the residual covers the two coupled rows across the middle bond
+            *(
+                pytest.param(80, lam, state, id=f"80-{lam}-state{state}")
+                for lam in (0.3, 0.7)
+                for state in (1, 2)
+            ),
+        ],
+    )
+    def test_eigenpair_near_exceptional_point(self, n, lam, state):
+        data = matching_data(HamiltonianSpec(n, lam), state)
         psi = np.array(data.psi)
         h_psi = 2.0 * psi
         h_psi[1:] -= psi[:-1]
@@ -112,8 +114,6 @@ class TestCoupledRowIdentity:
         # the two relations (1+lam) psi_{K+1} - (2-F) psi_K + psi_{K-1} = 0
         # and psi_{K+2} - (2-F) psi_{K+1} + (1-lam) psi_K = 0; check by
         # exact substitution with rational psi, coupling and energy
-        from fractions import Fraction
-
         from metric_forge.hamiltonian import build_hamiltonian
 
         rng = np.random.default_rng(n)
@@ -129,6 +129,31 @@ class TestCoupledRowIdentity:
         rel_b = psi[half + 1] - (2 - f) * psi[half] + (1 - lam) * psi[half - 1]
         assert row_k == -rel_a
         assert row_k1 == -rel_b
+
+    @pytest.mark.parametrize(
+        "lam, f, h",
+        [
+            (Fraction(1, 3), Fraction(5, 7), Fraction(2, 9)),
+            (Fraction(-4, 5), Fraction(1, 11), Fraction(2, 81)),
+        ],
+        ids=["positive-coupling", "negative-coupling"],
+    )
+    def test_stencil_data_satisfies_matching_exactly(self, lam, f, h):
+        # a rational psi solving both coupled rows, fed through the
+        # two-term stencils, satisfies the matching condition exactly
+        p_km1, p_k = Fraction(3, 4), Fraction(-2, 5)
+        p_k1 = ((2 - f) * p_k - p_km1) / (1 + lam)
+        p_k2 = (2 - f) * p_k1 - (1 - lam) * p_k
+        lhs, rhs = _matching_sides(
+            lam,
+            f,
+            h,
+            (3 * p_k1 - p_k2) / 2,
+            (3 * p_k - p_km1) / 2,
+            (p_k2 - p_k1) / h,
+            (p_k - p_km1) / h,
+        )
+        assert lhs == rhs
 
 
 class TestSlopeFit:
