@@ -12,14 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .closedform import evaluate_basis_stack
 from .errors import DegenerateSpectrumError, DimensionError, DomainError
 from .exact import _as_float_array, eigs_symmetric
-from .hamiltonian import HamiltonianSpec, _tridiagonal, build_hamiltonian, symmetric_similarity
+from .hamiltonian import (
+    HamiltonianSpec,
+    _blocks,
+    _tridiagonal,
+    build_hamiltonian,
+    symmetric_similarity,
+)
 
 __all__ = [
     "BiorthogonalSystem",
@@ -71,7 +77,7 @@ def biorthogonal_system(
         raise DegenerateSpectrumError(
             "spectral representation requires a coupling inside (-1, 1)"
         )
-    diag, off, scale = symmetric_similarity(spec)
+    diag, off, scale = symmetric_similarity(spec.n, lam)
     values, vectors = np.linalg.eigh(_tridiagonal(diag, off, off))
     bound = max(1.0, float(np.max(np.abs(values))))
     if np.min(np.diff(values)) <= gap_tol * bound:
@@ -150,7 +156,7 @@ def positivity(
     )
 
 
-def closed_form_margin(n: int, lam: float, alpha: Sequence[float]) -> float:
+def closed_form_margin(n: int, lam: float, alpha: Any) -> float | np.ndarray:
     """Smallest of the explicit positivity expressions; positive iff the
     candidate is positive definite.
 
@@ -158,27 +164,31 @@ def closed_form_margin(n: int, lam: float, alpha: Sequence[float]) -> float:
     Size 4 at lam = 0: the four quantities
         2 alpha_1 - 2 alpha_4 - alpha_2 + alpha_3 +/- sqrt(5)(alpha_3 - alpha_2)
         2 alpha_1 + 2 alpha_4 + alpha_2 + alpha_3 +/- sqrt(5)(alpha_2 + alpha_3)
-    which equal twice the eigenvalues of the candidate.
+    which equal twice the eigenvalues of the candidate.  One coefficient
+    vector gives a float; a (count, n) array gives one margin per row.
     """
-    a = [float(v) for v in alpha]
-    if len(a) != n:
+    a = np.asarray(alpha, dtype=float)
+    if a.shape[-1:] != (n,):
         raise DimensionError(f"need exactly {n} coefficients")
     lam = float(lam)
     if n == 2:
         if not -1.0 < lam < 1.0:
             raise DomainError("size-2 inequalities need |lam| < 1")
-        return min(a[0], a[0] * a[0] * (1.0 - lam * lam) - a[1] * a[1])
-    if n == 4 and lam == 0.0:
+        a1, a2 = np.moveaxis(a, -1, 0)
+        margin = np.minimum(a1, a1 * a1 * (1.0 - lam * lam) - a2 * a2)
+    elif n == 4 and lam == 0.0:
         root5 = math.sqrt(5.0)
-        a1, a2, a3, a4 = a
+        a1, a2, a3, a4 = np.moveaxis(a, -1, 0)
         expressions = (
             2.0 * a1 - 2.0 * a4 - a2 + a3 + root5 * (a3 - a2),
             2.0 * a1 - 2.0 * a4 - a2 + a3 - root5 * (a3 - a2),
             2.0 * a1 + 2.0 * a4 + a2 + a3 + root5 * (a2 + a3),
             2.0 * a1 + 2.0 * a4 + a2 + a3 - root5 * (a2 + a3),
         )
-        return min(expressions)
-    raise DomainError("closed-form inequalities cover size 2, or size 4 at lam = 0")
+        margin = np.min(expressions, axis=0)
+    else:
+        raise DomainError("closed-form inequalities cover size 2, or size 4 at lam = 0")
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def positivity_closed_form(n: int, lam: float, alpha: Sequence[float]) -> bool:
@@ -198,16 +208,49 @@ class SampleRecord:
     near_boundary: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionSample:
-    """Summary of a seeded sweep over coefficient space."""
+    """A seeded sweep over coefficient space, one array entry per draw.
+
+    `alphas` has shape (count, n); the other columns have length count.
+    A verdict column that does not apply at the size and coupling is None.
+    """
 
     n: int
     lam: float
     seed: int
-    count: int
-    fraction_positive: float
-    records: tuple[SampleRecord, ...]
+    alphas: np.ndarray
+    minima: np.ndarray
+    positive: np.ndarray
+    closed_form_positive: Optional[np.ndarray]
+    weights_positive: Optional[np.ndarray]
+    near_boundary: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return len(self.minima)
+
+    @property
+    def fraction_positive(self) -> float:
+        return int(np.count_nonzero(self.positive)) / self.count
+
+    def rows(self) -> Iterator[tuple]:
+        """Per-draw tuples in `SampleRecord` field order, of Python scalars
+        (the alpha entry a list)."""
+        absent = [None] * self.count
+        return zip(
+            self.alphas.tolist(),
+            self.positive.tolist(),
+            self.minima.tolist(),
+            absent if self.closed_form_positive is None else self.closed_form_positive.tolist(),
+            absent if self.weights_positive is None else self.weights_positive.tolist(),
+            self.near_boundary.tolist(),
+        )
+
+    @property
+    def records(self) -> tuple[SampleRecord, ...]:
+        """The draws as `SampleRecord`s, built on each read."""
+        return tuple(SampleRecord(tuple(alpha), *rest) for alpha, *rest in self.rows())
 
 
 def sample_positivity_region(
@@ -225,55 +268,51 @@ def sample_positivity_region(
     one (the verdict is scale invariant).  Verdict columns that do not
     apply at the given size/coupling are recorded as None.  Samples whose
     minimum eigenvalue, closed-form margin, or smallest weight lies within
-    `margin` of zero are flagged near-boundary.
+    `margin` of zero are flagged near-boundary.  The draws are solved in
+    stacked blocks; each sample's arithmetic is that of a lone solve.
     """
     if count < 1:
         raise DomainError("need at least one sample")
     lam = float(lam)
-    stack = evaluate_basis_stack(n, lam)
-    # the domain of closed_form_margin
-    has_closed_form = (n == 2 and -1.0 < lam < 1.0) or (n == 4 and lam == 0.0)
-    system = None
+    stack = evaluate_basis_stack(n, lam).reshape(n, n * n)
+    alphas = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, n))
+    lead = alphas[:, 0] > 0
+    alphas[lead] /= alphas[lead, :1]
+    right = None
     if -1.0 < lam < 1.0:
-        system = biorthogonal_system(HamiltonianSpec(n, lam))
-    rng = np.random.default_rng(seed)
-    records = []
-    positives = 0
-    for _ in range(count):
-        alpha = rng.uniform(-1.0, 1.0, n)
-        if alpha[0] > 0:
-            alpha = alpha / alpha[0]
-        theta = np.tensordot(alpha, stack, axes=1)
-        eigenvalues = np.linalg.eigvalsh(theta)
-        minimum = float(eigenvalues[0])
-        is_positive = minimum > POSITIVE_MARGIN
-        positives += is_positive
-        near = abs(minimum) <= margin
-        cf_verdict: Optional[bool] = None
-        if has_closed_form:
-            cf_margin = closed_form_margin(n, lam, alpha)
-            cf_verdict = cf_margin > 0.0
-            near = near or abs(cf_margin) <= margin
-        weights_verdict: Optional[bool] = None
-        if system is not None:
-            weights = np.einsum("in,ij,jn->n", system.right, theta, system.right)
-            weights_verdict = bool(np.min(weights) > 0.0)
-            near = near or float(np.min(np.abs(weights))) <= margin
-        records.append(
-            SampleRecord(
-                alpha=tuple(float(v) for v in alpha),
-                positive=is_positive,
-                min_eigenvalue=minimum,
-                closed_form_positive=cf_verdict,
-                weights_positive=weights_verdict,
-                near_boundary=near,
-            )
-        )
+        right = biorthogonal_system(HamiltonianSpec(n, lam)).right
+        lowest_weight = np.empty(count)
+        nearest_weight = np.empty(count)
+    minima = np.empty(count)
+    for part in _blocks(count, n):
+        # a batched matmul keeps each theta bit-identical to a lone
+        # tensordot; a 2-D product of the whole block does not
+        thetas = np.matmul(alphas[part, None, :], stack).reshape(-1, n, n)
+        minima[part] = np.linalg.eigvalsh(thetas)[:, 0]
+        if right is not None:
+            weights = np.einsum("in,sij,jn->sn", right, thetas, right)
+            lowest_weight[part] = np.min(weights, axis=1)
+            nearest_weight[part] = np.min(np.abs(weights), axis=1)
+    near = np.abs(minima) <= margin
+    try:
+        cf_margin = closed_form_margin(n, lam, alphas)
+    except DomainError:
+        cf_positive = None
+    else:
+        cf_positive = cf_margin > 0.0
+        near |= np.abs(cf_margin) <= margin
+    weights_positive = None
+    if right is not None:
+        weights_positive = lowest_weight > 0.0
+        near |= nearest_weight <= margin
     return RegionSample(
         n=n,
         lam=lam,
         seed=seed,
-        count=count,
-        fraction_positive=positives / count,
-        records=tuple(records),
+        alphas=alphas,
+        minima=minima,
+        positive=minima > POSITIVE_MARGIN,
+        closed_form_positive=cf_positive,
+        weights_positive=weights_positive,
+        near_boundary=near,
     )

@@ -63,7 +63,7 @@ def _real_eigenpair(n: int, lam: float, state: int) -> tuple[float, np.ndarray]:
 
     if not 1 <= state <= n:
         raise DomainError(f"state index must lie in 1..{n}")
-    diag, off, scale = symmetric_similarity(HamiltonianSpec(n, float(lam)))
+    diag, off, scale = symmetric_similarity(n, lam)
     values, vectors = eigh_tridiagonal(
         diag, off, select="i", select_range=(state - 1, state - 1)
     )

@@ -445,12 +445,13 @@ def eigs_symmetric(m: Any, *, tol: float = 1e-12, vectors: bool = False):
 
 
 def eigs_general(m: Any) -> np.ndarray:
-    """Eigenvalues of a real square matrix, sorted by (real, imaginary).
+    """Eigenvalues of a real square matrix, sorted by (real, imaginary);
+    given an (m, n, n) stack, those of each matrix, one row per matrix.
 
     Complex eigenvalues of a real matrix come in exactly conjugate pairs
     (LAPACK guarantees the pairing); sorting keeps the multiset stable.
     """
-    a = _as_float_array(m)
+    a = m if isinstance(m, np.ndarray) and m.ndim == 3 else _as_float_array(m)
     w = np.linalg.eigvals(a)
-    order = np.lexsort((w.imag, w.real))
-    return w[order]
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    return np.take_along_axis(w, order, axis=-1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Union
+from typing import Any, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -102,9 +102,37 @@ def _band_matrix(n: int, lam: Any, one: Any) -> Matrix:
     return Matrix.from_rows(rows)
 
 
+# Most matrix entries a stacked float solve holds at once; bounds the
+# memory of a batch for any number of points or draws.
+_BLOCK_FLOATS = 2**18
+
+
+def _blocks(count: int, n: int) -> Iterator[slice]:
+    """Consecutive slices over `count` n x n matrices, each within the budget."""
+    step = max(1, _BLOCK_FLOATS // (n * n))
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _float_bands(n: int, lam: Any) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_chain_bands` at a float coupling, or at each coupling of a 1-D
+    array, with the batch axis first."""
+    lam = np.asarray(lam, dtype=float)
+    return tuple(
+        np.moveaxis(np.array(band), 0, -1) for band in _chain_bands(n, lam, np.ones_like(lam))
+    )
+
+
 def _tridiagonal(diag: Any, upper: Any, lower: Any) -> np.ndarray:
-    """Dense float matrix with the given diagonal, super- and sub-diagonal."""
-    return np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+    """Dense float matrix with the given diagonal, super- and sub-diagonal,
+    or a stack of them when the bands carry a leading batch axis."""
+    diag = np.asarray(diag, dtype=float)
+    n = diag.shape[-1]
+    i = np.arange(n)
+    out = np.zeros(diag.shape + (n,))
+    out[..., i, i] = diag
+    out[..., i[:-1], i[1:]] = upper
+    out[..., i[1:], i[:-1]] = lower
+    return out
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> Matrix | np.ndarray:
@@ -112,7 +140,7 @@ def build_hamiltonian(spec: HamiltonianSpec) -> Matrix | np.ndarray:
     a float numpy array otherwise."""
     if spec.is_exact:
         return _band_matrix(spec.n, Fraction(spec.lam), Fraction(1))
-    return _tridiagonal(*_chain_bands(spec.n, float(spec.lam), 1.0))
+    return _tridiagonal(*_float_bands(spec.n, spec.lam))
 
 
 def hamiltonian_polynomial(n: int) -> Matrix:
@@ -147,23 +175,27 @@ def closed_form_spectrum(spec: HamiltonianSpec) -> list[float]:
     return sorted(values)
 
 
-def symmetric_similarity(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def symmetric_similarity(n: int, lam: Any) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of S and diagonal of D with H = D S D^{-1}.
 
     S is symmetric tridiagonal: the chain with middle bond
     -sqrt(1 - lam^2); D = diag(1, ..., 1, r, ..., r) with
     r = sqrt((1 - lam)/(1 + lam)) on the right half.  Eigenvectors map
-    back as right = D u and left = D^{-1} u.  Defined only for a coupling
-    strictly inside (-1, 1), where both middle-bond entries are negative.
+    back as right = D u and left = D^{-1} u.  `lam` is a float, or a 1-D
+    array of couplings that puts a leading batch axis on all three
+    results.  Defined only for couplings strictly inside (-1, 1), where
+    both middle-bond entries are negative.
     """
-    lam = float(spec.lam)
-    if not -1.0 < lam < 1.0:
+    lam = np.asarray(lam, dtype=float)
+    if not np.all((-1.0 < lam) & (lam < 1.0)):
         raise DomainError("the symmetric similarity requires |lam| < 1")
-    diag, upper, lower = (np.array(band) for band in _chain_bands(spec.n, lam, 1.0))
+    diag, upper, lower = _float_bands(n, lam)
     # each bond of S is the geometric mean of the two entries of H, and D
     # grows across a bond by the square root of their ratio
     off = -np.sqrt(upper * lower)
-    scale = np.cumprod(np.concatenate(([1.0], np.sqrt(lower / upper))))
+    growth = np.sqrt(lower / upper)
+    first = np.ones(growth.shape[:-1] + (1,))
+    scale = np.cumprod(np.concatenate((first, growth), axis=-1), axis=-1)
     return diag, off, scale
 
 
@@ -173,25 +205,24 @@ def reality_scan(
     """One spectrum report per grid value, in input order.
 
     Inside (-1, 1) the eigenvalues come from the symmetric similarity and
-    are real by construction; elsewhere from the general dense solver.  A
-    point is flagged all-real when every imaginary part stays within `tol`.
+    are real by construction; elsewhere from the general dense solver.
+    The points are solved in stacked blocks, each group of a block as one
+    batch.  A point is flagged all-real when every imaginary part stays
+    within `tol`.
     """
-    reports = []
-    for lam in lambdas:
-        spec = HamiltonianSpec(n, float(lam))
-        if -1.0 < spec.lam < 1.0:
-            diag, off, _ = symmetric_similarity(spec)
-            values = np.linalg.eigvalsh(_tridiagonal(diag, off, off))
-        else:
-            values = eigs_general(build_hamiltonian(spec))
-        eigenvalues = tuple(complex(v) for v in values)
-        max_imag = max(abs(v.imag) for v in eigenvalues)
-        reports.append(
-            SpectrumReport(
-                lam=spec.lam,
-                eigenvalues=eigenvalues,
-                max_imag=max_imag,
-                all_real=max_imag <= tol,
-            )
-        )
-    return reports
+    HamiltonianSpec(n)  # rejects an odd or too small size
+    lams = np.array([float(lam) for lam in lambdas])
+    values = np.zeros((len(lams), n), dtype=complex)
+    for part in _blocks(len(lams), n):
+        block, out = lams[part], values[part]
+        inside = (-1.0 < block) & (block < 1.0)
+        if inside.any():
+            diag, off, _ = symmetric_similarity(n, block[inside])
+            out[inside] = np.linalg.eigvalsh(_tridiagonal(diag, off, off))
+        if not inside.all():
+            out[~inside] = eigs_general(_tridiagonal(*_float_bands(n, block[~inside])))
+    max_imag = np.max(np.abs(values.imag), axis=1)
+    return [
+        SpectrumReport(lam=lam, eigenvalues=tuple(row), max_imag=imag, all_real=imag <= tol)
+        for lam, row, imag in zip(lams.tolist(), values.tolist(), max_imag.tolist())
+    ]

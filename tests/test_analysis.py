@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from metric_forge import hamiltonian
 from metric_forge.analysis import (
+    POSITIVE_MARGIN,
+    SampleRecord,
     biorthogonal_system,
     closed_form_margin,
     positivity,
@@ -23,6 +26,44 @@ from metric_forge.hamiltonian import HamiltonianSpec, build_hamiltonian
 
 def _to_array(theta):
     return theta.to_numpy() if hasattr(theta, "to_numpy") else np.asarray(theta)
+
+
+def _sample_one_by_one(n, lam, seed, count, margin=1e-8):
+    """The sampler one draw at a time, the reference for the batched one."""
+    stack = evaluate_basis_stack(n, lam)
+    right = biorthogonal_system(HamiltonianSpec(n, lam)).right if -1 < lam < 1 else None
+    rng = np.random.default_rng(seed)
+    records = []
+    for _ in range(count):
+        alpha = rng.uniform(-1.0, 1.0, n)
+        if alpha[0] > 0:
+            alpha = alpha / alpha[0]
+        theta = np.tensordot(alpha, stack, axes=1)
+        minimum = float(np.linalg.eigvalsh(theta)[0])
+        near = abs(minimum) <= margin
+        cf_positive = weights_positive = None
+        try:
+            cf = closed_form_margin(n, lam, alpha)
+        except DomainError:
+            pass
+        else:
+            cf_positive = cf > 0.0
+            near = near or abs(cf) <= margin
+        if right is not None:
+            weights = np.einsum("in,ij,jn->n", right, theta, right)
+            weights_positive = bool(np.min(weights) > 0.0)
+            near = near or float(np.min(np.abs(weights))) <= margin
+        records.append(
+            SampleRecord(
+                alpha=tuple(float(v) for v in alpha),
+                positive=minimum > POSITIVE_MARGIN,
+                min_eigenvalue=minimum,
+                closed_form_positive=cf_positive,
+                weights_positive=weights_positive,
+                near_boundary=near,
+            )
+        )
+    return tuple(records)
 
 
 class TestBiorthogonalSystem:
@@ -244,7 +285,7 @@ class TestSampling:
     def test_determinism(self):
         a = sample_positivity_region(4, 0.25, seed=3, count=64)
         b = sample_positivity_region(4, 0.25, seed=3, count=64)
-        assert a == b
+        assert a.records == b.records
 
     def test_leading_coefficient_rescale(self):
         result = sample_positivity_region(2, 0.0, seed=1, count=100)
@@ -267,6 +308,27 @@ class TestSampling:
             stack = evaluate_basis_stack(n, lam)
             theta = np.tensordot(alpha, stack, axes=1)
             assert positivity(theta).positive
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("lam", [0.0, 0.37, -0.8, 1.0, -1.3])
+    def test_batched_equals_one_by_one(self, n, lam):
+        result = sample_positivity_region(n, lam, seed=11, count=300, margin=1e-3)
+        assert result.records == _sample_one_by_one(n, lam, 11, 300, margin=1e-3)
+
+    @pytest.mark.parametrize("count", [1, 5, 23])
+    def test_block_edges_equal_one_by_one(self, monkeypatch, count):
+        # five draws per block at n = 6
+        monkeypatch.setattr(hamiltonian, "_BLOCK_FLOATS", 5 * 36)
+        result = sample_positivity_region(6, 0.2, seed=4, count=count)
+        assert result.records == _sample_one_by_one(6, 0.2, 4, count)
+
+    def test_records_view(self):
+        result = sample_positivity_region(4, 0.0, seed=7, count=500, margin=0.05)
+        records = result.records
+        assert len(records) == result.count == 500
+        assert all(isinstance(record, SampleRecord) for record in records)
+        near = sum(record.near_boundary for record in records)
+        assert near == np.count_nonzero(result.near_boundary) > 0
 
     def test_count_validation(self):
         with pytest.raises(DomainError):

@@ -317,6 +317,11 @@ class TestUsageErrors:
             # basis entries of degree 2 and more overflow a float
             ("positivity", "--n", "6", "--lambda", "1e300", "--alpha", "1,2,3,4,5,6"),
             ("positivity", "--n", "4", "--lambda", "1e200", "--sample", "3"),
+            ("positivity", "--n", "2", "--lambda", "0.5", "--sample", "1000001"),
+            # a float overflow during the command, or in the printed values
+            ("positivity", "--n", "4", "--lambda", "1.3e154", "--sample", "3"),
+            ("positivity", "--n", "2", "--lambda", "1e308", "--alpha", "1,2"),
+            ("metric", "basis", "--n", "8", "--lambda", "1e200"),
         ],
     )
     def test_single_error_line_and_exit_code_two(self, capsys, argv):

@@ -35,7 +35,7 @@ ALPHAS = st.one_of(
     st.sampled_from(["1,0.5", "1,0,0,-0.5", "1,0,0.2,0,0,0.1", "2,-1,1,-2,0,0,0,1"]),
     st.sampled_from(["1,nan", "inf,1", "1,,2", "a,b", ""]),
 )
-SAMPLES = st.sampled_from(["-1", "0", "1", "7", "50", "x"])
+SAMPLES = st.sampled_from(["-1", "0", "1", "7", "50", "1000001", "x"])
 SEEDS = st.sampled_from(["-1", "0", "7", "x"])
 CONTINUUM_SIZES = st.sampled_from(
     ["8,16", "10,20,40", "40,80", "8", "16,8", "8,8", "7,16", "-8,16", "8,x", ""]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metric_forge import hamiltonian
 from metric_forge.errors import DimensionError, DomainError
 from metric_forge.exact import eigs_general
 from metric_forge.hamiltonian import (
@@ -153,19 +154,37 @@ class TestRealityScan:
             general = eigs_general(build_hamiltonian(HamiltonianSpec(4, report.lam)))
             assert report.eigenvalues == tuple(complex(v) for v in general)
 
+    @pytest.mark.parametrize("n", [2, 6, 40])
+    @pytest.mark.parametrize("block_points", [1, 3, None])
+    def test_batched_scan_equals_per_point_solves(self, monkeypatch, n, block_points):
+        if block_points is not None:
+            monkeypatch.setattr(hamiltonian, "_BLOCK_FLOATS", block_points * n * n)
+        grid = [-3.0, -1.0, -0.999, -0.4, 0.0, 0.25, 0.999, 1.0, 1.0001, 1.2]
+        reports = reality_scan(n, grid)
+        assert [r.lam for r in reports] == grid
+        for lam, report in zip(grid, reports):
+            if -1.0 < lam < 1.0:
+                diag, off, _ = symmetric_similarity(n, lam)
+                s = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+                values = np.linalg.eigvalsh(s)
+            else:
+                values = eigs_general(build_hamiltonian(HamiltonianSpec(n, lam)))
+            assert report.eigenvalues == tuple(complex(v) for v in values)
+            assert report.max_imag == max(abs(v.imag) for v in values)
+
 
 class TestSymmetricSimilarity:
     @pytest.mark.parametrize("n", [2, 4, 8, 20])
     @pytest.mark.parametrize("lam", [-0.999, -0.4, 0.0, 0.3, 0.9999])
     def test_similarity_reproduces_chain(self, n, lam):
         spec = HamiltonianSpec(n, lam)
-        diag, off, scale = symmetric_similarity(spec)
+        diag, off, scale = symmetric_similarity(n, lam)
         s = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         rebuilt = scale[:, None] * s / scale[None, :]
         assert np.allclose(rebuilt, build_hamiltonian(spec), rtol=0, atol=1e-14)
 
     def test_middle_bond_and_scaling(self):
-        diag, off, scale = symmetric_similarity(HamiltonianSpec(6, 0.6))
+        diag, off, scale = symmetric_similarity(6, 0.6)
         assert list(diag) == [2.0] * 6
         assert list(off) == [-1.0, -1.0, -0.8, -1.0, -1.0]
         assert list(scale[:3]) == [1.0] * 3
@@ -174,4 +193,4 @@ class TestSymmetricSimilarity:
     @pytest.mark.parametrize("lam", [1.0, -1.0, 1.5, -3.0, float("nan")])
     def test_outside_window_rejected(self, lam):
         with pytest.raises(DomainError):
-            symmetric_similarity(HamiltonianSpec(4, lam))
+            symmetric_similarity(4, lam)

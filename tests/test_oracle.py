@@ -213,5 +213,5 @@ class TestSimilarityAnchor:
         # diagonal with positive diagonal entries: positive definite exactly
         assert all(theta[i, i] > 0 for i in range(n))
         # the float similarity scales by the square roots of the same entries
-        _, _, scale = symmetric_similarity(HamiltonianSpec(n, float(lam)))
+        _, _, scale = symmetric_similarity(n, lam)
         assert np.allclose(scale**-2, [float(w) for w in weights], rtol=1e-14, atol=0)
