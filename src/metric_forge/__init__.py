@@ -25,7 +25,6 @@ from .analysis import (
 from .closedform import (
     IncidenceMatrix,
     MetricBasisElement,
-    SignedPolynomial,
     assemble_theta,
     basis_element,
     basis_family,
@@ -57,6 +56,7 @@ from .errors import (
 )
 from .exact import (
     IntPolynomial,
+    KernelBasis,
     Matrix,
     eigs_general,
     eigs_symmetric,

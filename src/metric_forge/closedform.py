@@ -11,9 +11,11 @@ position, the degree of the polynomial entry; the entry alphabet is
 with the minus factor above the antidiagonal (i + k < n + 1), the plus
 factor below it, and only even degrees on the antidiagonal itself.  The
 incidence matrices grow recurrently from the two-point base case; the
-growth rules are validated against the closed-form occupancy rule at
-every step, and the full family is cross-checked against the exact
-brute-force solution space in the test suite.
+growth rules are checked at every step against the closed-form occupancy
+rule, whose positions are enumerated directly, and the full family is
+cross-checked against the exact brute-force solution space in the test
+suite.  A basis matrix is held as its occupied entries only; a dense
+view is derived on demand.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .hamiltonian import hamiltonian_polynomial
 Sign = Optional[Literal["minus", "plus"]]
 
 __all__ = [
-    "SignedPolynomial",
     "IncidenceMatrix",
     "MetricBasisElement",
     "entry_polynomial",
@@ -69,24 +70,6 @@ def entry_polynomial(degree: int, sign: Sign = None) -> IntPolynomial:
     raise DomainError("odd degree requires sign 'minus' or 'plus'")
 
 
-@dataclass(frozen=True)
-class SignedPolynomial:
-    """Degree plus triangle sign, resolving to one alphabet polynomial."""
-
-    degree: int
-    sign: Sign = None
-
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise DomainError("degree must be nonnegative")
-        if self.degree % 2 == 1 and self.sign not in ("minus", "plus"):
-            raise DomainError("odd degree requires sign 'minus' or 'plus'")
-
-    @property
-    def polynomial(self) -> IntPolynomial:
-        return entry_polynomial(self.degree, self.sign)
-
-
 def _check_indices(n: int, j: int) -> None:
     if n < 2 or n % 2 != 0:
         raise DimensionError("size must be an even integer >= 2")
@@ -94,27 +77,20 @@ def _check_indices(n: int, j: int) -> None:
         raise DomainError(f"family index must lie in 1..{n}")
 
 
-@cache
 def occupancy_positions(n: int, j: int) -> frozenset[tuple[int, int]]:
     """1-based positions occupied by the j-th basis matrix.
 
-    A position (i, k) is occupied iff i - k lies in {j-1, j-3, ..., 1-j}
-    and n + 1 - i - k lies in {n-j, n-j-2, ..., j-n}.
+    A position (i, k) is occupied iff d = i - k lies in {j-1, j-3, ..., 1-j}
+    and t = n + 1 - i - k lies in {n-j, n-j-2, ..., j-n}; the j (n + 1 - j)
+    pairs (d, t) are enumerated directly, and their parity places every
+    one of them inside the matrix.
     """
     _check_indices(n, j)
-    occupied = set()
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            d = i - k
-            t = n + 1 - i - k
-            if (
-                abs(d) <= j - 1
-                and (d - (j - 1)) % 2 == 0
-                and abs(t) <= n - j
-                and (t - (n - j)) % 2 == 0
-            ):
-                occupied.add((i, k))
-    return frozenset(occupied)
+    return frozenset(
+        ((n + 1 + d - t) // 2, (n + 1 - d - t) // 2)
+        for d in range(1 - j, j, 2)
+        for t in range(j - n, n - j + 1, 2)
+    )
 
 
 def occupancy_matrix(n: int, j: int) -> Matrix:
@@ -149,13 +125,6 @@ class IncidenceMatrix:
                 raise ConstructionError("degrees must be nonnegative")
             if plain.get((k, i)) != degree:
                 raise ConstructionError("pattern must be symmetric")
-
-    def degree(self, i: int, k: int) -> int | None:
-        return self.degrees.get((i, k))
-
-    @property
-    def positions(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.degrees))
 
 
 def _embed_centered(degrees: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
@@ -226,15 +195,30 @@ def incidence_family(n: int) -> tuple[IncidenceMatrix, ...]:
 
 @dataclass(frozen=True)
 class MetricBasisElement:
-    """One polynomial matrix of the metric expansion basis."""
+    """One polynomial matrix of the metric expansion basis, held as its
+    occupied entries: 1-based (i, k) -> nonzero alphabet polynomial, in
+    sorted position order.  Every other entry is zero."""
 
     n: int
     j: int
-    matrix: Matrix
+    entries: Mapping[tuple[int, int], IntPolynomial]
+
+    @property
+    def matrix(self) -> Matrix:
+        """Dense view, with zero polynomials at the unoccupied positions."""
+        zero = IntPolynomial()
+        span = range(1, self.n + 1)
+        return Matrix.from_rows(
+            [[self.entries.get((i, k), zero) for k in span] for i in span]
+        )
 
     def evaluate(self, lam: Any) -> Matrix:
-        """Numeric matrix at one coupling; exact for int/Fraction input."""
-        return self.matrix.map(lambda p: p(lam))
+        """Numeric matrix at one coupling, the int 0 at unoccupied
+        positions; exact for int/Fraction input."""
+        rows = [[0] * self.n for _ in range(self.n)]
+        for (i, k), p in self.entries.items():
+            rows[i - 1][k - 1] = p(lam)
+        return Matrix.from_rows(rows)
 
 
 def triangle_entry(n: int, i: int, k: int, degree: int) -> IntPolynomial:
@@ -251,20 +235,14 @@ def triangle_entry(n: int, i: int, k: int, degree: int) -> IntPolynomial:
 
 
 def basis_element(incidence: IncidenceMatrix) -> MetricBasisElement:
-    """Resolve an incidence pattern into its polynomial matrix via the
+    """Resolve an incidence pattern into its polynomial entries via the
     triangle sign rule."""
     n = incidence.n
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for k in range(1, n + 1):
-            degree = incidence.degree(i, k)
-            if degree is None:
-                row.append(IntPolynomial())
-            else:
-                row.append(triangle_entry(n, i, k, degree))
-        rows.append(row)
-    return MetricBasisElement(n=n, j=incidence.j, matrix=Matrix.from_rows(rows))
+    entries = {
+        (i, k): triangle_entry(n, i, k, degree)
+        for (i, k), degree in sorted(incidence.degrees.items())
+    }
+    return MetricBasisElement(n=n, j=incidence.j, entries=entries)
 
 
 @cache
@@ -277,12 +255,10 @@ def evaluate_basis_stack(n: int, lam: float) -> np.ndarray:
     """Float stack of the basis family at one coupling, shape (n, n, n).
     A coupling so large that an entry overflows is rejected."""
     lam = float(lam)
-    stack = np.array(
-        [
-            [[float(p(lam)) for p in row] for row in element.matrix.entries]
-            for element in basis_family(n)
-        ]
-    )
+    stack = np.zeros((n, n, n))
+    for element, plane in zip(basis_family(n), stack):
+        for (i, k), p in element.entries.items():
+            plane[i - 1, k - 1] = p(lam)
     if not np.isfinite(stack).all():
         raise DomainError(f"basis entries overflow at lam = {lam!r}")
     return stack
@@ -300,12 +276,13 @@ def assemble_theta(n: int, lam: Any, alpha: Sequence[Any]) -> Matrix | np.ndarra
     )
     if exact:
         point = Fraction(lam)
-        terms = [
-            element.matrix.map(lambda p, w=Fraction(a): p(point) * w)
-            for a, element in zip(coefficients, basis_family(n))
-        ]
-    else:
-        terms = [float(a) * m for a, m in zip(coefficients, evaluate_basis_stack(n, lam))]
+        cells = [[Fraction(0)] * n for _ in range(n)]
+        for a, element in zip(coefficients, basis_family(n)):
+            weight = Fraction(a)
+            for (i, k), p in element.entries.items():
+                cells[i - 1][k - 1] += p(point) * weight
+        return Matrix.from_rows(cells)
+    terms = [float(a) * m for a, m in zip(coefficients, evaluate_basis_stack(n, lam))]
     total = terms[0]
     for term in terms[1:]:
         total = total + term
@@ -315,35 +292,31 @@ def assemble_theta(n: int, lam: Any, alpha: Sequence[Any]) -> Matrix | np.ndarra
 def reflection_symmetry_holds(element: MetricBasisElement) -> bool:
     """Check the antidiagonal reflection with a simultaneous coupling sign
     flip: M(i, k) as a polynomial equals M(n+1-k, n+1-i) at the negated
-    variable."""
-    n, m = element.n, element.matrix
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            if m[i - 1, k - 1] != m[n - k, n - i].negate_variable():
-                return False
-    return True
+    variable.  Every entry must find its mirror occupied, so an entry
+    without one fails the check."""
+    n, entries = element.n, element.entries
+    return all(
+        entries.get((n + 1 - k, n + 1 - i)) == p.negate_variable()
+        for (i, k), p in entries.items()
+    )
 
 
 def intertwining_defect(element: MetricBasisElement) -> Matrix:
     """Polynomial matrix M H - H^T M; identically zero for a valid element.
 
-    H is tridiagonal, so each entry sums products over the nonzero entries
-    of one column of H: (M H)[i, k] over column k, (H^T M)[i, k] over
-    column i.  Zero entries of M are skipped as well."""
-    h_columns = hamiltonian_polynomial(element.n).column_nonzeros()
-    m = element.matrix.entries
+    H is tridiagonal, so an occupied entry M[i, r] meets only the nonzeros
+    H[r, c] of row r of H in M H, adding M[i, r] H[r, c] at (i, c), and
+    only the nonzeros H[i, c] of row i in H^T M, adding H[i, c] M[i, r] at
+    (c, r)."""
     n = element.n
-    rows = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            acc = IntPolynomial()
-            for r, h in h_columns[k]:
-                if m[i][r]:
-                    acc = acc + m[i][r] * h
-            for r, h in h_columns[i]:
-                if m[r][k]:
-                    acc = acc - h * m[r][k]
-            row.append(acc)
-        rows.append(row)
-    return Matrix.from_rows(rows)
+    h_rows = hamiltonian_polynomial(n).T.column_nonzeros()
+    zero = IntPolynomial()
+    defect: dict[tuple[int, int], IntPolynomial] = {}
+    for (i, r), m in element.entries.items():
+        for c, h in h_rows[r - 1]:
+            defect[i - 1, c] = defect.get((i - 1, c), zero) + m * h
+        for c, h in h_rows[i - 1]:
+            defect[c, r - 1] = defect.get((c, r - 1), zero) - h * m
+    return Matrix.from_rows(
+        [[defect.get((a, b), zero) for b in range(n)] for a in range(n)]
+    )

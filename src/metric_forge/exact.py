@@ -183,13 +183,6 @@ class Matrix:
             [[one if i == k else zero for k in range(n)] for i in range(n)]
         )
 
-    @classmethod
-    def exchange(cls, n: int, one: Any = Fraction(1), zero: Any = Fraction(0)) -> "Matrix":
-        """Antidiagonal permutation matrix (the lattice parity)."""
-        return cls.from_rows(
-            [[one if i + k == n - 1 else zero for k in range(n)] for i in range(n)]
-        )
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -272,19 +265,6 @@ class Matrix:
 
     def map(self, fn: Callable[[Any], Any]) -> "Matrix":
         return Matrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
-
-    def is_symmetric(self, tol: float | None = None) -> bool:
-        if not self.is_square:
-            return False
-        for i in range(self.rows):
-            for k in range(i + 1, self.cols):
-                a, b = self.entries[i][k], self.entries[k][i]
-                if tol is None:
-                    if a != b:
-                        return False
-                elif abs(a - b) > tol:
-                    return False
-        return True
 
     def max_abs(self) -> Any:
         return max(abs(e) for row in self.entries for e in row)

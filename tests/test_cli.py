@@ -1,8 +1,10 @@
 import json
+import os
 
 import pytest
 
-from metric_forge.cli import main, parse_grid, parse_scalar, UsageError
+from metric_forge.analysis import sample_positivity_region
+from metric_forge.cli import _CSV_CHUNK_ROWS, main, parse_grid, parse_scalar, UsageError
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +250,37 @@ class TestPositivityCommand:
         cf_col = lines[0].split(",").index("closed_form_positive")
         assert [row.split(",")[cf_col] for row in lines[1:-1]] == ["", "", ""]
 
+    def test_streamed_sample_matches_file_and_rows(self, capsys, tmp_path):
+        n, lam, seed, count = 2, 0.4, 7, _CSV_CHUNK_ROWS + 1000
+        argv = (
+            "positivity", "--n", str(n), "--lambda", str(lam),
+            "--sample", str(count), "--seed", str(seed),
+        )
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "sample.csv"
+        code, _, _ = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 0
+        result = sample_positivity_region(n, lam, seed, count)
+        cell = {True: "true", False: "false", None: ""}
+        rows = [
+            ",".join(
+                [str(idx)]
+                + [f"{v:.17g}" for v in (*alpha, minimum)]
+                + [cell[positive], cell[cf], cell[weights], cell[near]]
+            )
+            for idx, (alpha, positive, minimum, cf, weights, near) in enumerate(result.rows())
+        ]
+        header = (
+            "index,alpha_1,alpha_2,min_eigenvalue,positive,"
+            "closed_form_positive,weights_positive,near_boundary"
+        )
+        footer = f"# fraction_positive = {result.fraction_positive:.17g}"
+        expected = "\n".join([header, *rows, footer]) + "\n"
+        assert len(rows) > _CSV_CHUNK_ROWS
+        assert out.encode() == target.read_bytes()
+        assert out == expected
+
 
 class TestContinuumCommand:
     def test_convergence_sweep(self, capsys):
@@ -334,11 +367,31 @@ class TestUsageErrors:
     @pytest.mark.parametrize("target", ["missing/x.json", "."])
     @pytest.mark.parametrize(
         "argv",
-        [("hamiltonian", "--n", "2"), ("metric", "verify", "--n", "2", "--lambda", "1/2")],
+        [
+            ("hamiltonian", "--n", "2"),
+            ("metric", "verify", "--n", "2", "--lambda", "1/2"),
+            ("positivity", "--n", "2", "--lambda", "0.5", "--sample", "3"),
+        ],
     )
     def test_unwritable_output(self, capsys, tmp_path, argv, target):
         # a missing parent directory, or a directory as the target
         code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / target))
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that fails writes")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hamiltonian", "--n", "2"),
+            ("positivity", "--n", "2", "--lambda", "0.5", "--sample", "5000"),
+        ],
+    )
+    def test_failed_write_to_output(self, capsys, argv):
+        # the file opens, and the write fails
+        code, out, err = run_cli(capsys, *argv, "--output", "/dev/full")
         assert code == 2
         assert out == ""
         lines = err.splitlines()

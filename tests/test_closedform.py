@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from metric_forge.closedform import (
     IncidenceMatrix,
     MetricBasisElement,
-    SignedPolynomial,
     assemble_theta,
     basis_element,
     basis_family,
     entry_polynomial,
+    evaluate_basis_stack,
     incidence_family,
     intertwining_defect,
     occupancy_matrix,
@@ -70,6 +70,31 @@ def poly(*coeffs) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs))
 
 
+def exchange(n: int, one, zero) -> Matrix:
+    """Antidiagonal permutation matrix (the lattice parity)."""
+    return Matrix.from_rows(
+        [[one if i + k == n - 1 else zero for k in range(n)] for i in range(n)]
+    )
+
+
+def scanned_positions(n: int, j: int) -> set[tuple[int, int]]:
+    """Reference occupancy: every one of the n^2 cells tested against the
+    position rule."""
+    occupied = set()
+    for i in range(1, n + 1):
+        for k in range(1, n + 1):
+            d = i - k
+            t = n + 1 - i - k
+            if (
+                abs(d) <= j - 1
+                and (d - (j - 1)) % 2 == 0
+                and abs(t) <= n - j
+                and (t - (n - j)) % 2 == 0
+            ):
+                occupied.add((i, k))
+    return occupied
+
+
 class TestEntryPolynomial:
     def test_degree_zero_is_one(self):
         assert entry_polynomial(0) == poly(1)
@@ -84,11 +109,6 @@ class TestEntryPolynomial:
     def test_odd_degree_needs_sign(self):
         with pytest.raises(DomainError):
             entry_polynomial(1)
-
-    def test_signed_polynomial_wrapper(self):
-        assert SignedPolynomial(2).polynomial == poly(1, 0, -1)
-        with pytest.raises(DomainError):
-            SignedPolynomial(3)
 
 
 class TestOccupancy:
@@ -111,6 +131,13 @@ class TestOccupancy:
             occupancy_positions(4, 5)
         with pytest.raises(DimensionError):
             occupancy_positions(5, 1)
+
+    @pytest.mark.parametrize("n", range(2, 41, 2))
+    def test_matches_brute_force_scan(self, n):
+        for j in range(1, n + 1):
+            positions = occupancy_positions(n, j)
+            assert positions == scanned_positions(n, j)
+            assert len(positions) == j * (n + 1 - j)
 
     @given(st.sampled_from([2, 4, 6, 8, 10]), st.data())
     def test_positions_are_symmetric_and_persymmetric(self, n, data):
@@ -169,7 +196,7 @@ class TestBasisElement:
     def test_last_element_size4_is_antidiagonal_ones(self):
         element = basis_family(4)[3]
         one, zero = poly(1), poly()
-        assert element.matrix == Matrix.exchange(4, one=one, zero=zero)
+        assert element.matrix == exchange(4, one=one, zero=zero)
 
     def test_printed_entries_of_size8_central(self):
         element = basis_family(8)[3]
@@ -220,9 +247,33 @@ class TestBasisElement:
         for element in basis_family(n):
             assert reflection_symmetry_holds(element)
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_added_entry_breaks_reflection(self, n):
+        # off the antidiagonal, an entry's mirror is another position, so
+        # adding 1 at one position alone, occupied or not, breaks the pairing
+        for element in basis_family(n):
+            for i in range(1, n + 1):
+                for k in range(1, n + 1):
+                    if i + k == n + 1:
+                        continue
+                    entries = dict(element.entries)
+                    entries[i, k] = entries.get((i, k), IntPolynomial()) + IntPolynomial((1,))
+                    changed = MetricBasisElement(n, element.j, entries)
+                    assert not reflection_symmetry_holds(changed)
+
     def test_elements_are_symmetric_polynomials(self):
         for element in basis_family(10):
-            assert element.matrix.is_symmetric()
+            m = element.matrix
+            assert m == m.T
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("lam", [0.0, 0.37, -0.8, 1.3])
+    def test_stack_matches_dense_view(self, n, lam):
+        stack = evaluate_basis_stack(n, lam)
+        for element, plane in zip(basis_family(n), stack):
+            for i, row in enumerate(element.matrix.entries):
+                for k, p in enumerate(row):
+                    assert plane[i, k] == float(p(lam))
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_linear_independence_at_sample_coupling(self, n):
@@ -252,11 +303,11 @@ class TestBandedDefect:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_changed_entry_gives_nonzero_defect(self, n):
         for element in basis_family(n):
-            for i in range(n):
-                for k in range(n):
-                    rows = [list(row) for row in element.matrix.entries]
-                    rows[i][k] = rows[i][k] + 1
-                    changed = MetricBasisElement(n, element.j, Matrix.from_rows(rows))
+            for i in range(1, n + 1):
+                for k in range(1, n + 1):
+                    entries = dict(element.entries)
+                    entries[i, k] = entries.get((i, k), IntPolynomial()) + IntPolynomial((1,))
+                    changed = MetricBasisElement(n, element.j, entries)
                     defect = intertwining_defect(changed)
                     assert any(p for row in defect.entries for p in row)
 
@@ -270,7 +321,7 @@ class TestAssembleTheta:
         assert theta[1, 2] == a4 + a2 * (1 - lam * lam)  # 1-based (2, 3)
         assert theta[0, 0] == a1 * (1 - lam)
         assert theta[2, 2] == (a1 + a3) * (1 + lam)
-        assert theta.is_symmetric()
+        assert theta == theta.T
 
     def test_identity_at_zero_coupling(self):
         theta = assemble_theta(4, 0, (1, 0, 0, 0))
