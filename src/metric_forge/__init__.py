@@ -16,6 +16,7 @@ from .analysis import (
     SampleRecord,
     biorthogonal_system,
     closed_form_margin,
+    eigs_symmetric,
     positivity,
     positivity_closed_form,
     sample_positivity_region,
@@ -58,8 +59,6 @@ from .exact import (
     IntPolynomial,
     KernelBasis,
     Matrix,
-    eigs_general,
-    eigs_symmetric,
     null_space,
     rank,
 )
@@ -68,6 +67,7 @@ from .hamiltonian import (
     SpectrumReport,
     build_hamiltonian,
     closed_form_spectrum,
+    eigs_general,
     hamiltonian_polynomial,
     reality_scan,
     symmetric_similarity,

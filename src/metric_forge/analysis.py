@@ -3,7 +3,8 @@
 A candidate metric is positive definite iff all eigenvalues are positive;
 equivalently, writing Theta = sum_n t_n w_n w_n^T over the left
 eigenvectors w_n of the chain, iff all spectral weights t_n are positive.
-This module provides both verdicts, the conversion between coefficient
+This module provides both verdicts (the first through the symmetric
+eigensolver `eigs_symmetric`), the conversion between coefficient
 coordinates and spectral weights, the explicit low-size positivity
 inequalities, and a seeded sampler over coefficient space.
 """
@@ -12,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .closedform import evaluate_basis_stack
 from .errors import DegenerateSpectrumError, DimensionError, DomainError
-from .exact import _as_float_array, eigs_symmetric
 from .hamiltonian import (
     HamiltonianSpec,
     _blocks,
@@ -35,6 +36,7 @@ __all__ = [
     "biorthogonal_system",
     "theta_from_weights",
     "weights_from_theta",
+    "eigs_symmetric",
     "positivity",
     "closed_form_margin",
     "positivity_closed_form",
@@ -62,15 +64,15 @@ class BiorthogonalSystem:
     left: np.ndarray
 
 
-def biorthogonal_system(
-    spec: HamiltonianSpec, *, gap_tol: float = 1e-9
-) -> BiorthogonalSystem:
+def biorthogonal_system(spec: HamiltonianSpec) -> BiorthogonalSystem:
     """Eigendecomposition with normalized biorthogonal partners.
 
     Requires |lam| < 1, where the symmetric similarity H = D S D^{-1}
     makes the spectrum real: with S = U diag(E) U^T, the right vectors are
     D U and the left vectors D^{-1} U, rescaled together so that the
-    overlaps stay the identity.  (Nearly) degenerate spectra are rejected.
+    overlaps stay the identity.  (Nearly) degenerate spectra, with a gap
+    within 1e-9 of the largest eigenvalue magnitude (at least 1), are
+    rejected.
     """
     lam = float(spec.lam)
     if not -1.0 < lam < 1.0:
@@ -80,7 +82,7 @@ def biorthogonal_system(
     diag, off, scale = symmetric_similarity(spec.n, lam)
     values, vectors = np.linalg.eigh(_tridiagonal(diag, off, off))
     bound = max(1.0, float(np.max(np.abs(values))))
-    if np.min(np.diff(values)) <= gap_tol * bound:
+    if np.min(np.diff(values)) <= 1e-9 * bound:
         raise DegenerateSpectrumError("spectrum is (nearly) degenerate")
     right = scale[:, None] * vectors
     norms = np.linalg.norm(right, axis=0)
@@ -107,21 +109,20 @@ def theta_from_weights(system: BiorthogonalSystem, weights: Sequence[float]) -> 
     return (system.left * t) @ system.left.T
 
 
-def weights_from_theta(
-    system: BiorthogonalSystem, theta: Any, *, tol: float = 1e-8
-) -> np.ndarray:
-    """Project a constraint-satisfying matrix onto its spectral weights.
+def weights_from_theta(system: BiorthogonalSystem, theta: Any) -> np.ndarray:
+    """Project a constraint-satisfying float matrix onto its spectral
+    weights.
 
-    Candidates whose intertwining defect exceeds `tol` (relative to the
-    candidate's magnitude) are rejected, since the projection would be
-    meaningless for them.
+    Candidates whose intertwining defect exceeds 1e-8 times the
+    candidate's magnitude (at least 1) are rejected, since the projection
+    would be meaningless for them.
     """
-    arr = _as_float_array(theta)
+    arr = np.asarray(theta, dtype=float)
     if arr.shape != (system.n, system.n):
         raise DimensionError("candidate size differs from the system")
     h = build_hamiltonian(HamiltonianSpec(system.n, system.lam))
     defect = float(np.max(np.abs(arr @ h - h.T @ arr)))
-    if defect > tol * max(1.0, float(np.max(np.abs(arr)))):
+    if defect > 1e-8 * max(1.0, float(np.max(np.abs(arr)))):
         raise DomainError(
             f"matrix violates the intertwining relation (defect {defect:.3e})"
         )
@@ -138,21 +139,34 @@ class PositivityReport:
     near_boundary: bool
 
 
-def positivity(
-    theta: Any, *, margin: float = POSITIVE_MARGIN, sym_tol: float = 1e-12
-) -> PositivityReport:
+def eigs_symmetric(m: Any) -> np.ndarray:
+    """Ascending eigenvalues of a real symmetric float matrix.
+
+    Input with asymmetry beyond 1e-12 (absolute, max-norm) is rejected;
+    within it the matrix is symmetrized before the solve.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError("expected a square matrix")
+    asym = float(np.max(np.abs(a - a.T)))
+    if asym > 1e-12:
+        raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e} > 1.000e-12)")
+    return np.linalg.eigvalsh(0.5 * (a + a.T))
+
+
+def positivity(theta: Any) -> PositivityReport:
     """Positive-definiteness verdict via the symmetric eigensolver.
 
-    `margin` guards the verdict: minimum eigenvalues within it of zero
-    are reported as not positive and flagged near-boundary.
+    `POSITIVE_MARGIN` guards the verdict: minimum eigenvalues within it
+    of zero are reported as not positive and flagged near-boundary.
     """
-    values = eigs_symmetric(theta, tol=sym_tol)
+    values = eigs_symmetric(theta)
     minimum = float(values[0])
     return PositivityReport(
-        positive=minimum > margin,
+        positive=minimum > POSITIVE_MARGIN,
         min_eigenvalue=minimum,
         eigenvalues=tuple(float(v) for v in values),
-        near_boundary=abs(minimum) <= margin,
+        near_boundary=abs(minimum) <= POSITIVE_MARGIN,
     )
 
 
@@ -236,16 +250,18 @@ class RegionSample:
 
     def rows(self) -> Iterator[tuple]:
         """Per-draw tuples in `SampleRecord` field order, of Python scalars
-        (the alpha entry a list)."""
-        absent = [None] * self.count
-        return zip(
-            self.alphas.tolist(),
-            self.positive.tolist(),
-            self.minima.tolist(),
-            absent if self.closed_form_positive is None else self.closed_form_positive.tolist(),
-            absent if self.weights_positive is None else self.weights_positive.tolist(),
-            self.near_boundary.tolist(),
+        (the alpha entry a list), converted one sampler block at a time so
+        that the Python objects of only one block are held at once."""
+        columns = (
+            self.alphas,
+            self.positive,
+            self.minima,
+            self.closed_form_positive,
+            self.weights_positive,
+            self.near_boundary,
         )
+        for part in _blocks(self.count, self.n):
+            yield from zip(*(repeat(None) if c is None else c[part].tolist() for c in columns))
 
     @property
     def records(self) -> tuple[SampleRecord, ...]:

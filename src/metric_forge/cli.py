@@ -17,8 +17,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice
-from typing import Any, Iterator, Optional, Sequence, TextIO
+from itertools import chain, islice
+from typing import Any, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -52,12 +52,14 @@ class UsageError(ValueError):
 
 
 # Largest `positivity --sample`.  At n = 6 a million draws take about 16 s
-# on 2 cores and print 158 MB of CSV.  The CSV is written in chunks, but the
-# sample is held whole: peak memory grows by about 0.4 kB a draw (125 MB at
-# 200000 draws).
+# on 2 cores and print 158 MB of CSV.  The CSV is formatted and written in
+# chunks, one sampler block of rows converted at a time; what grows with
+# the count is the sample's own numpy columns, about 80 bytes a draw at
+# n = 6 (peak RSS 59 MB at 200000 draws, 120 MB at a million).
 MAX_SAMPLES = 1_000_000
 
-# Sampler CSV rows joined per write; bounds the formatted text held at once.
+# Output pieces (CSV rows, text lines) joined per write; bounds the
+# formatted text held at once.
 _CSV_CHUNK_ROWS = 4096
 
 
@@ -162,9 +164,12 @@ def _output(output: Optional[str]) -> Iterator[TextIO]:
         raise UsageError(f"cannot write --output: {exc}") from exc
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(pieces: Iterable[str], output: Optional[str]) -> None:
+    """Write the text pieces in order, joined `_CSV_CHUNK_ROWS` at a time."""
+    pieces = iter(pieces)
     with _output(output) as stream:
-        stream.write(text)
+        while chunk := "".join(islice(pieces, _CSV_CHUNK_ROWS)):
+            stream.write(chunk)
 
 
 def cmd_hamiltonian(args: argparse.Namespace) -> int:
@@ -179,12 +184,12 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
         cells = [[_fmt(e) for e in row] for row in grid]
     if args.format == "json":
         payload = {"n": spec.n, "lambda": _scalar_json(lam), "matrix": grid}
-        text = _json(payload)
+        lines: Iterable[str] = [_json(payload) + "\n"]
     elif args.format == "csv":
-        text = "\n".join(",".join(row) for row in cells)
+        lines = (",".join(row) + "\n" for row in cells)
     else:
-        text = "\n".join("  ".join(f"{c:>10}" for c in row) for row in cells)
-    _emit(text + "\n", args.output)
+        lines = ("  ".join(f"{c:>10}" for c in row) + "\n" for row in cells)
+    _emit(lines, args.output)
     return 0
 
 
@@ -203,16 +208,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             }
             for r in reports
         ]
-        _emit(_json(payload) + "\n", args.output)
+        _emit([_json(payload) + "\n"], args.output)
         return 0
     header = ["lambda"] + [f"re_e_{i}" for i in range(1, args.n + 1)] + ["max_imag", "all_real"]
-    lines = [",".join(header)]
-    for r in reports:
-        cells = [_fmt(r.lam)]
-        cells += [_fmt(v.real) for v in r.eigenvalues]
-        cells += [_fmt(r.max_imag), "true" if r.all_real else "false"]
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", args.output)
+    lines = (
+        ",".join([_fmt(r.lam), *(_fmt(v.real) for v in r.eigenvalues), _fmt(r.max_imag)])
+        + (",true\n" if r.all_real else ",false\n")
+        for r in reports
+    )
+    _emit(chain([",".join(header) + "\n"], lines), args.output)
     return 0
 
 
@@ -253,7 +257,7 @@ def cmd_metric_basis(args: argparse.Namespace) -> int:
         "lambda": _scalar_json(lam) if lam is not None else None,
         "elements": elements,
     }
-    _emit(_json(payload) + "\n", args.output)
+    _emit([_json(payload) + "\n"], args.output)
     return 0
 
 
@@ -305,7 +309,7 @@ def cmd_metric_verify(args: argparse.Namespace) -> int:
         ],
         "failed": failed,
     }
-    _emit(_json(payload) + "\n", args.output)
+    _emit([_json(payload) + "\n"], args.output)
     return failed
 
 
@@ -335,7 +339,7 @@ def cmd_positivity(args: argparse.Namespace) -> int:
             "near_boundary": report.near_boundary,
             "closed_form_positive": closed_form,
         }
-        _emit(_json(payload) + "\n", args.output)
+        _emit([_json(payload) + "\n"], args.output)
         return 0
     if args.sample is None:
         raise UsageError("need --alpha or --sample")
@@ -363,11 +367,7 @@ def cmd_positivity(args: argparse.Namespace) -> int:
         for idx, (alpha, positive, minimum, cf, weights, near) in enumerate(result.rows())
     )
     footer = f"# fraction_positive = {_fmt(result.fraction_positive)}\n"
-    with _output(args.output) as stream:
-        stream.write(",".join(header) + "\n")
-        while chunk := "".join(islice(lines, _CSV_CHUNK_ROWS)):
-            stream.write(chunk)
-        stream.write(footer)
+    _emit(chain([",".join(header) + "\n"], lines, [footer]), args.output)
     return 0
 
 
@@ -390,13 +390,13 @@ def cmd_continuum(args: argparse.Namespace) -> int:
         matching_residual(HamiltonianSpec(n, lam_float), args.state) for n in sizes
     ]
     wall = opaque_wall_check(lam_float, sizes)
-    lines = ["size,h,residual,central_amplitude"]
-    for n, residual, amplitude in zip(sizes, residuals, wall.amplitudes):
-        h = 2.0 / (n + 1)
-        lines.append(f"{n},{_fmt(h)},{_fmt(residual)},{_fmt(amplitude)}")
     slope = fit_loglog_slope(sizes, residuals)
-    lines.append(f"# slope = {_fmt(slope)}")
-    _emit("\n".join(lines) + "\n", args.output)
+    lines = (
+        f"{n},{_fmt(2.0 / (n + 1))},{_fmt(residual)},{_fmt(amplitude)}\n"
+        for n, residual, amplitude in zip(sizes, residuals, wall.amplitudes)
+    )
+    footer = f"# slope = {_fmt(slope)}\n"
+    _emit(chain(["size,h,residual,central_amplitude\n"], lines, [footer]), args.output)
     return 0
 
 

@@ -196,14 +196,12 @@ class WallReport:
     decreasing: bool
 
 
-def opaque_wall_check(
-    lam: float, sizes: Iterable[int], *, tolerance: float = 0.1
-) -> WallReport:
+def opaque_wall_check(lam: float, sizes: Iterable[int]) -> WallReport:
     """Track (|psi_K| + |psi_{K+1}|) / max|psi| for the ground state.
 
     The sequence must decrease toward zero as the lattice refines,
-    monotonically within the given noise tolerance.  The free chain
-    (lam = 0) is rejected: there is no wall to become opaque.
+    monotonically up to a 10% rise between neighbouring sizes.  The free
+    chain (lam = 0) is rejected: there is no wall to become opaque.
     """
     lam = float(lam)
     if lam == 0.0:
@@ -221,7 +219,7 @@ def opaque_wall_check(
         half = n // 2
         amplitudes.append(float(abs(psi[half - 1]) + abs(psi[half])))
     decreasing = amplitudes[-1] < amplitudes[0] and all(
-        later <= earlier * (1.0 + tolerance)
+        later <= earlier * 1.1
         for earlier, later in zip(amplitudes, amplitudes[1:])
     )
     return WallReport(

@@ -1,17 +1,17 @@
-"""Exact rational / integer-polynomial linear algebra and small dense
-eigensolvers.
+"""Exact rational / integer-polynomial linear algebra.
 
 Matrices are immutable rows over one scalar kind: `fractions.Fraction`
-for exact work or `IntPolynomial` for symbolic-in-the-coupling work;
-float work uses numpy arrays.  The kernel solver runs fraction-free
+for exact work or `IntPolynomial` for symbolic-in-the-coupling work.
+Float work does not pass through here: it uses numpy arrays in the
+modules that need them.  The kernel solver runs fraction-free
 (Bareiss) elimination over sparse integerized rows: each row keeps only its
 nonzero entries, zero rows are dropped, and a row whose leading column
 is not yet reached is not touched until it is used, so the work on the
 oracle's banded systems follows their nonzeros and fill-in rather than
 their dense size.  Intermediate entries are minors of the input, so
 they stay polynomially bounded in bit size, every division is exact,
-and every returned vector annihilates the input exactly.  The floating
-eigensolvers wrap LAPACK via numpy.
+and every returned vector annihilates the input exactly.  The module
+imports only the standard library.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence
-
-import numpy as np
+from typing import Any, Sequence
 
 from .errors import DimensionError
 
@@ -31,8 +29,6 @@ __all__ = [
     "KernelBasis",
     "null_space",
     "rank",
-    "eigs_symmetric",
-    "eigs_general",
 ]
 
 
@@ -135,25 +131,6 @@ class IntPolynomial:
         return IntPolynomial(
             tuple(v if i % 2 == 0 else -v for i, v in enumerate(self.coeffs))
         )
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for power, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if power == 0:
-                parts.append(str(c))
-            else:
-                var = "x" if power == 1 else f"x^{power}"
-                if c == 1:
-                    parts.append(var)
-                elif c == -1:
-                    parts.append(f"-{var}")
-                else:
-                    parts.append(f"{c}*{var}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 @dataclass(frozen=True)
@@ -263,16 +240,8 @@ class Matrix:
             [(r, e) for r, e in enumerate(col) if e] for col in zip(*self.entries)
         ]
 
-    def map(self, fn: Callable[[Any], Any]) -> "Matrix":
-        return Matrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
-
     def max_abs(self) -> Any:
         return max(abs(e) for row in self.entries for e in row)
-
-    def to_numpy(self, dtype: type = float) -> np.ndarray:
-        return np.array(
-            [[dtype(e) for e in row] for row in self.entries], dtype=dtype
-        )
 
 
 def _integer_rows(a: Matrix) -> list[dict[int, int]]:
@@ -396,42 +365,3 @@ def null_space(a: Matrix) -> KernelBasis:
 def rank(a: Matrix) -> int:
     """Exact rank over the rationals."""
     return len(_echelon(a)[1])
-
-
-def _as_float_array(m: Any) -> np.ndarray:
-    """A `Matrix` or array-like as a square float array."""
-    arr = m.to_numpy() if isinstance(m, Matrix) else np.asarray(m, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError("expected a square matrix")
-    return arr
-
-
-def eigs_symmetric(m: Any, *, tol: float = 1e-12, vectors: bool = False):
-    """Ascending eigenvalues of a real symmetric matrix.
-
-    Input with asymmetry beyond `tol` (absolute, max-norm) is rejected;
-    within tolerance the matrix is symmetrized before the solve.  With
-    ``vectors=True`` also returns the orthonormal eigenvector columns.
-    """
-    a = _as_float_array(m)
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > tol:
-        raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e} > {tol:.3e})")
-    a = 0.5 * (a + a.T)
-    if vectors:
-        w, v = np.linalg.eigh(a)
-        return w, v
-    return np.linalg.eigvalsh(a)
-
-
-def eigs_general(m: Any) -> np.ndarray:
-    """Eigenvalues of a real square matrix, sorted by (real, imaginary);
-    given an (m, n, n) stack, those of each matrix, one row per matrix.
-
-    Complex eigenvalues of a real matrix come in exactly conjugate pairs
-    (LAPACK guarantees the pairing); sorting keeps the multiset stable.
-    """
-    a = m if isinstance(m, np.ndarray) and m.ndim == 3 else _as_float_array(m)
-    w = np.linalg.eigvals(a)
-    order = np.lexsort((w.imag, w.real), axis=-1)
-    return np.take_along_axis(w, order, axis=-1)

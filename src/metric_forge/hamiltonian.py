@@ -8,7 +8,8 @@ coupling, and the spectrum stays real for |lam| < 1: there the two
 middle-bond entries multiply to 1 - lam^2 > 0, so a diagonal similarity
 maps the chain onto a symmetric tridiagonal matrix (Parlett, The
 Symmetric Eigenvalue Problem), and every float eigensolve inside the
-window goes through that symmetric form.
+window goes through that symmetric form; outside it the general dense
+solver `eigs_general` is used.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Any, Iterable, Iterator, Union
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .exact import IntPolynomial, Matrix, eigs_general
+from .exact import IntPolynomial, Matrix
 
 ScalarLike = Union[int, float, Fraction]
 
@@ -32,6 +33,7 @@ __all__ = [
     "hamiltonian_polynomial",
     "closed_form_spectrum",
     "symmetric_similarity",
+    "eigs_general",
     "reality_scan",
 ]
 
@@ -197,6 +199,22 @@ def symmetric_similarity(n: int, lam: Any) -> tuple[np.ndarray, np.ndarray, np.n
     first = np.ones(growth.shape[:-1] + (1,))
     scale = np.cumprod(np.concatenate((first, growth), axis=-1), axis=-1)
     return diag, off, scale
+
+
+def eigs_general(m: Any) -> np.ndarray:
+    """Eigenvalues of a real square float matrix, sorted by (real,
+    imaginary); given an (m, n, n) stack, those of each matrix, one row
+    per matrix.
+
+    Complex eigenvalues of a real matrix come in exactly conjugate pairs
+    (LAPACK guarantees the pairing); sorting keeps the multiset stable.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionError("expected a square matrix or a stack of them")
+    w = np.linalg.eigvals(a)
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    return np.take_along_axis(w, order, axis=-1)
 
 
 def reality_scan(

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .exact import Matrix, _as_float_array, null_space
+from .exact import Matrix, null_space
 from .hamiltonian import HamiltonianSpec, build_hamiltonian
 
 __all__ = [
@@ -45,19 +44,12 @@ class SymmetricIndexer:
     def count(self) -> int:
         return self.n * (self.n + 1) // 2
 
-    @cached_property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, k) for i in range(self.n) for k in range(i, self.n))
-
     def flat(self, i: int, k: int) -> int:
         if not (0 <= i < self.n and 0 <= k < self.n):
             raise DimensionError("position out of range")
         if i > k:
             i, k = k, i
         return i * (2 * self.n - i + 1) // 2 + (k - i)
-
-    def pair(self, index: int) -> tuple[int, int]:
-        return self.pairs[index]
 
 
 @dataclass(frozen=True)
@@ -150,14 +142,13 @@ def _is_exact_matrix(m: Matrix) -> bool:
     )
 
 
-def verify_membership(
-    theta: Any, spec: HamiltonianSpec, tol: float = 1e-9
-) -> MembershipResult:
+def verify_membership(theta: Any, spec: HamiltonianSpec) -> MembershipResult:
     """Check Theta H = H^T Theta for a candidate matrix.
 
     With an exact candidate and an exact coupling the defect is computed
     exactly and membership means a residual of exactly zero; otherwise
-    the float defect is compared against `tol` in the max norm.
+    the float defect of the candidate (a float array, or a `Matrix` read
+    as floats) must stay within 1e-9 in the max norm.
     """
     if isinstance(theta, Matrix) and _is_exact_matrix(theta) and spec.is_exact:
         if theta.shape != (spec.n, spec.n):
@@ -166,9 +157,9 @@ def verify_membership(
         defect = theta @ h - h.T @ theta
         residual = defect.max_abs()
         return MembershipResult(residual == 0, residual)
-    arr = _as_float_array(theta)
+    arr = np.asarray(theta.entries if isinstance(theta, Matrix) else theta, dtype=float)
     if arr.shape != (spec.n, spec.n):
         raise DimensionError("candidate size differs from the Hamiltonian")
     h_float = build_hamiltonian(HamiltonianSpec(spec.n, float(spec.lam)))
     residual = float(np.max(np.abs(arr @ h_float - h_float.T @ arr)))
-    return MembershipResult(residual <= tol, residual)
+    return MembershipResult(residual <= 1e-9, residual)

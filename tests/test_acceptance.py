@@ -31,11 +31,12 @@ from metric_forge.continuum import (
     matching_residual,
     opaque_wall_check,
 )
-from metric_forge.exact import IntPolynomial, Matrix, eigs_general, rank
+from metric_forge.exact import IntPolynomial, Matrix, rank
 from metric_forge.hamiltonian import (
     HamiltonianSpec,
     build_hamiltonian,
     closed_form_spectrum,
+    eigs_general,
     reality_scan,
 )
 from metric_forge.oracle import solve_metric_space, upper_triangle_vector, verify_membership

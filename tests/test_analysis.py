@@ -24,10 +24,6 @@ from metric_forge.errors import (
 from metric_forge.hamiltonian import HamiltonianSpec, build_hamiltonian
 
 
-def _to_array(theta):
-    return theta.to_numpy() if hasattr(theta, "to_numpy") else np.asarray(theta)
-
-
 def _sample_one_by_one(n, lam, seed, count, margin=1e-8):
     """The sampler one draw at a time, the reference for the batched one."""
     stack = evaluate_basis_stack(n, lam)
@@ -184,7 +180,7 @@ class TestWeightsFromTheta:
         for _ in range(5):
             lam = float(rng.uniform(-0.8, 0.8))
             alpha = rng.uniform(-1.0, 1.0, n)
-            theta = _to_array(assemble_theta(n, lam, alpha))
+            theta = assemble_theta(n, lam, alpha)
             system = biorthogonal_system(HamiltonianSpec(n, lam))
             weights = weights_from_theta(system, theta)
             rebuilt = theta_from_weights(system, weights)
@@ -194,9 +190,9 @@ class TestWeightsFromTheta:
 class TestPositivity:
     def test_size2_inequality_examples(self):
         lam = 0.6
-        positive = positivity(_to_array(assemble_theta(2, lam, [1.0, 0.5])))
+        positive = positivity(assemble_theta(2, lam, [1.0, 0.5]))
         assert positive.positive
-        negative = positivity(_to_array(assemble_theta(2, lam, [1.0, 0.9])))
+        negative = positivity(assemble_theta(2, lam, [1.0, 0.9]))
         assert not negative.positive
 
     def test_identity(self):
@@ -235,7 +231,7 @@ class TestClosedForm:
         margin = closed_form_margin(4, 0.0, [2, -1, 1, -2])
         assert margin == 0.0
         assert not positivity_closed_form(4, 0.0, [2, -1, 1, -2])
-        eigenvalues = positivity(_to_array(assemble_theta(4, 0.0, [2, -1, 1, -2]))).eigenvalues
+        eigenvalues = positivity(assemble_theta(4, 0.0, [2, -1, 1, -2])).eigenvalues
         golden = [0.0, 0.0, 5 - math.sqrt(5), 5 + math.sqrt(5)]
         assert np.allclose(eigenvalues, golden, atol=1e-12)
 
@@ -248,7 +244,7 @@ class TestClosedForm:
         for _ in range(50):
             alpha = rng.uniform(-1, 1, 4)
             margin = closed_form_margin(4, 0.0, alpha)
-            eigenvalues = np.linalg.eigvalsh(_to_array(assemble_theta(4, 0.0, alpha)))
+            eigenvalues = np.linalg.eigvalsh(assemble_theta(4, 0.0, alpha))
             assert abs(margin - 2.0 * eigenvalues[0]) < 1e-10
 
     def test_size2_examples(self):
@@ -321,6 +317,27 @@ class TestSampling:
         monkeypatch.setattr(hamiltonian, "_BLOCK_FLOATS", 5 * 36)
         result = sample_positivity_region(6, 0.2, seed=4, count=count)
         assert result.records == _sample_one_by_one(6, 0.2, 4, count)
+
+    @pytest.mark.parametrize("n, lam", [(4, 0.0), (6, 1.5)])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, 0), (1, 1)])
+    def test_rows_equal_whole_column_zip(self, n, lam, blocks, extra):
+        # one draw, one sampler block, and one block plus one draw
+        count = blocks * (hamiltonian._BLOCK_FLOATS // (n * n)) + extra
+        result = sample_positivity_region(n, lam, seed=3, count=count)
+        absent = [None] * count
+        verdicts = (result.closed_form_positive, result.weights_positive)
+        expected = list(
+            zip(
+                result.alphas.tolist(),
+                result.positive.tolist(),
+                result.minima.tolist(),
+                *(absent if column is None else column.tolist() for column in verdicts),
+                result.near_boundary.tolist(),
+            )
+        )
+        rows = list(result.rows())
+        assert rows == expected
+        assert {type(row[2]) for row in rows} == {float}
 
     def test_records_view(self):
         result = sample_positivity_region(4, 0.0, seed=7, count=500, margin=0.05)

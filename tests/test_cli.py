@@ -4,7 +4,8 @@ import os
 import pytest
 
 from metric_forge.analysis import sample_positivity_region
-from metric_forge.cli import _CSV_CHUNK_ROWS, main, parse_grid, parse_scalar, UsageError
+from metric_forge.cli import _CSV_CHUNK_ROWS, _emit, main, parse_grid, parse_scalar, UsageError
+from metric_forge.hamiltonian import reality_scan
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +100,21 @@ class TestSpectrumCommand:
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--n", "4", "--grid", "1:2:1")
         assert code == 2 and "grid" in err
+
+    def test_streamed_csv_matches_file_and_reports(self, capsys, tmp_path):
+        count = _CSV_CHUNK_ROWS + 500
+        argv = ("spectrum", "--n", "2", "--grid", f"-1.2:1.2:{count}")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "spectrum.csv"
+        code, _, _ = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 0
+        lines = ["lambda,re_e_1,re_e_2,max_imag,all_real"]
+        for r in reality_scan(2, parse_grid(f"-1.2:1.2:{count}")):
+            cells = [f"{v:.17g}" for v in (r.lam, *(e.real for e in r.eigenvalues), r.max_imag)]
+            lines.append(",".join(cells + ["true" if r.all_real else "false"]))
+        assert out.encode() == target.read_bytes()
+        assert out == "\n".join(lines) + "\n"
 
 
 class TestMetricBasisCommand:
@@ -280,6 +296,21 @@ class TestPositivityCommand:
         assert len(rows) > _CSV_CHUNK_ROWS
         assert out.encode() == target.read_bytes()
         assert out == expected
+
+
+class TestEmit:
+    def test_pieces_are_written_a_chunk_at_a_time(self, monkeypatch):
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        monkeypatch.setattr("sys.stdout", Recorder())
+        pieces = [f"{i}\n" for i in range(2 * _CSV_CHUNK_ROWS + 1)]
+        _emit(iter(pieces), None)
+        assert [text.count("\n") for text in writes] == [_CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS, 1]
+        assert "".join(writes) == "".join(pieces)
 
 
 class TestContinuumCommand:

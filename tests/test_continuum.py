@@ -226,6 +226,6 @@ class TestFreeLatticeMetric:
             theta, _ = free_lattice_metric(n, FreeMetricParams(0.0, 10.0))
             last = basis_family(n)[n - 1].evaluate(0)
             # large mix parameter makes the parity part dominate; compare patterns
-            parity = last.to_numpy()
+            parity = np.array(last.entries, dtype=float)
             offdiag = theta - np.diag(np.diag(theta))
             assert np.allclose(np.sign(np.abs(offdiag)), np.sign(parity - np.diag(np.diag(parity))))

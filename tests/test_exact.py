@@ -1,20 +1,19 @@
+import ast
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metric_forge import exact
+from metric_forge.analysis import eigs_symmetric
 from metric_forge.errors import DimensionError
-from metric_forge.exact import (
-    IntPolynomial,
-    Matrix,
-    eigs_general,
-    eigs_symmetric,
-    null_space,
-    rank,
-)
+from metric_forge.exact import IntPolynomial, Matrix, null_space, rank
+from metric_forge.hamiltonian import eigs_general
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 small_ints = st.integers(min_value=-5, max_value=5)
@@ -227,12 +226,18 @@ class TestEigsSymmetric:
         assert np.allclose(sorted(2 - ys.real), expected, atol=1e-10)
 
     def test_reconstruction_residual(self):
+        # each eigenvalue makes m - w I singular, and the eigenvalues
+        # rebuild the trace and the Frobenius norm of m
         rng = np.random.default_rng(11)
         a = rng.normal(size=(8, 8))
         m = a + a.T
-        w, v = eigs_symmetric(m, vectors=True)
-        residual = np.max(np.abs(m - v @ np.diag(w) @ v.T))
-        assert residual <= 1e-10 * np.max(np.abs(m))
+        w = eigs_symmetric(m)
+        scale = np.max(np.abs(m))
+        for value in w:
+            smallest = np.linalg.svd(m - value * np.eye(8), compute_uv=False)[-1]
+            assert smallest <= 1e-10 * scale
+        assert abs(np.sum(w) - np.trace(m)) <= 1e-10 * scale
+        assert abs(np.sum(w**2) - np.sum(m**2)) <= 1e-10 * scale**2
 
     def test_permutation_similarity_invariance(self):
         rng = np.random.default_rng(5)
@@ -290,3 +295,19 @@ class TestEigsGeneral:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             eigs_general(np.ones((2, 3)))
+
+
+def test_module_imports_only_stdlib_and_errors():
+    tree = ast.parse(Path(exact.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [("." * node.level) + (node.module or "")]
+        else:
+            continue
+        for module in modules:
+            if module.startswith("."):
+                assert module == ".errors", module
+            else:
+                assert module.split(".")[0] in sys.stdlib_module_names, module

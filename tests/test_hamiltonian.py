@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from metric_forge import hamiltonian
 from metric_forge.errors import DimensionError, DomainError
-from metric_forge.exact import eigs_general
+from metric_forge.exact import Matrix
 from metric_forge.hamiltonian import (
     HamiltonianSpec,
     build_hamiltonian,
     closed_form_spectrum,
+    eigs_general,
     hamiltonian_polynomial,
     reality_scan,
     symmetric_similarity,
@@ -74,8 +75,9 @@ class TestBuild:
 
     def test_polynomial_form_evaluates_to_numeric(self):
         lam = Fraction(1, 3)
-        hp = hamiltonian_polynomial(6).map(lambda p: p(lam))
-        assert hp == build_hamiltonian(HamiltonianSpec(6, lam))
+        hp = hamiltonian_polynomial(6)
+        evaluated = Matrix.from_rows([[p(lam) for p in row] for row in hp.entries])
+        assert evaluated == build_hamiltonian(HamiltonianSpec(6, lam))
 
 
 class TestClosedFormSpectrum:

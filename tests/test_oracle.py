@@ -20,13 +20,9 @@ class TestSymmetricIndexer:
     def test_bijection(self, n):
         indexer = SymmetricIndexer(n)
         assert indexer.count == n * (n + 1) // 2
-        seen = set()
-        for i in range(n):
-            for k in range(i, n):
-                flat = indexer.flat(i, k)
-                assert indexer.pair(flat) == (i, k)
-                seen.add(flat)
-        assert seen == set(range(indexer.count))
+        # the flat index of the t-th pair (i, k >= i) in row-major order is t
+        flats = [indexer.flat(i, k) for i in range(n) for k in range(i, n)]
+        assert flats == list(range(indexer.count))
 
     def test_order_insensitive(self):
         indexer = SymmetricIndexer(4)
@@ -192,6 +188,15 @@ class TestVerifyMembership:
         assert ok and residual == 0.0
         ok, residual = verify_membership(theta, HamiltonianSpec(4, 0.5))
         assert not ok and residual > 0.1
+
+    def test_matrix_candidate_at_float_coupling(self):
+        # an exact Matrix with a float coupling takes the float branch
+        ok, residual = verify_membership(Matrix.identity(4), HamiltonianSpec(4, 0.0))
+        assert ok and residual == 0.0
+        ok, residual = verify_membership(Matrix.identity(4), HamiltonianSpec(4, 0.5))
+        assert not ok and residual == 1.0
+        with pytest.raises(DimensionError):
+            verify_membership(Matrix.identity(3), HamiltonianSpec(4, 0.5))
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(DimensionError):
