@@ -7,79 +7,35 @@ brute-force kernel solve of the quasi-Hermiticity constraint, and once by
 the recurrent closed-form basis construction.  The two routes are
 cross-validated exactly, and spectral, positivity and continuum-limit
 properties are checked numerically.
+
+The exact modules import only the standard library and are loaded with
+the package.  The names of the float modules, `analysis` and
+`continuum`, resolve on first use, so that numpy is imported only by
+code that needs floats.
 """
 
-from .analysis import (
-    BiorthogonalSystem,
-    PositivityReport,
-    RegionSample,
-    SampleRecord,
-    biorthogonal_system,
-    closed_form_margin,
-    eigs_symmetric,
-    positivity,
-    positivity_closed_form,
-    sample_positivity_region,
-    theta_from_weights,
-    weights_from_theta,
-)
-from .closedform import (
-    IncidenceMatrix,
-    MetricBasisElement,
-    assemble_theta,
-    basis_element,
-    basis_family,
-    entry_polynomial,
-    evaluate_basis_stack,
-    incidence_family,
-    intertwining_defect,
-    occupancy_matrix,
-    occupancy_positions,
-    reflection_symmetry_holds,
-    triangle_entry,
-)
-from .continuum import (
-    FreeMetricParams,
-    LatticeGrid,
-    MatchingData,
-    WallReport,
-    fit_loglog_slope,
-    free_lattice_metric,
-    matching_data,
-    matching_residual,
-    opaque_wall_check,
-)
-from .errors import (
-    ConstructionError,
-    DegenerateSpectrumError,
-    DimensionError,
-    DomainError,
-)
-from .exact import (
-    IntPolynomial,
-    KernelBasis,
-    Matrix,
-    null_space,
-    rank,
-)
-from .hamiltonian import (
-    HamiltonianSpec,
-    SpectrumReport,
-    build_hamiltonian,
-    closed_form_spectrum,
-    eigs_general,
-    hamiltonian_polynomial,
-    reality_scan,
-    symmetric_similarity,
-)
-from .oracle import (
-    MembershipResult,
-    MetricSolutionSpace,
-    SymmetricIndexer,
-    intertwining_system,
-    solve_metric_space,
-    upper_triangle_vector,
-    verify_membership,
-)
+from typing import Any
+
+from .closedform import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .exact import *  # noqa: F401,F403
+from .hamiltonian import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
+
+_FLOAT_MODULES = ("analysis", "continuum")
+
+
+def __getattr__(name: str) -> Any:
+    """A name exported by a float module, imported on first use.  Private
+    names and submodules (as in `from metric_forge import cli`) import
+    no float module."""
+    import importlib.util
+
+    if not name.startswith("_") and importlib.util.find_spec(f"{__name__}.{name}") is None:
+        for module_name in _FLOAT_MODULES:
+            module = importlib.import_module(f"{__name__}.{module_name}")
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,12 +1,18 @@
-"""Positivity analysis and the biorthogonal spectral representation.
+"""Float analysis of the chain: spectra, positivity and the biorthogonal
+spectral representation.
 
-A candidate metric is positive definite iff all eigenvalues are positive;
-equivalently, writing Theta = sum_n t_n w_n w_n^T over the left
-eigenvectors w_n of the chain, iff all spectral weights t_n are positive.
-This module provides both verdicts (the first through the symmetric
-eigensolver `eigs_symmetric`), the conversion between coefficient
-coordinates and spectral weights, the explicit low-size positivity
-inequalities, and a seeded sampler over coefficient space.
+This module and `continuum` hold all of the package's float work; the
+exact modules import only the standard library.  Here live the float
+chain and its symmetric similarity, the reality scans across coupling
+grids with the general dense eigensolver `eigs_general` outside the
+window, and the float basis stack.  A candidate metric is positive
+definite iff all eigenvalues are positive; equivalently, writing
+Theta = sum_n t_n w_n w_n^T over the left eigenvectors w_n of the chain,
+iff all spectral weights t_n are positive.  This module provides both
+verdicts (the first through the symmetric eigensolver `eigs_symmetric`),
+the conversion between coefficient coordinates and spectral weights, the
+explicit low-size positivity inequalities, and a seeded sampler over
+coefficient space.
 """
 
 from __future__ import annotations
@@ -14,21 +20,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .closedform import evaluate_basis_stack
+from .closedform import basis_family
 from .errors import DegenerateSpectrumError, DimensionError, DomainError
-from .hamiltonian import (
-    HamiltonianSpec,
-    _blocks,
-    _tridiagonal,
-    build_hamiltonian,
-    symmetric_similarity,
-)
+from .hamiltonian import HamiltonianSpec, _chain_bands, build_hamiltonian
 
 __all__ = [
+    "SpectrumReport",
+    "symmetric_similarity",
+    "eigs_general",
+    "reality_scan",
+    "evaluate_basis_stack",
     "BiorthogonalSystem",
     "PositivityReport",
     "SampleRecord",
@@ -45,6 +50,124 @@ __all__ = [
 
 # Smallest eigenvalue a candidate needs to count as positive definite.
 POSITIVE_MARGIN = 1e-10
+
+
+@dataclass(frozen=True)
+class SpectrumReport:
+    """Eigenvalues of one family member at one coupling."""
+
+    lam: float
+    eigenvalues: tuple[complex, ...]
+    max_imag: float
+    all_real: bool
+
+
+# Most matrix entries a stacked float solve holds at once; bounds the
+# memory of a batch for any number of points or draws.
+_BLOCK_FLOATS = 2**18
+
+
+def _blocks(count: int, n: int) -> Iterator[slice]:
+    """Consecutive slices over `count` n x n matrices, each within the budget."""
+    step = max(1, _BLOCK_FLOATS // (n * n))
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _float_bands(n: int, lam: Any) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_chain_bands` at a float coupling, or at each coupling of a 1-D
+    array, with the batch axis first."""
+    lam = np.asarray(lam, dtype=float)
+    return tuple(
+        np.moveaxis(np.array(band), 0, -1) for band in _chain_bands(n, lam, np.ones_like(lam))
+    )
+
+
+def _tridiagonal(diag: Any, upper: Any, lower: Any) -> np.ndarray:
+    """Dense float matrix with the given diagonal, super- and sub-diagonal,
+    or a stack of them when the bands carry a leading batch axis."""
+    diag = np.asarray(diag, dtype=float)
+    n = diag.shape[-1]
+    i = np.arange(n)
+    out = np.zeros(diag.shape + (n,))
+    out[..., i, i] = diag
+    out[..., i[:-1], i[1:]] = upper
+    out[..., i[1:], i[:-1]] = lower
+    return out
+
+
+def _float_chain(n: int, lam: Any) -> np.ndarray:
+    """Dense float chain at a float coupling, or a stack of them at each
+    coupling of a 1-D array."""
+    return _tridiagonal(*_float_bands(n, lam))
+
+
+def symmetric_similarity(n: int, lam: Any) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of S and diagonal of D with H = D S D^{-1}.
+
+    S is symmetric tridiagonal: the chain with middle bond
+    -sqrt(1 - lam^2); D = diag(1, ..., 1, r, ..., r) with
+    r = sqrt((1 - lam)/(1 + lam)) on the right half.  Eigenvectors map
+    back as right = D u and left = D^{-1} u.  `lam` is a float, or a 1-D
+    array of couplings that puts a leading batch axis on all three
+    results.  Defined only for couplings strictly inside (-1, 1), where
+    both middle-bond entries are negative.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if not np.all((-1.0 < lam) & (lam < 1.0)):
+        raise DomainError("the symmetric similarity requires |lam| < 1")
+    diag, upper, lower = _float_bands(n, lam)
+    # each bond of S is the geometric mean of the two entries of H, and D
+    # grows across a bond by the square root of their ratio
+    off = -np.sqrt(upper * lower)
+    growth = np.sqrt(lower / upper)
+    first = np.ones(growth.shape[:-1] + (1,))
+    scale = np.cumprod(np.concatenate((first, growth), axis=-1), axis=-1)
+    return diag, off, scale
+
+
+def eigs_general(m: Any) -> np.ndarray:
+    """Eigenvalues of a real square float matrix, sorted by (real,
+    imaginary); given an (m, n, n) stack, those of each matrix, one row
+    per matrix.
+
+    Complex eigenvalues of a real matrix come in exactly conjugate pairs
+    (LAPACK guarantees the pairing); sorting keeps the multiset stable.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionError("expected a square matrix or a stack of them")
+    w = np.linalg.eigvals(a)
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    return np.take_along_axis(w, order, axis=-1)
+
+
+def reality_scan(
+    n: int, lambdas: Iterable[float], *, tol: float = 1e-9
+) -> list[SpectrumReport]:
+    """One spectrum report per grid value, in input order.
+
+    Inside (-1, 1) the eigenvalues come from the symmetric similarity and
+    are real by construction; elsewhere from the general dense solver.
+    The points are solved in stacked blocks, each group of a block as one
+    batch.  A point is flagged all-real when every imaginary part stays
+    within `tol`.
+    """
+    HamiltonianSpec(n)  # rejects an odd or too small size
+    lams = np.array([float(lam) for lam in lambdas])
+    values = np.zeros((len(lams), n), dtype=complex)
+    for part in _blocks(len(lams), n):
+        block, out = lams[part], values[part]
+        inside = (-1.0 < block) & (block < 1.0)
+        if inside.any():
+            diag, off, _ = symmetric_similarity(n, block[inside])
+            out[inside] = np.linalg.eigvalsh(_tridiagonal(diag, off, off))
+        if not inside.all():
+            out[~inside] = eigs_general(_float_chain(n, block[~inside]))
+    max_imag = np.max(np.abs(values.imag), axis=1)
+    return [
+        SpectrumReport(lam=lam, eigenvalues=tuple(row), max_imag=imag, all_real=imag <= tol)
+        for lam, row, imag in zip(lams.tolist(), values.tolist(), max_imag.tolist())
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,6 +390,19 @@ class RegionSample:
     def records(self) -> tuple[SampleRecord, ...]:
         """The draws as `SampleRecord`s, built on each read."""
         return tuple(SampleRecord(tuple(alpha), *rest) for alpha, *rest in self.rows())
+
+
+def evaluate_basis_stack(n: int, lam: float) -> np.ndarray:
+    """Float stack of the basis family at one coupling, shape (n, n, n).
+    A coupling so large that an entry overflows is rejected."""
+    lam = float(lam)
+    stack = np.zeros((n, n, n))
+    for element, plane in zip(basis_family(n), stack):
+        for (i, k), p in element.entries.items():
+            plane[i - 1, k - 1] = p(lam)
+    if not np.isfinite(stack).all():
+        raise DomainError(f"basis entries overflow at lam = {lam!r}")
+    return stack
 
 
 def sample_positivity_region(

@@ -25,8 +25,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Any, Literal, Mapping, Optional, Sequence
 
-import numpy as np
-
 from .errors import ConstructionError, DimensionError, DomainError
 from .exact import IntPolynomial, Matrix
 from .hamiltonian import hamiltonian_polynomial
@@ -43,7 +41,6 @@ __all__ = [
     "triangle_entry",
     "basis_element",
     "basis_family",
-    "evaluate_basis_stack",
     "assemble_theta",
     "reflection_symmetry_holds",
     "intertwining_defect",
@@ -251,20 +248,7 @@ def basis_family(n: int) -> tuple[MetricBasisElement, ...]:
     return tuple(basis_element(s) for s in incidence_family(n))
 
 
-def evaluate_basis_stack(n: int, lam: float) -> np.ndarray:
-    """Float stack of the basis family at one coupling, shape (n, n, n).
-    A coupling so large that an entry overflows is rejected."""
-    lam = float(lam)
-    stack = np.zeros((n, n, n))
-    for element, plane in zip(basis_family(n), stack):
-        for (i, k), p in element.entries.items():
-            plane[i - 1, k - 1] = p(lam)
-    if not np.isfinite(stack).all():
-        raise DomainError(f"basis entries overflow at lam = {lam!r}")
-    return stack
-
-
-def assemble_theta(n: int, lam: Any, alpha: Sequence[Any]) -> Matrix | np.ndarray:
+def assemble_theta(n: int, lam: Any, alpha: Sequence[Any]) -> Any:
     """Superposition sum_j alpha_j M_j(lam), summed left to right: a
     `Matrix` when the coupling and all coefficients are exact, a float
     array otherwise."""
@@ -282,6 +266,8 @@ def assemble_theta(n: int, lam: Any, alpha: Sequence[Any]) -> Matrix | np.ndarra
             for (i, k), p in element.entries.items():
                 cells[i - 1][k - 1] += p(point) * weight
         return Matrix.from_rows(cells)
+    from .analysis import evaluate_basis_stack
+
     terms = [float(a) * m for a, m in zip(coefficients, evaluate_basis_stack(n, lam))]
     total = terms[0]
     for term in terms[1:]:

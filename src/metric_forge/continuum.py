@@ -16,9 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analysis import PositivityReport, positivity
+from .analysis import PositivityReport, positivity, symmetric_similarity
 from .errors import DimensionError, DomainError
-from .hamiltonian import HamiltonianSpec, symmetric_similarity
+from .hamiltonian import HamiltonianSpec
 
 __all__ = [
     "LatticeGrid",

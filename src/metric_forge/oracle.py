@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, NamedTuple
 
-import numpy as np
-
 from .errors import DimensionError, DomainError
 from .exact import Matrix, null_space
 from .hamiltonian import HamiltonianSpec, build_hamiltonian
@@ -157,6 +155,8 @@ def verify_membership(theta: Any, spec: HamiltonianSpec) -> MembershipResult:
         defect = theta @ h - h.T @ theta
         residual = defect.max_abs()
         return MembershipResult(residual == 0, residual)
+    import numpy as np
+
     arr = np.asarray(theta.entries if isinstance(theta, Matrix) else theta, dtype=float)
     if arr.shape != (spec.n, spec.n):
         raise DimensionError("candidate size differs from the Hamiltonian")

@@ -11,6 +11,9 @@ import numpy as np
 from metric_forge.analysis import (
     biorthogonal_system,
     closed_form_margin,
+    eigs_general,
+    evaluate_basis_stack,
+    reality_scan,
     sample_positivity_region,
     theta_from_weights,
     weights_from_theta,
@@ -18,7 +21,6 @@ from metric_forge.analysis import (
 from metric_forge.closedform import (
     assemble_theta,
     basis_family,
-    evaluate_basis_stack,
     incidence_family,
     intertwining_defect,
     occupancy_matrix,
@@ -36,8 +38,6 @@ from metric_forge.hamiltonian import (
     HamiltonianSpec,
     build_hamiltonian,
     closed_form_spectrum,
-    eigs_general,
-    reality_scan,
 )
 from metric_forge.oracle import solve_metric_space, upper_triangle_vector, verify_membership
 

@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from metric_forge import hamiltonian
+from metric_forge import analysis
 from metric_forge.analysis import (
     POSITIVE_MARGIN,
     SampleRecord,
     biorthogonal_system,
     closed_form_margin,
+    evaluate_basis_stack,
     positivity,
     positivity_closed_form,
     sample_positivity_region,
     theta_from_weights,
     weights_from_theta,
 )
-from metric_forge.closedform import assemble_theta, evaluate_basis_stack
+from metric_forge.closedform import assemble_theta
 from metric_forge.errors import (
     DegenerateSpectrumError,
     DimensionError,
@@ -314,7 +315,7 @@ class TestSampling:
     @pytest.mark.parametrize("count", [1, 5, 23])
     def test_block_edges_equal_one_by_one(self, monkeypatch, count):
         # five draws per block at n = 6
-        monkeypatch.setattr(hamiltonian, "_BLOCK_FLOATS", 5 * 36)
+        monkeypatch.setattr(analysis, "_BLOCK_FLOATS", 5 * 36)
         result = sample_positivity_region(6, 0.2, seed=4, count=count)
         assert result.records == _sample_one_by_one(6, 0.2, 4, count)
 
@@ -322,7 +323,7 @@ class TestSampling:
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, 0), (1, 1)])
     def test_rows_equal_whole_column_zip(self, n, lam, blocks, extra):
         # one draw, one sampler block, and one block plus one draw
-        count = blocks * (hamiltonian._BLOCK_FLOATS // (n * n)) + extra
+        count = blocks * (analysis._BLOCK_FLOATS // (n * n)) + extra
         result = sample_positivity_region(n, lam, seed=3, count=count)
         absent = [None] * count
         verdicts = (result.closed_form_positive, result.weights_positive)

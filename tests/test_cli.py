@@ -1,11 +1,23 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from metric_forge.analysis import sample_positivity_region
-from metric_forge.cli import _CSV_CHUNK_ROWS, _emit, main, parse_grid, parse_scalar, UsageError
-from metric_forge.hamiltonian import reality_scan
+import metric_forge
+from metric_forge import cli
+from metric_forge.analysis import reality_scan, sample_positivity_region
+from metric_forge.cli import (
+    _CSV_CHUNK_ROWS,
+    MAX_GRID_POINTS,
+    UsageError,
+    _emit,
+    main,
+    parse_grid,
+    parse_scalar,
+)
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +44,11 @@ class TestParsing:
             parse_grid("0:1:1")
         with pytest.raises(UsageError):
             parse_grid("0:1")
+
+    def test_grid_count_cap(self):
+        assert len(parse_grid(f"0:1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
+        with pytest.raises(UsageError, match="at most"):
+            parse_grid(f"0:1:{MAX_GRID_POINTS + 1}")
 
 
 class TestHamiltonianCommand:
@@ -180,6 +197,16 @@ class TestMetricBasisCommand:
         assert entries[(1, 2)] == [1, -1]
         assert entries[(2, 3)] == [1, 0, -1]
         assert entries[(3, 4)] == [1, 1]
+
+    @pytest.mark.parametrize("j", ["0", "81"])
+    def test_index_checked_before_the_family_grows(self, capsys, monkeypatch, j):
+        def grow(n):
+            raise AssertionError("incidence_family called")
+
+        monkeypatch.setattr(cli, "incidence_family", grow)
+        code, out, err = run_cli(capsys, "metric", "basis", "--n", "80", "--j", j)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --j")
 
 
 class TestMetricVerifyCommand:
@@ -386,6 +413,10 @@ class TestUsageErrors:
             ("positivity", "--n", "4", "--lambda", "1.3e154", "--sample", "3"),
             ("positivity", "--n", "2", "--lambda", "1e308", "--alpha", "1,2"),
             ("metric", "basis", "--n", "8", "--lambda", "1e200"),
+            # an exact coupling too large for a float
+            ("positivity", "--n", "2", "--lambda", "1" + "0" * 400, "--alpha", "1,2"),
+            ("continuum", "--lambda", "1" + "0" * 400, "--sizes", "8,10"),
+            ("positivity", "--n", "2", "--lambda", "1" + "0" * 400 + "/3", "--sample", "3"),
         ],
     )
     def test_single_error_line_and_exit_code_two(self, capsys, argv):
@@ -429,20 +460,56 @@ class TestUsageErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def _fresh_python(code, *args):
+    """Run `code` in a new interpreter that imports the package from this
+    checkout; its stderr."""
+    src = str(Path(metric_forge.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stderr
+
+
+_EXACT_ARGV = [
+    *(
+        ("hamiltonian", "--n", "4", "--lambda", lam, "--format", fmt)
+        for lam in ("0", "1/3")
+        for fmt in ("json", "csv", "text")
+    ),
+    ("metric", "basis", "--n", "8"),
+    ("metric", "basis", "--n", "8", "--lambda", "2/5"),
+    ("metric", "basis", "--n", "8", "--lambda", "0.3"),
+    ("metric", "verify", "--n", "6", "--lambda", "1/3"),
+]
+_FLOAT_ARGV = [
+    ("spectrum", "--n", "4", "--grid", "0:1:3"),
+    ("positivity", "--n", "2", "--lambda", "0.5", "--alpha", "1,0"),
+    ("continuum", "--lambda", "0.5", "--sizes", "8,10"),
+    ("hamiltonian", "--n", "2", "--lambda", "0.3"),
+]
+
+
 class TestStartup:
-    def test_cli_import_leaves_scipy_unloaded(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
+    @pytest.mark.parametrize("module", ["scipy", "numpy"])
+    def test_cli_import_leaves_scipy_unloaded(self, module):
+        probe = f"import sys, metric_forge.cli; print({module!r} in sys.modules, file=sys.stderr)"
+        assert _fresh_python(probe).strip() == "False"
 
-        import metric_forge
-
-        src = str(Path(metric_forge.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        probe = "import sys, metric_forge.cli; print('scipy' in sys.modules)"
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    @pytest.mark.parametrize(
+        "argv, numpy_loaded",
+        [(argv, False) for argv in _EXACT_ARGV] + [(argv, True) for argv in _FLOAT_ARGV],
+    )
+    def test_only_float_commands_load_numpy(self, argv, numpy_loaded):
+        probe = (
+            "import os, sys\n"
+            "from metric_forge.cli import main\n"
+            "code = main(sys.argv[1:] + ['--output', os.devnull])\n"
+            "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules, file=sys.stderr)\n"
         )
-        assert result.stdout.strip() == "False"
+        code, numpy, scipy = _fresh_python(probe, *argv).split()
+        assert code == "0"
+        assert numpy == str(numpy_loaded)
+        if not numpy_loaded:
+            assert scipy == "False"

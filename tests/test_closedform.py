@@ -11,13 +11,13 @@ from metric_forge.closedform import (
     basis_element,
     basis_family,
     entry_polynomial,
-    evaluate_basis_stack,
     incidence_family,
     intertwining_defect,
     occupancy_matrix,
     occupancy_positions,
     reflection_symmetry_holds,
 )
+from metric_forge.analysis import evaluate_basis_stack
 from metric_forge.errors import ConstructionError, DimensionError, DomainError
 from metric_forge.exact import IntPolynomial, Matrix, rank
 from metric_forge.hamiltonian import HamiltonianSpec, hamiltonian_polynomial

@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metric_forge import exact
-from metric_forge.analysis import eigs_symmetric
+from metric_forge.analysis import eigs_general, eigs_symmetric
 from metric_forge.errors import DimensionError
 from metric_forge.exact import IntPolynomial, Matrix, null_space, rank
-from metric_forge.hamiltonian import eigs_general
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 small_ints = st.integers(min_value=-5, max_value=5)
@@ -311,3 +310,33 @@ def test_module_imports_only_stdlib_and_errors():
                 assert module == ".errors", module
             else:
                 assert module.split(".")[0] in sys.stdlib_module_names, module
+
+
+# the modules that import only the standard library when they load
+_STDLIB_ONLY = ("errors", "exact", "hamiltonian", "closedform", "oracle")
+
+
+def _module_level_imports(tree):
+    """Names of the modules imported outside every function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("name", ["errors", "hamiltonian", "closedform", "oracle", "cli", "__init__"])
+def test_module_level_imports_leave_out_numpy(name):
+    # a float module imported at module level would bring numpy in as well
+    path = Path(exact.__file__).with_name(f"{name}.py")
+    for module in _module_level_imports(ast.parse(path.read_text(encoding="utf-8"))):
+        if module.startswith("."):
+            assert module[1:] in _STDLIB_ONLY, module
+        else:
+            assert module.split(".")[0] in sys.stdlib_module_names, module

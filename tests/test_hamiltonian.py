@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metric_forge import hamiltonian
+from metric_forge import analysis
+from metric_forge.analysis import eigs_general, reality_scan, symmetric_similarity
 from metric_forge.errors import DimensionError, DomainError
 from metric_forge.exact import Matrix
 from metric_forge.hamiltonian import (
     HamiltonianSpec,
     build_hamiltonian,
     closed_form_spectrum,
-    eigs_general,
     hamiltonian_polynomial,
-    reality_scan,
-    symmetric_similarity,
 )
 
 exact_couplings = st.fractions(min_value=-2, max_value=2, max_denominator=7)
@@ -160,7 +158,7 @@ class TestRealityScan:
     @pytest.mark.parametrize("block_points", [1, 3, None])
     def test_batched_scan_equals_per_point_solves(self, monkeypatch, n, block_points):
         if block_points is not None:
-            monkeypatch.setattr(hamiltonian, "_BLOCK_FLOATS", block_points * n * n)
+            monkeypatch.setattr(analysis, "_BLOCK_FLOATS", block_points * n * n)
         grid = [-3.0, -1.0, -0.999, -0.4, 0.0, 0.25, 0.999, 1.0, 1.0001, 1.2]
         reports = reality_scan(n, grid)
         assert [r.lam for r in reports] == grid

@@ -3,9 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from metric_forge.analysis import symmetric_similarity
 from metric_forge.errors import DimensionError, DomainError
 from metric_forge.exact import Matrix, null_space, rank
-from metric_forge.hamiltonian import HamiltonianSpec, build_hamiltonian, symmetric_similarity
+from metric_forge.hamiltonian import HamiltonianSpec, build_hamiltonian
 from metric_forge.oracle import (
     SymmetricIndexer,
     intertwining_system,
