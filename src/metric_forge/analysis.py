@@ -51,6 +51,10 @@ __all__ = [
 # Smallest eigenvalue a candidate needs to count as positive definite.
 POSITIVE_MARGIN = 1e-10
 
+# A sampled draw whose minimum eigenvalue, closed-form margin or smallest
+# weight lies within this distance of zero is flagged near-boundary.
+SAMPLE_MARGIN = 1e-8
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -395,24 +399,18 @@ class RegionSample:
 def evaluate_basis_stack(n: int, lam: float) -> np.ndarray:
     """Float stack of the basis family at one coupling, shape (n, n, n).
     A coupling so large that an entry overflows is rejected."""
+    family = basis_family(n)  # rejects a bad size before the stack exists
     lam = float(lam)
     stack = np.zeros((n, n, n))
-    for element, plane in zip(basis_family(n), stack):
-        for (i, k), p in element.entries.items():
-            plane[i - 1, k - 1] = p(lam)
+    for element, plane in zip(family, stack):
+        for (i, k), value in element.values(lam).items():
+            plane[i - 1, k - 1] = value
     if not np.isfinite(stack).all():
         raise DomainError(f"basis entries overflow at lam = {lam!r}")
     return stack
 
 
-def sample_positivity_region(
-    n: int,
-    lam: float,
-    seed: int,
-    count: int,
-    *,
-    margin: float = 1e-8,
-) -> RegionSample:
+def sample_positivity_region(n: int, lam: float, seed: int, count: int) -> RegionSample:
     """Draw coefficient vectors uniformly from [-1, 1]^n and record the
     positivity verdicts.
 
@@ -420,8 +418,9 @@ def sample_positivity_region(
     one (the verdict is scale invariant).  Verdict columns that do not
     apply at the given size/coupling are recorded as None.  Samples whose
     minimum eigenvalue, closed-form margin, or smallest weight lies within
-    `margin` of zero are flagged near-boundary.  The draws are solved in
-    stacked blocks; each sample's arithmetic is that of a lone solve.
+    `SAMPLE_MARGIN` of zero are flagged near-boundary.  The draws are
+    solved in stacked blocks; each sample's arithmetic is that of a lone
+    solve.
     """
     if count < 1:
         raise DomainError("need at least one sample")
@@ -445,18 +444,18 @@ def sample_positivity_region(
             weights = np.einsum("in,sij,jn->sn", right, thetas, right)
             lowest_weight[part] = np.min(weights, axis=1)
             nearest_weight[part] = np.min(np.abs(weights), axis=1)
-    near = np.abs(minima) <= margin
+    near = np.abs(minima) <= SAMPLE_MARGIN
     try:
         cf_margin = closed_form_margin(n, lam, alphas)
     except DomainError:
         cf_positive = None
     else:
         cf_positive = cf_margin > 0.0
-        near |= np.abs(cf_margin) <= margin
+        near |= np.abs(cf_margin) <= SAMPLE_MARGIN
     weights_positive = None
     if right is not None:
         weights_positive = lowest_weight > 0.0
-        near |= nearest_weight <= margin
+        near |= nearest_weight <= SAMPLE_MARGIN
     return RegionSample(
         n=n,
         lam=lam,

@@ -16,22 +16,19 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .closedform import (
     assemble_theta,
     basis_family,
-    incidence_family,
     intertwining_defect,
     occupancy_matrix,
     reflection_symmetry_holds,
-    triangle_entry,
 )
 from .errors import ConstructionError, DegenerateSpectrumError, DimensionError, DomainError
-from .exact import IntPolynomial, Matrix, rank
-from .hamiltonian import HamiltonianSpec, build_hamiltonian
+from .exact import Matrix, rank
+from .hamiltonian import HamiltonianSpec, _float_coupling, build_hamiltonian
 from .oracle import solve_metric_space, upper_triangle_vector
 
 
@@ -89,16 +86,6 @@ def parse_exact_scalar(text: str) -> Fraction:
     return Fraction(value)
 
 
-def parse_float_scalar(text: str) -> float:
-    """`parse_scalar` as a float; an exact value too large for a float is
-    a usage error."""
-    value = parse_scalar(text)
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise UsageError("the coupling is too large for a float") from exc
-
-
 def parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -141,10 +128,19 @@ def parse_int_list(text: str) -> list[int]:
         raise UsageError(f"invalid list {text!r}") from exc
 
 
-def _scalar_json(value: Fraction | float) -> Any:
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
+def _exact_texts(values: Iterable[Fraction | int]) -> list[str]:
+    """The text of each exact value; every exact value the CLI prints goes
+    through here.  One with more digits than Python's int-to-str limit
+    allows is an error."""
+    try:
+        return [str(value) for value in values]
+    except ValueError as exc:
+        raise DomainError("an exact result has too many digits to print") from exc
+
+
+def _scalar_json(value: Fraction | int | float) -> Any:
+    """A float as itself, an exact value as its text."""
+    return _exact_texts([value])[0] if isinstance(value, (Fraction, int)) else value
 
 
 def _json(payload: Any) -> str:
@@ -183,8 +179,7 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
     spec = HamiltonianSpec(args.n, lam)
     matrix = build_hamiltonian(spec)
     if spec.is_exact:
-        lam = Fraction(lam)
-        grid = cells = [[str(e) for e in row] for row in matrix.entries]
+        grid = cells = [_exact_texts(row) for row in matrix.entries]
     else:
         grid = matrix.tolist()
         cells = [[_fmt(e) for e in row] for row in grid]
@@ -243,44 +238,27 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _basis_entry_payload(n: int, i: int, k: int, degree: int, value) -> dict:
-    poly = triangle_entry(n, i, k, degree)
-    payload = {"i": i, "k": k, "degree": degree, "coefficients": list(poly.coeffs)}
-    if value is not None:
-        payload["value"] = value(poly)
-    return payload
-
-
 def cmd_metric_basis(args: argparse.Namespace) -> int:
     lam = parse_scalar(args.lam) if args.lam is not None else None
-    if isinstance(lam, int):
-        lam = Fraction(lam)
-    value = None
-    if lam is not None:
-        # each distinct alphabet polynomial is evaluated once per command
-        @cache
-        def value(poly: IntPolynomial) -> Any:
-            result = poly(lam)
-            return str(result) if isinstance(result, (Fraction, int)) else float(result)
-
     if args.j is not None and not 1 <= args.j <= args.n:
         raise UsageError(f"--j must lie in 1..{args.n}")
-    family = incidence_family(args.n)
+    family = basis_family(args.n)
     if args.j is not None:
         family = (family[args.j - 1],)
+    # each element is encoded as soon as it is built, so that only one
+    # element's entries are held as objects; the text is that of one dump
     elements = []
-    for incidence in family:
+    for element in family:
         entries = [
-            _basis_entry_payload(args.n, i, k, degree, value)
-            for (i, k), degree in sorted(incidence.degrees.items())
+            {"i": i, "k": k, "degree": p.degree, "coefficients": list(p.coeffs)}
+            for (i, k), p in element.entries.items()
         ]
-        elements.append({"j": incidence.j, "entries": entries})
-    payload = {
-        "n": args.n,
-        "lambda": _scalar_json(lam) if lam is not None else None,
-        "elements": elements,
-    }
-    _emit([_json(payload) + "\n"], args.output)
+        if lam is not None:
+            for entry, value in zip(entries, element.values(lam).values()):
+                entry["value"] = _scalar_json(value)
+        elements.append(_json({"j": element.j, "entries": entries}))
+    head = _json({"n": args.n, "lambda": None if lam is None else _scalar_json(lam)})
+    _emit([head[:-1], ', "elements": [', ", ".join(elements), "]}\n"], args.output)
     return 0
 
 
@@ -326,7 +304,7 @@ def cmd_metric_verify(args: argparse.Namespace) -> int:
     failed = sum(0 if c.passed else 1 for c in checks)
     payload = {
         "n": args.n,
-        "lambda": str(lam),
+        "lambda": _scalar_json(lam),
         "checks": [
             {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
         ],
@@ -340,7 +318,7 @@ def cmd_metric_verify(args: argparse.Namespace) -> int:
 def cmd_positivity(args: argparse.Namespace) -> int:
     from .analysis import positivity, positivity_closed_form, sample_positivity_region
 
-    lam_float = parse_float_scalar(args.lam)
+    lam_float = _float_coupling(parse_scalar(args.lam))
     if args.alpha is not None and args.sample is not None:
         raise UsageError("choose either --alpha or --sample")
     if args.alpha is not None:
@@ -398,28 +376,23 @@ def cmd_positivity(args: argparse.Namespace) -> int:
 
 @_float_command
 def cmd_continuum(args: argparse.Namespace) -> int:
-    from .continuum import fit_loglog_slope, matching_residual, opaque_wall_check
+    from .continuum import (
+        LatticeGrid,
+        check_sweep,
+        fit_loglog_slope,
+        matching_residual,
+        opaque_wall_check,
+    )
 
-    lam_float = parse_float_scalar(args.lam)
-    if lam_float == 0.0:
-        raise UsageError("the opaque-wall sweep needs a nonzero coupling")
-    if not -1.0 < lam_float < 1.0:
-        raise UsageError("coupling must lie in (-1, 1)")
-    sizes = parse_int_list(args.sizes)
-    if len(sizes) < 2:
-        raise UsageError("need at least two sizes")
-    if sizes != sorted(set(sizes)):
-        raise UsageError("sizes must be strictly increasing")
-    for n in sizes:
-        if n < 8 or n % 2 != 0:
-            raise UsageError("sizes must be even and >= 8")
+    lam_float = _float_coupling(parse_scalar(args.lam))
+    sizes = check_sweep(lam_float, parse_int_list(args.sizes))
     residuals = [
         matching_residual(HamiltonianSpec(n, lam_float), args.state) for n in sizes
     ]
     wall = opaque_wall_check(lam_float, sizes)
     slope = fit_loglog_slope(sizes, residuals)
     lines = (
-        f"{n},{_fmt(2.0 / (n + 1))},{_fmt(residual)},{_fmt(amplitude)}\n"
+        f"{n},{_fmt(LatticeGrid(n).h)},{_fmt(residual)},{_fmt(amplitude)}\n"
         for n, residual, amplitude in zip(sizes, residuals, wall.amplitudes)
     )
     footer = f"# slope = {_fmt(slope)}\n"

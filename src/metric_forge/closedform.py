@@ -27,7 +27,7 @@ from typing import Any, Literal, Mapping, Optional, Sequence
 
 from .errors import ConstructionError, DimensionError, DomainError
 from .exact import IntPolynomial, Matrix
-from .hamiltonian import hamiltonian_polynomial
+from .hamiltonian import _check_size, hamiltonian_polynomial
 
 Sign = Optional[Literal["minus", "plus"]]
 
@@ -38,7 +38,6 @@ __all__ = [
     "occupancy_positions",
     "occupancy_matrix",
     "incidence_family",
-    "triangle_entry",
     "basis_element",
     "basis_family",
     "assemble_theta",
@@ -68,8 +67,7 @@ def entry_polynomial(degree: int, sign: Sign = None) -> IntPolynomial:
 
 
 def _check_indices(n: int, j: int) -> None:
-    if n < 2 or n % 2 != 0:
-        raise DimensionError("size must be an even integer >= 2")
+    _check_size(n)
     if not 1 <= j <= n:
         raise DomainError(f"family index must lie in 1..{n}")
 
@@ -148,8 +146,7 @@ def incidence_family(n: int) -> tuple[IncidenceMatrix, ...]:
     The occupancy of every result is checked against the closed-form
     position rule; a mismatch raises ConstructionError.
     """
-    if n < 2 or n % 2 != 0:
-        raise DimensionError("size must be an even integer >= 2")
+    _check_size(n)
     if n == 2:
         return (
             IncidenceMatrix(2, 1, {(1, 1): 1, (2, 2): 1}),
@@ -209,36 +206,31 @@ class MetricBasisElement:
             [[self.entries.get((i, k), zero) for k in span] for i in span]
         )
 
+    def values(self, lam: Any) -> dict[tuple[int, int], Any]:
+        """Value of each occupied entry at one coupling, in position order,
+        exact for int/Fraction input; each distinct polynomial is evaluated once."""
+        memo = {p: p(lam) for p in set(self.entries.values())}
+        return {position: memo[p] for position, p in self.entries.items()}
+
     def evaluate(self, lam: Any) -> Matrix:
-        """Numeric matrix at one coupling, the int 0 at unoccupied
-        positions; exact for int/Fraction input."""
+        """Numeric matrix at one coupling, the int 0 at unoccupied positions."""
         rows = [[0] * self.n for _ in range(self.n)]
-        for (i, k), p in self.entries.items():
-            rows[i - 1][k - 1] = p(lam)
+        for (i, k), value in self.values(lam).items():
+            rows[i - 1][k - 1] = value
         return Matrix.from_rows(rows)
 
 
-def triangle_entry(n: int, i: int, k: int, degree: int) -> IntPolynomial:
-    """Alphabet polynomial of the given degree at 1-based position (i, k)
-    of an n x n basis matrix, by the triangle sign rule: the minus factor
-    above the antidiagonal, the plus factor below it.  Odd degrees on the
-    antidiagonal are impossible by the parity of the occupancy rule and
-    are rejected defensively."""
-    if i + k == n + 1:
-        if degree % 2 == 1:
-            raise ConstructionError(f"odd degree {degree} on the antidiagonal at {(i, k)}")
-        return entry_polynomial(degree)
-    return entry_polynomial(degree, "minus" if i + k < n + 1 else "plus")
-
-
 def basis_element(incidence: IncidenceMatrix) -> MetricBasisElement:
-    """Resolve an incidence pattern into its polynomial entries via the
-    triangle sign rule."""
+    """Resolve an incidence pattern into its polynomial entries by the
+    triangle sign rule: the minus factor above the antidiagonal, the plus
+    factor below it.  Odd degrees on the antidiagonal are impossible by
+    the parity of the occupancy rule and are rejected defensively."""
     n = incidence.n
-    entries = {
-        (i, k): triangle_entry(n, i, k, degree)
-        for (i, k), degree in sorted(incidence.degrees.items())
-    }
+    entries = {}
+    for (i, k), degree in sorted(incidence.degrees.items()):
+        if i + k == n + 1 and degree % 2 == 1:
+            raise ConstructionError(f"odd degree {degree} on the antidiagonal at {(i, k)}")
+        entries[i, k] = entry_polynomial(degree, "minus" if i + k < n + 1 else "plus")
     return MetricBasisElement(n=n, j=incidence.j, entries=entries)
 
 
@@ -259,12 +251,11 @@ def assemble_theta(n: int, lam: Any, alpha: Sequence[Any]) -> Any:
         isinstance(a, (int, Fraction)) for a in coefficients
     )
     if exact:
-        point = Fraction(lam)
         cells = [[Fraction(0)] * n for _ in range(n)]
         for a, element in zip(coefficients, basis_family(n)):
             weight = Fraction(a)
-            for (i, k), p in element.entries.items():
-                cells[i - 1][k - 1] += p(point) * weight
+            for (i, k), value in element.values(Fraction(lam)).items():
+                cells[i - 1][k - 1] += value * weight
         return Matrix.from_rows(cells)
     from .analysis import evaluate_basis_stack
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import PositivityReport, positivity, symmetric_similarity
 from .errors import DimensionError, DomainError
-from .hamiltonian import HamiltonianSpec
+from .hamiltonian import HamiltonianSpec, _check_size
 
 __all__ = [
     "LatticeGrid",
@@ -28,9 +28,14 @@ __all__ = [
     "matching_data",
     "matching_residual",
     "fit_loglog_slope",
+    "check_sweep",
     "opaque_wall_check",
     "free_lattice_metric",
 ]
+
+# Smallest lattice with the four central components the boundary stencil
+# of `matching_data` reads.
+MIN_STENCIL_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -41,8 +46,7 @@ class LatticeGrid:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2 or self.n % 2 != 0:
-            raise DimensionError("grid needs an even interior point count >= 2")
+        _check_size(self.n)
 
     @property
     def h(self) -> float:
@@ -104,8 +108,8 @@ class MatchingData:
 def matching_data(spec: HamiltonianSpec, state: int = 1) -> MatchingData:
     """Eigenpair plus stencil-reconstructed boundary data at the origin."""
     n = spec.n
-    if n < 8:
-        raise DimensionError("boundary reconstruction needs n >= 8")
+    if n < MIN_STENCIL_SIZE:
+        raise DimensionError(f"boundary reconstruction needs n >= {MIN_STENCIL_SIZE}")
     lam = float(spec.lam)
     if not -1.0 < lam < 1.0:
         raise DomainError("matching analysis requires |lam| < 1")
@@ -181,7 +185,7 @@ def fit_loglog_slope(sizes: Sequence[int], residuals: Sequence[float]) -> float:
     """Least-squares slope of log(residual) against log(h)."""
     if len(sizes) != len(residuals) or len(sizes) < 2:
         raise DimensionError("need matching size/residual lists of length >= 2")
-    hs = np.log([2.0 / (n + 1) for n in sizes])
+    hs = np.log([LatticeGrid(n).h for n in sizes])
     rs = np.log(np.asarray(residuals, dtype=float))
     return float(np.polyfit(hs, rs, 1)[0])
 
@@ -196,6 +200,24 @@ class WallReport:
     decreasing: bool
 
 
+def check_sweep(lam: float, sizes: Iterable[int]) -> tuple[int, ...]:
+    """The sizes of a sweep at a nonzero coupling inside (-1, 1), checked
+    whole before any solve: at least two, strictly increasing, each a chain
+    size of at least `MIN_STENCIL_SIZE`."""
+    if lam == 0:
+        raise DomainError("the opaque-wall limit needs a nonzero coupling")
+    if not -1 < lam < 1:
+        raise DomainError("wall check requires |lam| < 1")
+    size_list = tuple(int(s) for s in sizes)
+    if len(size_list) < 2 or list(size_list) != sorted(set(size_list)):
+        raise DomainError("need a strictly increasing list of at least two sizes")
+    for n in size_list:
+        _check_size(n)
+        if n < MIN_STENCIL_SIZE:
+            raise DimensionError(f"sizes must be at least {MIN_STENCIL_SIZE}")
+    return size_list
+
+
 def opaque_wall_check(lam: float, sizes: Iterable[int]) -> WallReport:
     """Track (|psi_K| + |psi_{K+1}|) / max|psi| for the ground state.
 
@@ -204,17 +226,9 @@ def opaque_wall_check(lam: float, sizes: Iterable[int]) -> WallReport:
     chain (lam = 0) is rejected: there is no wall to become opaque.
     """
     lam = float(lam)
-    if lam == 0.0:
-        raise DomainError("the opaque-wall limit needs a nonzero coupling")
-    if not -1.0 < lam < 1.0:
-        raise DomainError("wall check requires |lam| < 1")
-    size_list = tuple(int(s) for s in sizes)
-    if len(size_list) < 2 or list(size_list) != sorted(set(size_list)):
-        raise DomainError("need a strictly increasing list of at least two sizes")
+    size_list = check_sweep(lam, sizes)
     amplitudes = []
     for n in size_list:
-        if n < 8 or n % 2 != 0:
-            raise DimensionError("sizes must be even and >= 8")
         _, psi = _real_eigenpair(n, lam, 1)
         half = n // 2
         amplitudes.append(float(abs(psi[half - 1]) + abs(psi[half])))
@@ -249,8 +263,7 @@ def free_lattice_metric(
     eigenvalues exp(-f -/+ k), each of multiplicity n/2, hence is positive
     for every parameter choice and commutes with the free chain exactly.
     """
-    if n < 2 or n % 2 != 0:
-        raise DimensionError("size must be an even integer >= 2")
+    _check_size(n)
     a = math.exp(-params.f) * math.cosh(params.k)
     b = -math.exp(-params.f) * math.sinh(params.k)
     theta = a * np.eye(n) + b * np.fliplr(np.eye(n))

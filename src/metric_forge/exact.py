@@ -121,6 +121,14 @@ class IntPolynomial:
         return result
 
     def __call__(self, x: Any) -> Any:
+        """p(x) by Horner's rule.  At a Fraction x = a/b the integer sum
+        c_D a^D + c_(D-1) a^(D-1) b + ... + c_0 b^D is divided by b^D once."""
+        if isinstance(x, Fraction):
+            acc, scale = 0, 1
+            for c in reversed(self.coeffs):
+                acc = acc * x.numerator + c * scale
+                scale *= x.denominator
+            return Fraction(acc, scale // x.denominator) if self.coeffs else 0
         acc: Any = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c

@@ -45,8 +45,7 @@ class HamiltonianSpec:
     lam: ScalarLike = 0
 
     def __post_init__(self) -> None:
-        if self.n < 2 or self.n % 2 != 0:
-            raise DimensionError("matrix size must be an even integer >= 2")
+        _check_size(self.n)
 
     @property
     def k(self) -> int:
@@ -59,10 +58,23 @@ class HamiltonianSpec:
 
     @property
     def phi(self) -> float | None:
-        lam = float(self.lam)
-        if -1.0 < lam < 1.0:
-            return math.acos(lam)
+        if -1 < self.lam < 1:
+            return math.acos(float(self.lam))
         return None
+
+
+def _check_size(n: int) -> None:
+    """The size rule of every chain, basis and lattice: an even integer >= 2."""
+    if n < 2 or n % 2 != 0:
+        raise DimensionError("size must be an even integer >= 2")
+
+
+def _float_coupling(lam: ScalarLike) -> float:
+    """`lam` as a float; an exact coupling beyond the float range is an error."""
+    try:
+        return float(lam)
+    except OverflowError as exc:
+        raise DomainError("the coupling is too large for a float") from exc
 
 
 def _chain_bands(n: int, lam: Any, one: Any) -> tuple[list, list, list]:
@@ -100,8 +112,7 @@ def build_hamiltonian(spec: HamiltonianSpec) -> Any:
 
 def hamiltonian_polynomial(n: int) -> Matrix:
     """The chain member with the coupling kept symbolic (IntPolynomial entries)."""
-    if n < 2 or n % 2 != 0:
-        raise DimensionError("matrix size must be an even integer >= 2")
+    _check_size(n)
     return _band_matrix(n, IntPolynomial((0, 1)), IntPolynomial((1,)))
 
 
@@ -115,9 +126,9 @@ def closed_form_spectrum(spec: HamiltonianSpec) -> list[float]:
     """
     if spec.n not in (2, 4):
         raise DomainError("closed-form spectrum is available for sizes 2 and 4 only")
-    lam = float(spec.lam)
-    if not -1.0 < lam < 1.0:
+    if not -1 < spec.lam < 1:
         raise DomainError("closed-form spectrum requires |lam| < 1")
+    lam = float(spec.lam)
     if spec.n == 2:
         s = math.sqrt(1.0 - lam * lam)
         return [2.0 - s, 2.0 + s]

@@ -14,7 +14,7 @@ from typing import Any, NamedTuple
 
 from .errors import DimensionError, DomainError
 from .exact import Matrix, null_space
-from .hamiltonian import HamiltonianSpec, build_hamiltonian
+from .hamiltonian import HamiltonianSpec, _float_coupling, build_hamiltonian
 
 __all__ = [
     "SymmetricIndexer",
@@ -160,6 +160,6 @@ def verify_membership(theta: Any, spec: HamiltonianSpec) -> MembershipResult:
     arr = np.asarray(theta.entries if isinstance(theta, Matrix) else theta, dtype=float)
     if arr.shape != (spec.n, spec.n):
         raise DimensionError("candidate size differs from the Hamiltonian")
-    h_float = build_hamiltonian(HamiltonianSpec(spec.n, float(spec.lam)))
+    h_float = build_hamiltonian(HamiltonianSpec(spec.n, _float_coupling(spec.lam)))
     residual = float(np.max(np.abs(arr @ h_float - h_float.T @ arr)))
     return MembershipResult(residual <= 1e-9, residual)

@@ -308,8 +308,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     @pytest.mark.parametrize("lam", [0.0, 0.37, -0.8, 1.0, -1.3])
-    def test_batched_equals_one_by_one(self, n, lam):
-        result = sample_positivity_region(n, lam, seed=11, count=300, margin=1e-3)
+    def test_batched_equals_one_by_one(self, monkeypatch, n, lam):
+        monkeypatch.setattr(analysis, "SAMPLE_MARGIN", 1e-3)
+        result = sample_positivity_region(n, lam, seed=11, count=300)
         assert result.records == _sample_one_by_one(n, lam, 11, 300, margin=1e-3)
 
     @pytest.mark.parametrize("count", [1, 5, 23])
@@ -340,8 +341,9 @@ class TestSampling:
         assert rows == expected
         assert {type(row[2]) for row in rows} == {float}
 
-    def test_records_view(self):
-        result = sample_positivity_region(4, 0.0, seed=7, count=500, margin=0.05)
+    def test_records_view(self, monkeypatch):
+        monkeypatch.setattr(analysis, "SAMPLE_MARGIN", 0.05)
+        result = sample_positivity_region(4, 0.0, seed=7, count=500)
         records = result.records
         assert len(records) == result.count == 500
         assert all(isinstance(record, SampleRecord) for record in records)

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 import metric_forge
-from metric_forge import cli
+from metric_forge import cli, continuum
 from metric_forge.analysis import reality_scan, sample_positivity_region
 from metric_forge.cli import (
     _CSV_CHUNK_ROWS,
@@ -201,9 +202,9 @@ class TestMetricBasisCommand:
     @pytest.mark.parametrize("j", ["0", "81"])
     def test_index_checked_before_the_family_grows(self, capsys, monkeypatch, j):
         def grow(n):
-            raise AssertionError("incidence_family called")
+            raise AssertionError("basis_family called")
 
-        monkeypatch.setattr(cli, "incidence_family", grow)
+        monkeypatch.setattr(cli, "basis_family", grow)
         code, out, err = run_cli(capsys, "metric", "basis", "--n", "80", "--j", j)
         assert code == 2 and out == ""
         assert err.startswith("error: --j")
@@ -359,6 +360,28 @@ class TestContinuumCommand:
         )
         assert code == 2 and err
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--lambda", "0"),
+            ("--lambda", "1.5"),
+            ("--sizes", "8"),
+            ("--sizes", "10,8"),
+            ("--sizes", "8,9"),
+            ("--sizes", "6,8"),
+        ],
+    )
+    def test_inputs_checked_before_any_solve(self, capsys, monkeypatch, option, value):
+        def solve(*args):
+            raise AssertionError("eigensolve called")
+
+        monkeypatch.setattr(continuum, "_real_eigenpair", solve)
+        options = {"--lambda": "0.5", "--sizes": "8,10", option: value}
+        code, out, err = run_cli(capsys, "continuum", *chain.from_iterable(options.items()))
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_central_amplitude_decreasing(self, capsys):
         code, out, _ = run_cli(
             capsys, "continuum", "--lambda", "0.5", "--sizes", "20,40"
@@ -417,6 +440,10 @@ class TestUsageErrors:
             ("positivity", "--n", "2", "--lambda", "1" + "0" * 400, "--alpha", "1,2"),
             ("continuum", "--lambda", "1" + "0" * 400, "--sizes", "8,10"),
             ("positivity", "--n", "2", "--lambda", "1" + "0" * 400 + "/3", "--sample", "3"),
+            # an exact result with more digits than Python prints
+            ("metric", "basis", "--n", "6", "--lambda", "1" + "0" * 2000),
+            ("metric", "basis", "--n", "2", "--lambda", "1/" + "9" * 4300),
+            ("hamiltonian", "--n", "2", "--lambda", "9" * 4300),
         ],
     )
     def test_single_error_line_and_exit_code_two(self, capsys, argv):

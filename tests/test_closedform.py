@@ -226,6 +226,15 @@ class TestBasisElement:
         assert family[1].matrix == printed_m2
         assert family[2].matrix == printed_m3
 
+    @pytest.mark.parametrize("n", [2, 6, 10])
+    @pytest.mark.parametrize("lam", [Fraction(-2, 7), 0, 3, 0.37])
+    def test_values_are_the_entries_at_the_coupling(self, n, lam):
+        for element in basis_family(n):
+            values = element.values(lam)
+            assert list(values) == list(element.entries)
+            assert values == {pos: p(lam) for pos, p in element.entries.items()}
+            assert {type(v) for v in values.values()} == {type(lam)}
+
     def test_antidiagonal_odd_degree_rejected(self):
         bad = IncidenceMatrix(2, 2, {(1, 2): 1, (2, 1): 1})
         with pytest.raises(ConstructionError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from metric_forge import continuum
 from metric_forge.continuum import (
     FreeMetricParams,
     LatticeGrid,
@@ -192,6 +193,15 @@ class TestOpaqueWall:
     def test_needs_increasing_sizes(self):
         with pytest.raises(DomainError):
             opaque_wall_check(0.5, [40, 20])
+
+    @pytest.mark.parametrize("sizes", [[8, 9], [8, 10, 11], [6, 8]])
+    def test_sizes_checked_before_any_solve(self, monkeypatch, sizes):
+        def solve(*args):
+            raise AssertionError("eigensolve called")
+
+        monkeypatch.setattr(continuum, "_real_eigenpair", solve)
+        with pytest.raises(DimensionError):
+            opaque_wall_check(0.5, sizes)
 
 
 class TestFreeLatticeMetric:

@@ -47,6 +47,13 @@ class TestIntPolynomial:
         x = Fraction(1, 3)
         assert p(x) == (1 - x) * (1 - x * x)
 
+    @given(poly_coeffs, st.fractions(max_denominator=50))
+    def test_fraction_evaluation_is_the_power_sum(self, a, x):
+        p = IntPolynomial(tuple(a))
+        value = p(x)
+        assert value == sum(c * x**d for d, c in enumerate(p.coeffs))
+        assert type(value) is (Fraction if p.coeffs else int)
+
     def test_negate_variable(self):
         p = IntPolynomial((1, 2, 3, 4))
         assert p.negate_variable().coeffs == (1, -2, 3, -4)

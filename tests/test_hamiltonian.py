@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metric_forge import analysis
-from metric_forge.analysis import eigs_general, reality_scan, symmetric_similarity
+from metric_forge.analysis import (
+    eigs_general,
+    evaluate_basis_stack,
+    reality_scan,
+    symmetric_similarity,
+)
+from metric_forge.closedform import basis_family, incidence_family, occupancy_positions
+from metric_forge.continuum import FreeMetricParams, LatticeGrid, free_lattice_metric
 from metric_forge.errors import DimensionError, DomainError
 from metric_forge.exact import Matrix
 from metric_forge.hamiltonian import (
@@ -18,6 +25,27 @@ from metric_forge.hamiltonian import (
 )
 
 exact_couplings = st.fractions(min_value=-2, max_value=2, max_denominator=7)
+
+# Everything that takes a chain, basis or lattice size, each called at size n.
+SIZED_CALLS = {
+    "HamiltonianSpec": HamiltonianSpec,
+    "hamiltonian_polynomial": hamiltonian_polynomial,
+    "incidence_family": incidence_family,
+    "basis_family": basis_family,
+    "occupancy_positions": lambda n: occupancy_positions(n, 1),
+    "LatticeGrid": LatticeGrid,
+    "free_lattice_metric": lambda n: free_lattice_metric(n, FreeMetricParams()),
+    "reality_scan": lambda n: reality_scan(n, [0.0]),
+    "evaluate_basis_stack": lambda n: evaluate_basis_stack(n, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", SIZED_CALLS)
+@pytest.mark.parametrize("n", [-2, 0, 1, 3])
+def test_one_size_rule_and_message(name, n):
+    with pytest.raises(DimensionError) as info:
+        SIZED_CALLS[name](n)
+    assert str(info.value) == "size must be an even integer >= 2"
 
 
 class TestSpec:
@@ -31,6 +59,12 @@ class TestSpec:
         assert abs(math.cos(spec.phi) - 0.5) < 1e-12
         assert 0 < spec.phi < math.pi
         assert HamiltonianSpec(4, 1.5).phi is None
+
+    @pytest.mark.parametrize(
+        "lam", [10**400, -(10**400), Fraction(10**400, 3)], ids=["big", "-big", "big/3"]
+    )
+    def test_phi_of_a_coupling_beyond_the_float_range(self, lam):
+        assert HamiltonianSpec(2, lam).phi is None
 
     def test_middle_index(self):
         assert HamiltonianSpec(6, 0).k == 3
@@ -103,6 +137,11 @@ class TestClosedFormSpectrum:
     def test_unsupported_size(self):
         with pytest.raises(DomainError):
             closed_form_spectrum(HamiltonianSpec(6, 0))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_coupling_beyond_the_float_range(self, n):
+        with pytest.raises(DomainError):
+            closed_form_spectrum(HamiltonianSpec(n, 10**400))
 
     def test_domain_error_outside_unit_interval(self):
         with pytest.raises(DomainError):

@@ -203,6 +203,10 @@ class TestVerifyMembership:
         with pytest.raises(DimensionError):
             verify_membership(Matrix.identity(3), HamiltonianSpec(4, 0))
 
+    def test_coupling_beyond_the_float_range(self):
+        with pytest.raises(DomainError):
+            verify_membership(np.eye(2), HamiltonianSpec(2, 10**400))
+
 
 class TestSimilarityAnchor:
     """Theta = D^{-2} from H = D S D^{-1} is an exact positive member."""
