@@ -49,6 +49,12 @@ MAX_SAMPLES = 1_000_000
 # and 144 MB for JSON, which grows about 11 kB a point.
 MAX_GRID_POINTS = 10_000
 
+# Most digits in the numerator and in the denominator of an exact
+# coupling.  The oracle and the symbolic checks carry numbers of that size
+# through every step: `metric verify --n 22` takes 0.3 / 0.5 / 1.1 / 3.0 /
+# 9.4 s at 2 / 20 / 50 / 100 / 200 digits (one subprocess each, 2 cores).
+MAX_COUPLING_DIGITS = 50
+
 # Output pieces (CSV rows, text lines) joined per write; bounds the
 # formatted text held at once.
 _CSV_CHUNK_ROWS = 4096
@@ -59,17 +65,28 @@ def _fmt(value: float) -> str:
 
 
 def parse_scalar(text: str) -> Fraction | float:
-    """Parse "p/q" or integer strings as exact Fractions, decimals as floats."""
+    """Parse "p/q" or integer strings as exact Fractions, decimals as floats.
+    An exact value has at most `MAX_COUPLING_DIGITS` digits in its
+    numerator and in its denominator."""
     text = text.strip()
     if "/" in text:
         try:
-            return Fraction(text)
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"invalid rational {text!r}") from exc
-    try:
-        return int(text)
-    except ValueError:
-        pass
+    else:
+        try:
+            value = int(text)
+        except ValueError:
+            return _parse_float(text)
+    if max(abs(value.numerator), value.denominator) >= 10**MAX_COUPLING_DIGITS:
+        raise UsageError(
+            f"an exact coupling has at most {MAX_COUPLING_DIGITS} digits above and below the bar"
+        )
+    return value
+
+
+def _parse_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError as exc:
@@ -376,28 +393,22 @@ def cmd_positivity(args: argparse.Namespace) -> int:
 
 @_float_command
 def cmd_continuum(args: argparse.Namespace) -> int:
-    from .continuum import (
-        LatticeGrid,
-        check_sweep,
-        fit_loglog_slope,
-        matching_residual,
-        opaque_wall_check,
-    )
+    from .continuum import LatticeGrid, _sweep, fit_loglog_slope
 
     lam_float = _float_coupling(parse_scalar(args.lam))
-    sizes = check_sweep(lam_float, parse_int_list(args.sizes))
-    residuals = [
-        matching_residual(HamiltonianSpec(n, lam_float), args.state) for n in sizes
-    ]
-    wall = opaque_wall_check(lam_float, sizes)
-    slope = fit_loglog_slope(sizes, residuals)
+    residuals, wall = _sweep(lam_float, parse_int_list(args.sizes), args.state)
+    slope = fit_loglog_slope(wall.sizes, residuals)
     lines = (
         f"{n},{_fmt(LatticeGrid(n).h)},{_fmt(residual)},{_fmt(amplitude)}\n"
-        for n, residual, amplitude in zip(sizes, residuals, wall.amplitudes)
+        for n, residual, amplitude in zip(wall.sizes, residuals, wall.amplitudes)
     )
     footer = f"# slope = {_fmt(slope)}\n"
     _emit(chain(["size,h,residual,central_amplitude\n"], lines, [footer]), args.output)
     return 0
+
+
+_DIGITS_HELP = f"at most {MAX_COUPLING_DIGITS} digits above and below the bar"
+_COUPLING_HELP = f"p/q or integer ({_DIGITS_HELP}), or decimal"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_h = sub.add_parser("hamiltonian", help="emit one family member")
     p_h.add_argument("--n", type=int, required=True)
-    p_h.add_argument("--lambda", dest="lam", default="0")
+    p_h.add_argument("--lambda", dest="lam", default="0", help=_COUPLING_HELP)
     p_h.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_h.add_argument("--output")
     p_h.set_defaults(func=cmd_hamiltonian)
@@ -431,19 +442,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_mb = msub.add_parser("basis", help="emit the incidence/basis family")
     p_mb.add_argument("--n", type=int, required=True)
     p_mb.add_argument("--j", type=int, default=None)
-    p_mb.add_argument("--lambda", dest="lam", default=None, help="numeric mode")
+    p_mb.add_argument("--lambda", dest="lam", default=None, help=f"numeric mode: {_COUPLING_HELP}")
     p_mb.add_argument("--output")
     p_mb.set_defaults(func=cmd_metric_basis)
 
     p_mv = msub.add_parser("verify", help="cross-validate the closed form")
     p_mv.add_argument("--n", type=int, required=True)
-    p_mv.add_argument("--lambda", dest="lam", required=True, help="exact p/q")
+    p_mv.add_argument(
+        "--lambda", dest="lam", required=True, help=f"exact p/q or integer, {_DIGITS_HELP}"
+    )
     p_mv.add_argument("--output")
     p_mv.set_defaults(func=cmd_metric_verify)
 
     p_p = sub.add_parser("positivity", help="positivity verdicts")
     p_p.add_argument("--n", type=int, required=True)
-    p_p.add_argument("--lambda", dest="lam", required=True)
+    p_p.add_argument("--lambda", dest="lam", required=True, help=_COUPLING_HELP)
     p_p.add_argument("--alpha", default=None, help="comma-separated coefficients")
     p_p.add_argument(
         "--sample", type=int, default=None, help=f"seeded draws, 1..{MAX_SAMPLES}"
@@ -453,8 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_p.set_defaults(func=cmd_positivity)
 
     p_c = sub.add_parser("continuum", help="matching and opaque-wall sweep")
-    p_c.add_argument("--lambda", dest="lam", required=True)
-    p_c.add_argument("--sizes", required=True, help="comma-separated even sizes")
+    p_c.add_argument("--lambda", dest="lam", required=True, help=_COUPLING_HELP)
+    # the limits are those of continuum.check_sweep, which imports numpy
+    p_c.add_argument("--sizes", required=True, help="comma-separated even sizes, 8..10000")
     p_c.add_argument("--state", type=int, default=1)
     p_c.add_argument("--output")
     p_c.set_defaults(func=cmd_continuum)

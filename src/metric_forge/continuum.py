@@ -11,6 +11,7 @@ opaque wall, psi_L(0) = psi_R(0) = 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,6 +38,19 @@ __all__ = [
 # of `matching_data` reads.
 MIN_STENCIL_SIZE = 8
 
+# Largest lattice of a sweep.  A solve is up to about 75 Sturm passes of
+# n steps each in Python, 0.12 s at n = 10000 (2 cores), and a sweep at a
+# state other than 1 solves twice per size: the subprocess
+# `continuum --lambda 0.5 --sizes 626,1250,2500,5000,10000 --state 2`
+# takes 0.75 s and peaks at 34 MB of RSS.
+MAX_CONTINUUM_SIZE = 10_000
+
+# Solves of inverse iteration; with the eigenvalue at full precision the
+# first one converges, the others take out what is left of the start.
+_INVERSE_STEPS = 3
+# The fractional part of the golden ratio, the step of the start vector.
+_GOLDEN = 0.6180339887498949
+
 
 @dataclass(frozen=True)
 class LatticeGrid:
@@ -57,23 +71,105 @@ class LatticeGrid:
         return tuple(-1.0 + 2.0 * k / (self.n + 1) for k in range(self.n + 2))
 
 
+def _sturm_count(diag: list[float], off2: list[float], x: float, pivmin: float) -> int:
+    """How many eigenvalues of S lie at or below x: the non-positive
+    pivots of the LDL^T factorization of S - x.  `off2` holds the squared
+    off-diagonal behind a leading 0; a pivot closer to zero than `pivmin`
+    becomes -pivmin, as in LAPACK's dstebz, so a pivot counts if it is
+    below `pivmin`."""
+    count = 0
+    pivot = 1.0
+    for a, b2 in zip(diag, off2):
+        pivot = a - b2 / pivot - x
+        if pivot < pivmin:
+            count += 1
+            if pivot > -pivmin:
+                pivot = -pivmin
+    return count
+
+
+def _bisect_eigenvalue(diag: list[float], off: list[float], state: int) -> float:
+    """The state-th smallest eigenvalue of S (1-based), by bisection on the
+    Sturm count inside the Gershgorin interval until the midpoint equals
+    an end, that is, to full float precision (Barth, Martin and
+    Wilkinson 1967)."""
+    n = len(diag)
+    off2 = [0.0] + [b * b for b in off]
+    radius = [abs(left) + abs(right) for left, right in zip([0.0] + off, off + [0.0])]
+    lo = min(a - r for a, r in zip(diag, radius))
+    hi = max(a + r for a, r in zip(diag, radius))
+    pivmin = sys.float_info.min * max(off2 + [1.0])
+    # widened as in dstebz, so that the Gershgorin ends count 0 and n
+    slack = 2.1 * (max(abs(lo), abs(hi)) * n * sys.float_info.epsilon + 2.0 * pivmin)
+    lo, hi = lo - slack, hi + slack
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _sturm_count(diag, off2, mid, pivmin) >= state:
+            hi = mid
+        else:
+            lo = mid
+    return mid
+
+
+def _inverse_iteration(diag: list[float], off: list[float], value: float) -> list[float]:
+    """Eigenvector of S at its eigenvalue `value`, max-normalized.
+
+    S - value is factored once by LU with partial pivoting (LAPACK's
+    dgttrf; every off-diagonal entry of S is nonzero), each pivot of U at
+    least eps * ||S|| in size; then `_INVERSE_STEPS` solves, each
+    solution max-normalized into the next right-hand side.  S is
+    persymmetric, so its eigenvectors are reflection symmetric or
+    antisymmetric: the start vector is neither, or it would miss half of
+    them.
+    """
+    n = len(diag)
+    tiny = sys.float_info.epsilon * max(abs(a) + 2.0 * abs(b) for a, b in zip(diag, off + [0.0]))
+    # U has the diagonal u0 and two superdiagonals u1, u2; `low` becomes
+    # the multipliers of L, `swap[i]` whether rows i and i + 1 were swapped
+    u0 = [a - value for a in diag]
+    u1 = off + [0.0]
+    u2 = [0.0] * n
+    low = list(off)
+    swap = [False] * n
+    for i in range(n - 1):
+        if abs(u0[i]) >= abs(low[i]):
+            low[i] /= u0[i]
+            u0[i + 1] -= low[i] * u1[i]
+        else:
+            swap[i] = True
+            fact = u0[i] / low[i]
+            u0[i], low[i] = low[i], fact
+            u1[i], u0[i + 1] = u0[i + 1], u1[i] - fact * u0[i + 1]
+            u2[i] = u1[i + 1]
+            u1[i + 1] *= -fact
+    u0 = [p if abs(p) >= tiny else math.copysign(tiny, p) for p in u0]
+    # a Weyl sequence in [-1/2, 1/2): no reflection symmetry
+    x = [(k * _GOLDEN) % 1.0 - 0.5 for k in range(1, n + 1)]
+    for _ in range(_INVERSE_STEPS):
+        for i in range(n - 1):
+            if swap[i]:
+                x[i], x[i + 1] = x[i + 1], x[i]
+            x[i + 1] -= low[i] * x[i]
+        x += [0.0, 0.0]
+        for i in range(n - 1, -1, -1):
+            x[i] = (x[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
+        del x[n:]
+        top = max(map(abs, x))
+        x = [v / top for v in x]
+    return x
+
+
 def _real_eigenpair(n: int, lam: float, state: int) -> tuple[float, np.ndarray]:
     """Selected eigenvalue (ascending, 1-based) and its max-normalized
     right eigenvector, from the symmetric similarity; only that one pair
     is computed."""
-    # scipy is imported here, not at module level, so that CLI start-up
-    # does not pay for it
-    from scipy.linalg import eigh_tridiagonal
-
     if not 1 <= state <= n:
         raise DomainError(f"state index must lie in 1..{n}")
     diag, off, scale = symmetric_similarity(n, lam)
-    values, vectors = eigh_tridiagonal(
-        diag, off, select="i", select_range=(state - 1, state - 1)
-    )
-    vector = scale * vectors[:, 0]
+    diag, off = diag.tolist(), off.tolist()
+    value = _bisect_eigenvalue(diag, off, state)
+    vector = scale * np.array(_inverse_iteration(diag, off, value))
     vector = vector / np.max(np.abs(vector))
-    return float(values[0]), vector
+    return value, vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +209,12 @@ def matching_data(spec: HamiltonianSpec, state: int = 1) -> MatchingData:
     lam = float(spec.lam)
     if not -1.0 < lam < 1.0:
         raise DomainError("matching analysis requires |lam| < 1")
+    return _stencil_data(n, lam, state, *_real_eigenpair(n, lam, state))
+
+
+def _stencil_data(n: int, lam: float, state: int, f: float, psi: np.ndarray) -> MatchingData:
     half = n // 2
     grid = LatticeGrid(n)
-    f, psi = _real_eigenpair(n, lam, state)
     p_km1, p_k, p_k1, p_k2 = psi[half - 2], psi[half - 1], psi[half], psi[half + 1]
     return MatchingData(
         n=n,
@@ -160,8 +259,11 @@ def matching_residual(spec: HamiltonianSpec, state: int = 1) -> float:
     continuum statement; the rowwise relative gap decays at second order
     in h for smooth low-lying states.
     """
-    data = matching_data(spec, state)
-    n, lam, f = spec.n, data.lam, data.f
+    return _wave_residual(matching_data(spec, state))
+
+
+def _wave_residual(data: MatchingData) -> float:
+    n, lam, f = data.n, data.lam, data.f
     half = n // 2
     h = LatticeGrid(n).h
     eps = math.acos(min(1.0, max(-1.0, 1.0 - f / 2.0)))
@@ -203,7 +305,7 @@ class WallReport:
 def check_sweep(lam: float, sizes: Iterable[int]) -> tuple[int, ...]:
     """The sizes of a sweep at a nonzero coupling inside (-1, 1), checked
     whole before any solve: at least two, strictly increasing, each a chain
-    size of at least `MIN_STENCIL_SIZE`."""
+    size from `MIN_STENCIL_SIZE` to `MAX_CONTINUUM_SIZE`."""
     if lam == 0:
         raise DomainError("the opaque-wall limit needs a nonzero coupling")
     if not -1 < lam < 1:
@@ -215,6 +317,8 @@ def check_sweep(lam: float, sizes: Iterable[int]) -> tuple[int, ...]:
         _check_size(n)
         if n < MIN_STENCIL_SIZE:
             raise DimensionError(f"sizes must be at least {MIN_STENCIL_SIZE}")
+        if n > MAX_CONTINUUM_SIZE:
+            raise DimensionError(f"sizes must be at most {MAX_CONTINUUM_SIZE}")
     return size_list
 
 
@@ -225,18 +329,25 @@ def opaque_wall_check(lam: float, sizes: Iterable[int]) -> WallReport:
     monotonically up to a 10% rise between neighbouring sizes.  The free
     chain (lam = 0) is rejected: there is no wall to become opaque.
     """
-    lam = float(lam)
+    return _sweep(float(lam), sizes, 1)[1]
+
+
+def _sweep(lam: float, sizes: Iterable[int], state: int) -> tuple[list[float], WallReport]:
+    """`matching_residual` at `state` for each size, and `opaque_wall_check`,
+    over one sweep checked whole first.  Each pair is solved once: at
+    state 1 the wall reads the matching solves."""
     size_list = check_sweep(lam, sizes)
-    amplitudes = []
+    residuals, amplitudes = [], []
     for n in size_list:
-        _, psi = _real_eigenpair(n, lam, 1)
-        half = n // 2
-        amplitudes.append(float(abs(psi[half - 1]) + abs(psi[half])))
+        data = _stencil_data(n, lam, state, *_real_eigenpair(n, lam, state))
+        residuals.append(_wave_residual(data))
+        ground = data.psi if state == 1 else _real_eigenpair(n, lam, 1)[1]
+        amplitudes.append(float(abs(ground[n // 2 - 1]) + abs(ground[n // 2])))
     decreasing = amplitudes[-1] < amplitudes[0] and all(
         later <= earlier * 1.1
         for earlier, later in zip(amplitudes, amplitudes[1:])
     )
-    return WallReport(
+    return residuals, WallReport(
         lam=lam,
         sizes=size_list,
         amplitudes=tuple(amplitudes),

@@ -10,11 +10,14 @@ import pytest
 import metric_forge
 from metric_forge import cli, continuum
 from metric_forge.analysis import reality_scan, sample_positivity_region
+from metric_forge.errors import DomainError
 from metric_forge.cli import (
     _CSV_CHUNK_ROWS,
+    MAX_COUPLING_DIGITS,
     MAX_GRID_POINTS,
     UsageError,
     _emit,
+    _exact_texts,
     main,
     parse_grid,
     parse_scalar,
@@ -37,6 +40,23 @@ class TestParsing:
         assert parse_scalar("0.5") == 0.5
         with pytest.raises(UsageError):
             parse_scalar("nope")
+
+    def test_exact_digit_limit(self):
+        from fractions import Fraction
+
+        most = "9" * MAX_COUPLING_DIGITS
+        assert parse_scalar(most) == int(most)
+        assert parse_scalar(f"-{most}/{most[1:]}8") == Fraction(-int(most), int(most) - 1)
+        # a decimal is a float, whatever its digits
+        assert parse_scalar("0." + "3" * 400) == float("0." + "3" * 400)
+        for text in ("1" + "0" * MAX_COUPLING_DIGITS, f"1/{most}9", f"-{most}9/7"):
+            with pytest.raises(UsageError, match="digits"):
+                parse_scalar(text)
+
+    def test_unprintable_exact_value(self):
+        # more digits than Python converts to text
+        with pytest.raises(DomainError):
+            _exact_texts([10**4300])
 
     def test_grid(self):
         assert parse_grid("0:1:3") == [0.0, 0.5, 1.0]
@@ -369,6 +389,7 @@ class TestContinuumCommand:
             ("--sizes", "10,8"),
             ("--sizes", "8,9"),
             ("--sizes", "6,8"),
+            ("--sizes", f"8,{continuum.MAX_CONTINUUM_SIZE + 2}"),
         ],
     )
     def test_inputs_checked_before_any_solve(self, capsys, monkeypatch, option, value):
@@ -381,6 +402,28 @@ class TestContinuumCommand:
         assert code == 2 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("state, solves", [("1", 2), ("2", 4)])
+    def test_each_pair_solved_once(self, capsys, monkeypatch, state, solves):
+        # at state 1 the wall reads the matching solves
+        calls = []
+        solve = continuum._real_eigenpair
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(continuum, "_real_eigenpair", counted)
+        code, _, _ = run_cli(
+            capsys, "continuum", "--lambda", "0.5", "--sizes", "8,10", "--state", state
+        )
+        assert code == 0 and len(calls) == solves
+
+    def test_help_names_the_size_limits(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["continuum", "--help"])
+        out = capsys.readouterr().out
+        assert f"{continuum.MIN_STENCIL_SIZE}..{continuum.MAX_CONTINUUM_SIZE}" in out
 
     def test_central_amplitude_decreasing(self, capsys):
         code, out, _ = run_cli(
@@ -444,6 +487,10 @@ class TestUsageErrors:
             ("metric", "basis", "--n", "6", "--lambda", "1" + "0" * 2000),
             ("metric", "basis", "--n", "2", "--lambda", "1/" + "9" * 4300),
             ("hamiltonian", "--n", "2", "--lambda", "9" * 4300),
+            # an exact coupling over the digit limit
+            ("hamiltonian", "--n", "2", "--lambda", "1" + "0" * MAX_COUPLING_DIGITS),
+            ("metric", "basis", "--n", "4", "--lambda", "1/" + "9" * (MAX_COUPLING_DIGITS + 1)),
+            ("metric", "verify", "--n", "4", "--lambda", "-" + "7" * (MAX_COUPLING_DIGITS + 1) + "/3"),
         ],
     )
     def test_single_error_line_and_exit_code_two(self, capsys, argv):
@@ -538,5 +585,4 @@ class TestStartup:
         code, numpy, scipy = _fresh_python(probe, *argv).split()
         assert code == "0"
         assert numpy == str(numpy_loaded)
-        if not numpy_loaded:
-            assert scipy == "False"
+        assert scipy == "False"

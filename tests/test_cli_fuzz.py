@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metric_forge.cli import main
+from metric_forge import continuum
+from metric_forge.cli import MAX_COUPLING_DIGITS, main
 
 SIZES = st.sampled_from(["-2", "0", "1", "2", "3", "4", "6", "8", "x", ""])
 COUPLINGS = st.one_of(
     st.sampled_from(
         ["0", "-0", "1/3", "-2/5", "1", "-1", "3/2", "1/0", "0.3", "-0.99", "1.5",
-         "1e300", "-1e300", "nan", "inf", "abc", "", "1" + "0" * 400, "1" + "0" * 400 + "/3"]
+         "1e300", "-1e300", "nan", "inf", "abc", "", "1" + "0" * 400, "1" + "0" * 400 + "/3",
+         "1/" + "3" * MAX_COUPLING_DIGITS, "1/" + "3" * (MAX_COUPLING_DIGITS + 1)]
     ),
     st.floats(-2.0, 2.0).map(repr),
 )
@@ -38,7 +40,8 @@ ALPHAS = st.one_of(
 SAMPLES = st.sampled_from(["-1", "0", "1", "7", "50", "1000001", "x"])
 SEEDS = st.sampled_from(["-1", "0", "7", "x"])
 CONTINUUM_SIZES = st.sampled_from(
-    ["8,16", "10,20,40", "40,80", "8", "16,8", "8,8", "7,16", "-8,16", "8,x", ""]
+    ["8,16", "10,20,40", "40,80", "8", "16,8", "8,8", "7,16", "-8,16", "8,x", "",
+     f"8,{continuum.MAX_CONTINUUM_SIZE + 2}"]
 )
 STATES = st.sampled_from(["-1", "0", "1", "2", "9", "x"])
 J_INDICES = st.sampled_from(["-1", "0", "1", "3", "9", "x"])
@@ -98,6 +101,20 @@ COMMANDS = st.one_of(
 @pytest.fixture(scope="module")
 def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_solve_over_the_size_limit():
+    """An over-limit size is a usage error before any eigensolve."""
+    solve = continuum._real_eigenpair
+
+    def checked(n, lam, state):
+        assert n <= continuum.MAX_CONTINUUM_SIZE, "eigensolve over the size limit"
+        return solve(n, lam, state)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(continuum, "_real_eigenpair", checked)
+        yield
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from metric_forge import continuum
+from metric_forge.analysis import symmetric_similarity
 from metric_forge.continuum import (
+    MAX_CONTINUUM_SIZE,
     FreeMetricParams,
     LatticeGrid,
     _matching_sides,
+    _real_eigenpair,
+    _sweep,
     fit_loglog_slope,
     free_lattice_metric,
     matching_data,
@@ -16,7 +20,7 @@ from metric_forge.continuum import (
     opaque_wall_check,
 )
 from metric_forge.errors import DimensionError, DomainError
-from metric_forge.hamiltonian import HamiltonianSpec
+from metric_forge.hamiltonian import HamiltonianSpec, _chain_bands
 from metric_forge.oracle import verify_membership
 
 
@@ -35,6 +39,67 @@ class TestLatticeGrid:
     def test_rejects_odd(self):
         with pytest.raises(DimensionError):
             LatticeGrid(9)
+
+
+EPS = np.finfo(float).eps
+
+
+def _exact_count_below(n, lam, x):
+    """How many eigenvalues of S lie below x, in exact arithmetic: the
+    negative pivots of the LDL^T factorization of S - x, whose squared
+    bonds are the products of the two bonds of the chain."""
+    diag, upper, lower = _chain_bands(n, Fraction(lam), Fraction(1))
+    bonds2 = [Fraction(0)] + [u * v for u, v in zip(upper, lower)]
+    count, pivot = 0, Fraction(1)
+    for a, b2 in zip(diag, bonds2):
+        pivot = a - x - b2 / pivot
+        count += pivot < 0
+    return count
+
+
+class TestSelectedEigenpair:
+    """The one eigenpair of S that bisection and inverse iteration find,
+    against the dense symmetric eigensolver."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, -0.3, 0.9, -0.9, 0.999, -0.999])
+    @pytest.mark.parametrize("n", [8, 10, 40, 200])
+    def test_matches_dense_solve(self, n, lam):
+        diag, off, scale = symmetric_similarity(n, lam)
+        values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        norm = np.max(np.abs(values))
+        bound = 4 * n * EPS * norm
+        for state in sorted({1, 2, n // 2, n - 1, n}):
+            f, psi = _real_eigenpair(n, lam, state)
+            assert abs(f - values[state - 1]) <= bound
+            # the eigenvector of S, to unit length, agrees up to sign within
+            # the same bound over the gap to the nearest other eigenvalue
+            u = psi / scale
+            u /= np.linalg.norm(u)
+            reference = vectors[:, state - 1]
+            gap = np.min(np.abs(np.delete(values, state - 1) - values[state - 1]))
+            error = min(np.linalg.norm(u - reference), np.linalg.norm(u + reference))
+            assert error <= bound / gap
+
+    @pytest.mark.parametrize("steps", [1, continuum._INVERSE_STEPS])
+    @pytest.mark.parametrize("lam", [0.3, -0.9])
+    @pytest.mark.parametrize("n", [8, 40, 200])
+    def test_reflection_parity(self, monkeypatch, n, lam, steps):
+        # S is persymmetric, so state 1 is reflection symmetric and state 2
+        # antisymmetric; a start vector with either symmetry would miss
+        # the other states, which one inverse step already shows
+        monkeypatch.setattr(continuum, "_INVERSE_STEPS", steps)
+        _, _, scale = symmetric_similarity(n, lam)
+        for state, parity in ((1, 1.0), (2, -1.0)):
+            u = _real_eigenpair(n, lam, state)[1] / scale
+            assert np.max(np.abs(u - parity * u[::-1])) <= 1e-9 * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("lam", [0.3, -0.999])
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_exact_sturm_count_brackets_the_state(self, n, lam):
+        for state in (1, 2, n):
+            f = Fraction(_real_eigenpair(n, lam, state)[0])
+            assert _exact_count_below(n, lam, f * (1 - Fraction(1, 10**9))) == state - 1
+            assert _exact_count_below(n, lam, f * (1 + Fraction(1, 10**9))) == state
 
 
 class TestMatchingData:
@@ -82,6 +147,11 @@ class TestMatchingResiduals:
             pytest.param(1280, 0.999, 1, id="1280-0.999"),
             pytest.param(1280, -0.999, 1, id="1280--0.999"),
             pytest.param(200, 0.9999, 1, id="200-0.9999"),
+            *(
+                pytest.param(1280, lam, state, id=f"1280-{lam}-state{state}")
+                for lam in (0.5, -0.5)
+                for state in (1, 2)
+            ),
             # the residual covers the two coupled rows across the middle bond
             *(
                 pytest.param(80, lam, state, id=f"80-{lam}-state{state}")
@@ -102,6 +172,13 @@ class TestMatchingResiduals:
         h_psi[half] += lam * psi[half - 1]
         assert np.max(np.abs(psi)) == 1.0
         assert np.max(np.abs(h_psi - data.f * psi)) <= 1e-12
+
+    @pytest.mark.parametrize("state", [1, 2])
+    def test_sweep_is_matching_and_wall(self, state):
+        sizes = [20, 40, 80]
+        residuals, wall = _sweep(-0.4, sizes, state)
+        assert residuals == [matching_residual(HamiltonianSpec(n, -0.4), state) for n in sizes]
+        assert wall == opaque_wall_check(-0.4, sizes)
 
     def test_free_coupling_allowed_for_matching(self):
         value = matching_residual(HamiltonianSpec(40, 0.0), 1)
@@ -194,7 +271,9 @@ class TestOpaqueWall:
         with pytest.raises(DomainError):
             opaque_wall_check(0.5, [40, 20])
 
-    @pytest.mark.parametrize("sizes", [[8, 9], [8, 10, 11], [6, 8]])
+    @pytest.mark.parametrize(
+        "sizes", [[8, 9], [8, 10, 11], [6, 8], [8, MAX_CONTINUUM_SIZE + 2]]
+    )
     def test_sizes_checked_before_any_solve(self, monkeypatch, sizes):
         def solve(*args):
             raise AssertionError("eigensolve called")
