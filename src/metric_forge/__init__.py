@@ -8,10 +8,10 @@ the recurrent closed-form basis construction.  The two routes are
 cross-validated exactly, and spectral, positivity and continuum-limit
 properties are checked numerically.
 
-The exact modules import only the standard library and are loaded with
-the package.  The names of the float modules, `analysis` and
-`continuum`, resolve on first use, so that numpy is imported only by
-code that needs floats.
+Every module but `analysis` imports only the standard library.  The
+package loads the exact modules; the names of `analysis`, the one module
+that imports numpy, and of `continuum` resolve on first use, so that a
+command loads only the code it runs.
 """
 
 from typing import Any
@@ -24,17 +24,17 @@ from .oracle import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-_FLOAT_MODULES = ("analysis", "continuum")
+_LAZY_MODULES = ("analysis", "continuum")
 
 
 def __getattr__(name: str) -> Any:
-    """A name exported by a float module, imported on first use.  Private
-    names and submodules (as in `from metric_forge import cli`) import
-    no float module."""
+    """A name exported by a lazily loaded module, imported on first use.
+    Private names and submodules (as in `from metric_forge import cli`)
+    load neither."""
     import importlib.util
 
     if not name.startswith("_") and importlib.util.find_spec(f"{__name__}.{name}") is None:
-        for module_name in _FLOAT_MODULES:
+        for module_name in _LAZY_MODULES:
             module = importlib.import_module(f"{__name__}.{module_name}")
             if name in module.__all__:
                 return getattr(module, name)

@@ -1,8 +1,8 @@
 """Float analysis of the chain: spectra, positivity and the biorthogonal
 spectral representation.
 
-This module and `continuum` hold all of the package's float work; the
-exact modules import only the standard library.  Here live the float
+This module holds all of the package's numpy work; every other module
+imports only the standard library.  Here live the float
 chain and its symmetric similarity, the reality scans across coupling
 grids with the general dense eigensolver `eigs_general` outside the
 window, and the float basis stack.  A candidate metric is positive
@@ -11,8 +11,9 @@ Theta = sum_n t_n w_n w_n^T over the left eigenvectors w_n of the chain,
 iff all spectral weights t_n are positive.  This module provides both
 verdicts (the first through the symmetric eigensolver `eigs_symmetric`),
 the conversion between coefficient coordinates and spectral weights, the
-explicit low-size positivity inequalities, and a seeded sampler over
-coefficient space.
+explicit low-size positivity inequalities, a seeded sampler over
+coefficient space, and the two-parameter positive metric family of the
+uncoupled chain.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .closedform import basis_family
 from .errors import DegenerateSpectrumError, DimensionError, DomainError
-from .hamiltonian import HamiltonianSpec, _chain_bands, build_hamiltonian
+from .hamiltonian import HamiltonianSpec, _chain_bands, _check_size, build_hamiltonian
 
 __all__ = [
     "SpectrumReport",
@@ -46,6 +47,8 @@ __all__ = [
     "closed_form_margin",
     "positivity_closed_form",
     "sample_positivity_region",
+    "FreeMetricParams",
+    "free_lattice_metric",
 ]
 
 # Smallest eigenvalue a candidate needs to count as positive definite.
@@ -467,3 +470,29 @@ def sample_positivity_region(n: int, lam: float, seed: int, count: int) -> Regio
         weights_positive=weights_positive,
         near_boundary=near,
     )
+
+
+@dataclass(frozen=True)
+class FreeMetricParams:
+    """Parameters of the free-chain metric family
+    exp(-f) (cosh(k) I - sinh(k) J), with J the lattice parity."""
+
+    f: float = 0.0
+    k: float = 0.0
+
+
+def free_lattice_metric(
+    n: int, params: FreeMetricParams
+) -> tuple[np.ndarray, PositivityReport]:
+    """Two-parameter metric of the uncoupled chain.
+
+    Only the identity-like and parity-like basis matrices survive the
+    continuum limit at zero coupling; their hyperbolic combination has
+    eigenvalues exp(-f -/+ k), each of multiplicity n/2, hence is positive
+    for every parameter choice and commutes with the free chain exactly.
+    """
+    _check_size(n)
+    a = math.exp(-params.f) * math.cosh(params.k)
+    b = -math.exp(-params.f) * math.sinh(params.k)
+    theta = a * np.eye(n) + b * np.fliplr(np.eye(n))
+    return theta, positivity(theta)

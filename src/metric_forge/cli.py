@@ -286,6 +286,24 @@ class CheckResult:
     detail: Any = None
 
 
+def _independent(members: Sequence[Matrix]) -> bool:
+    """Whether the n symmetric matrices `members` are linearly independent.
+
+    Row 1 of the closed-form M_j holds one entry, at (1, j): 1 - lam or 1.
+    Row n holds one, at (n, n + 1 - j): 1 + lam or 1.  So the first rows
+    (lam != 1) or the last rows (lam != -1) prove independence without
+    elimination; other members fall back to the exact rank."""
+    n = len(members)
+    for row, columns in ((0, range(n)), (n - 1, range(n - 1, -1, -1))):
+        if all(
+            bool(m[row, k]) == (k == column)
+            for m, column in zip(members, columns)
+            for k in range(n)
+        ):
+            return True
+    return rank(Matrix.from_rows([upper_triangle_vector(m) for m in members])) == n
+
+
 def run_verification(n: int, lam: Fraction) -> list[CheckResult]:
     """The cross-validation battery behind `metric verify`."""
     checks: list[CheckResult] = []
@@ -300,10 +318,12 @@ def run_verification(n: int, lam: Fraction) -> list[CheckResult]:
     space = solve_metric_space(HamiltonianSpec(n, lam))
     checks.append(CheckResult("oracle_dimension", space.dimension == n, space.dimension))
 
+    members = [el.evaluate(Fraction(lam)) for el in family]
     stacked = [upper_triangle_vector(b) for b in space.basis]
-    stacked += [upper_triangle_vector(el.evaluate(Fraction(lam))) for el in family]
+    stacked += [upper_triangle_vector(m) for m in members]
     combined_rank = rank(Matrix.from_rows(stacked))
-    checks.append(CheckResult("span_equivalence", combined_rank == n, combined_rank))
+    span_ok = combined_rank == n and _independent(members)
+    checks.append(CheckResult("span_equivalence", span_ok, combined_rank))
 
     reduction_ok = all(
         el.evaluate(0) == occupancy_matrix(n, el.j) for el in family
@@ -391,10 +411,11 @@ def cmd_positivity(args: argparse.Namespace) -> int:
     return 0
 
 
-@_float_command
 def cmd_continuum(args: argparse.Namespace) -> int:
     from .continuum import LatticeGrid, _sweep, fit_loglog_slope
 
+    # plain floats, bounded for |lam| < 1: the one value that can be zero
+    # or non-finite is a residual, which the fit refuses with a DomainError
     lam_float = _float_coupling(parse_scalar(args.lam))
     residuals, wall = _sweep(lam_float, parse_int_list(args.sizes), args.state)
     slope = fit_loglog_slope(wall.sizes, residuals)
@@ -467,8 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_c = sub.add_parser("continuum", help="matching and opaque-wall sweep")
     p_c.add_argument("--lambda", dest="lam", required=True, help=_COUPLING_HELP)
-    # the limits are those of continuum.check_sweep, which imports numpy
-    p_c.add_argument("--sizes", required=True, help="comma-separated even sizes, 8..10000")
+    # the limits of continuum.check_sweep, written out so that the parser
+    # does not load continuum for every command
+    p_c.add_argument(
+        "--sizes", required=True, help="comma-separated even sizes, 8..10000, at most 200 of them"
+    )
     p_c.add_argument("--state", type=int, default=1)
     p_c.add_argument("--output")
     p_c.set_defaults(func=cmd_continuum)

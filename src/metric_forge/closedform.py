@@ -16,6 +16,12 @@ rule, whose positions are enumerated directly, and the full family is
 cross-checked against the exact brute-force solution space in the test
 suite.  A basis matrix is held as its occupied entries only; a dense
 view is derived on demand.
+
+The family is complete at every coupling: each M_j satisfies the
+constraint as a polynomial identity (`intertwining_defect`); row 1 of M_j
+holds one entry, at (1, j), and row n one, at (n, n + 1 - j), so the first
+rows (lam != 1) or the last rows (lam != -1) make the n members
+independent; and no solution space is larger than n (`oracle`).
 """
 
 from __future__ import annotations

@@ -5,51 +5,47 @@ standard three-point kinetic discretization away from the origin, and the
 two coupled rows across the middle bond act as a first-order matching
 condition between one-sided boundary data (psi_L(0), psi_L'(0)) and
 (psi_R(0), psi_R'(0)).  As h shrinks the matching degenerates into an
-opaque wall, psi_L(0) = psi_R(0) = 0.
+opaque wall, psi_L(0) = psi_R(0) = 0.  Each eigenpair comes from one
+root of the chain's secular equation, in plain Python floats: this
+module imports only the standard library.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .analysis import PositivityReport, positivity, symmetric_similarity
 from .errors import DimensionError, DomainError
-from .hamiltonian import HamiltonianSpec, _check_size
+from .hamiltonian import HamiltonianSpec, _check_size, _float_coupling, _secular_root
 
 __all__ = [
     "LatticeGrid",
     "MatchingData",
     "WallReport",
-    "FreeMetricParams",
     "matching_data",
     "matching_residual",
     "fit_loglog_slope",
     "check_sweep",
     "opaque_wall_check",
-    "free_lattice_metric",
 ]
 
 # Smallest lattice with the four central components the boundary stencil
 # of `matching_data` reads.
 MIN_STENCIL_SIZE = 8
 
-# Largest lattice of a sweep.  A solve is up to about 75 Sturm passes of
-# n steps each in Python, 0.12 s at n = 10000 (2 cores), and a sweep at a
-# state other than 1 solves twice per size: the subprocess
+# Largest lattice of a sweep.  A solve is one secular root, about 60
+# bisection steps of two sines each (23 us), and n/2 sines for the
+# eigenvector: 1.8 ms at n = 10000 (2 cores).  A sweep at a state other
+# than 1 solves twice per size: the subprocess
 # `continuum --lambda 0.5 --sizes 626,1250,2500,5000,10000 --state 2`
-# takes 0.75 s and peaks at 34 MB of RSS.
+# takes 0.10 s and peaks at 18 MB of RSS, as `hamiltonian --n 2` does.
 MAX_CONTINUUM_SIZE = 10_000
 
-# Solves of inverse iteration; with the eigenvalue at full precision the
-# first one converges, the others take out what is left of the start.
-_INVERSE_STEPS = 3
-# The fractional part of the golden ratio, the step of the start vector.
-_GOLDEN = 0.6180339887498949
+# Most sizes in one sweep, so that the largest sweep has a bounded cost:
+# the 200 largest sizes at state 2 (9602, 9604, ..., 10000) take 0.84 s
+# as a subprocess and peak at 23 MB of RSS (0.53 s at state 1).
+MAX_SWEEP_SIZES = 200
 
 
 @dataclass(frozen=True)
@@ -71,105 +67,22 @@ class LatticeGrid:
         return tuple(-1.0 + 2.0 * k / (self.n + 1) for k in range(self.n + 2))
 
 
-def _sturm_count(diag: list[float], off2: list[float], x: float, pivmin: float) -> int:
-    """How many eigenvalues of S lie at or below x: the non-positive
-    pivots of the LDL^T factorization of S - x.  `off2` holds the squared
-    off-diagonal behind a leading 0; a pivot closer to zero than `pivmin`
-    becomes -pivmin, as in LAPACK's dstebz, so a pivot counts if it is
-    below `pivmin`."""
-    count = 0
-    pivot = 1.0
-    for a, b2 in zip(diag, off2):
-        pivot = a - b2 / pivot - x
-        if pivot < pivmin:
-            count += 1
-            if pivot > -pivmin:
-                pivot = -pivmin
-    return count
-
-
-def _bisect_eigenvalue(diag: list[float], off: list[float], state: int) -> float:
-    """The state-th smallest eigenvalue of S (1-based), by bisection on the
-    Sturm count inside the Gershgorin interval until the midpoint equals
-    an end, that is, to full float precision (Barth, Martin and
-    Wilkinson 1967)."""
-    n = len(diag)
-    off2 = [0.0] + [b * b for b in off]
-    radius = [abs(left) + abs(right) for left, right in zip([0.0] + off, off + [0.0])]
-    lo = min(a - r for a, r in zip(diag, radius))
-    hi = max(a + r for a, r in zip(diag, radius))
-    pivmin = sys.float_info.min * max(off2 + [1.0])
-    # widened as in dstebz, so that the Gershgorin ends count 0 and n
-    slack = 2.1 * (max(abs(lo), abs(hi)) * n * sys.float_info.epsilon + 2.0 * pivmin)
-    lo, hi = lo - slack, hi + slack
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if _sturm_count(diag, off2, mid, pivmin) >= state:
-            hi = mid
-        else:
-            lo = mid
-    return mid
-
-
-def _inverse_iteration(diag: list[float], off: list[float], value: float) -> list[float]:
-    """Eigenvector of S at its eigenvalue `value`, max-normalized.
-
-    S - value is factored once by LU with partial pivoting (LAPACK's
-    dgttrf; every off-diagonal entry of S is nonzero), each pivot of U at
-    least eps * ||S|| in size; then `_INVERSE_STEPS` solves, each
-    solution max-normalized into the next right-hand side.  S is
-    persymmetric, so its eigenvectors are reflection symmetric or
-    antisymmetric: the start vector is neither, or it would miss half of
-    them.
-    """
-    n = len(diag)
-    tiny = sys.float_info.epsilon * max(abs(a) + 2.0 * abs(b) for a, b in zip(diag, off + [0.0]))
-    # U has the diagonal u0 and two superdiagonals u1, u2; `low` becomes
-    # the multipliers of L, `swap[i]` whether rows i and i + 1 were swapped
-    u0 = [a - value for a in diag]
-    u1 = off + [0.0]
-    u2 = [0.0] * n
-    low = list(off)
-    swap = [False] * n
-    for i in range(n - 1):
-        if abs(u0[i]) >= abs(low[i]):
-            low[i] /= u0[i]
-            u0[i + 1] -= low[i] * u1[i]
-        else:
-            swap[i] = True
-            fact = u0[i] / low[i]
-            u0[i], low[i] = low[i], fact
-            u1[i], u0[i + 1] = u0[i + 1], u1[i] - fact * u0[i + 1]
-            u2[i] = u1[i + 1]
-            u1[i + 1] *= -fact
-    u0 = [p if abs(p) >= tiny else math.copysign(tiny, p) for p in u0]
-    # a Weyl sequence in [-1/2, 1/2): no reflection symmetry
-    x = [(k * _GOLDEN) % 1.0 - 0.5 for k in range(1, n + 1)]
-    for _ in range(_INVERSE_STEPS):
-        for i in range(n - 1):
-            if swap[i]:
-                x[i], x[i + 1] = x[i + 1], x[i]
-            x[i + 1] -= low[i] * x[i]
-        x += [0.0, 0.0]
-        for i in range(n - 1, -1, -1):
-            x[i] = (x[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
-        del x[n:]
-        top = max(map(abs, x))
-        x = [v / top for v in x]
-    return x
-
-
-def _real_eigenpair(n: int, lam: float, state: int) -> tuple[float, np.ndarray]:
+def _real_eigenpair(n: int, lam: float, state: int) -> tuple[float, tuple[float, ...]]:
     """Selected eigenvalue (ascending, 1-based) and its max-normalized
-    right eigenvector, from the symmetric similarity; only that one pair
-    is computed."""
+    right eigenvector, from the state's secular root eps: the eigenvalue
+    is 4 sin^2(eps/2), and the eigenvector psi_k = sin(k eps) for k <= K
+    and psi_{n+1-k} = +/- r sin(k eps), r = sqrt((1 - lam)/(1 + lam)),
+    with the + sign for odd states (`hamiltonian._secular_root`)."""
     if not 1 <= state <= n:
         raise DomainError(f"state index must lie in 1..{n}")
-    diag, off, scale = symmetric_similarity(n, lam)
-    diag, off = diag.tolist(), off.tolist()
-    value = _bisect_eigenvalue(diag, off, state)
-    vector = scale * np.array(_inverse_iteration(diag, off, value))
-    vector = vector / np.max(np.abs(vector))
-    return value, vector
+    if not -1.0 < lam < 1.0:
+        raise DomainError("the secular root requires |lam| < 1")
+    eps = _secular_root(n, lam, state)
+    left = [math.sin(k * eps) for k in range(1, n // 2 + 1)]
+    ratio = (-1.0) ** (state + 1) * math.sqrt((1.0 - lam) / (1.0 + lam))
+    psi = left + [ratio * v for v in reversed(left)]
+    top = max(map(abs, psi))
+    return 4.0 * math.sin(0.5 * eps) ** 2, tuple(v / top for v in psi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,13 +119,13 @@ def matching_data(spec: HamiltonianSpec, state: int = 1) -> MatchingData:
     n = spec.n
     if n < MIN_STENCIL_SIZE:
         raise DimensionError(f"boundary reconstruction needs n >= {MIN_STENCIL_SIZE}")
-    lam = float(spec.lam)
+    lam = _float_coupling(spec.lam)
     if not -1.0 < lam < 1.0:
         raise DomainError("matching analysis requires |lam| < 1")
     return _stencil_data(n, lam, state, *_real_eigenpair(n, lam, state))
 
 
-def _stencil_data(n: int, lam: float, state: int, f: float, psi: np.ndarray) -> MatchingData:
+def _stencil_data(n: int, lam: float, state: int, f: float, psi: tuple) -> MatchingData:
     half = n // 2
     grid = LatticeGrid(n)
     p_km1, p_k, p_k1, p_k2 = psi[half - 2], psi[half - 1], psi[half], psi[half + 1]
@@ -222,7 +135,7 @@ def _stencil_data(n: int, lam: float, state: int, f: float, psi: np.ndarray) -> 
         state=state,
         energy=f / grid.h**2,
         f=f,
-        psi=tuple(float(v) for v in psi),
+        psi=psi,
         psi_l0=(3.0 * p_k - p_km1) / 2.0,
         dpsi_l0=(p_k - p_km1) / grid.h,
         psi_r0=(3.0 * p_k1 - p_k2) / 2.0,
@@ -266,7 +179,9 @@ def _wave_residual(data: MatchingData) -> float:
     n, lam, f = data.n, data.lam, data.f
     half = n // 2
     h = LatticeGrid(n).h
-    eps = math.acos(min(1.0, max(-1.0, 1.0 - f / 2.0)))
+    # the inverse of f = 4 sin^2(eps/2), without the cancellation of
+    # acos(1 - f/2) at small eps
+    eps = 2.0 * math.asin(0.5 * math.sqrt(f))
     kappa = eps / h
     mid_sine = math.sin(half * eps)
     amp_left = data.psi[half - 1] / mid_sine
@@ -284,12 +199,17 @@ def _wave_residual(data: MatchingData) -> float:
 
 
 def fit_loglog_slope(sizes: Sequence[int], residuals: Sequence[float]) -> float:
-    """Least-squares slope of log(residual) against log(h)."""
-    if len(sizes) != len(residuals) or len(sizes) < 2:
-        raise DimensionError("need matching size/residual lists of length >= 2")
-    hs = np.log([LatticeGrid(n).h for n in sizes])
-    rs = np.log(np.asarray(residuals, dtype=float))
-    return float(np.polyfit(hs, rs, 1)[0])
+    """Least-squares slope of log(residual) against log(h).  A residual
+    that is zero or not finite has no logarithm and raises DomainError."""
+    if len(sizes) != len(residuals) or len(set(sizes)) < 2:
+        raise DimensionError("need matching size/residual lists with two distinct sizes")
+    if not all(0.0 < r < math.inf for r in residuals):
+        raise DomainError("a residual is zero or not finite, so it has no log-log slope")
+    xs = [math.log(LatticeGrid(n).h) for n in sizes]
+    ys = [math.log(r) for r in residuals]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    spread = sum((x - x_mean) ** 2 for x in xs)
+    return sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / spread
 
 
 @dataclass(frozen=True)
@@ -304,8 +224,9 @@ class WallReport:
 
 def check_sweep(lam: float, sizes: Iterable[int]) -> tuple[int, ...]:
     """The sizes of a sweep at a nonzero coupling inside (-1, 1), checked
-    whole before any solve: at least two, strictly increasing, each a chain
-    size from `MIN_STENCIL_SIZE` to `MAX_CONTINUUM_SIZE`."""
+    whole before any solve: from two to `MAX_SWEEP_SIZES` of them, strictly
+    increasing, each a chain size from `MIN_STENCIL_SIZE` to
+    `MAX_CONTINUUM_SIZE`."""
     if lam == 0:
         raise DomainError("the opaque-wall limit needs a nonzero coupling")
     if not -1 < lam < 1:
@@ -313,6 +234,8 @@ def check_sweep(lam: float, sizes: Iterable[int]) -> tuple[int, ...]:
     size_list = tuple(int(s) for s in sizes)
     if len(size_list) < 2 or list(size_list) != sorted(set(size_list)):
         raise DomainError("need a strictly increasing list of at least two sizes")
+    if len(size_list) > MAX_SWEEP_SIZES:
+        raise DimensionError(f"a sweep takes at most {MAX_SWEEP_SIZES} sizes")
     for n in size_list:
         _check_size(n)
         if n < MIN_STENCIL_SIZE:
@@ -342,7 +265,7 @@ def _sweep(lam: float, sizes: Iterable[int], state: int) -> tuple[list[float], W
         data = _stencil_data(n, lam, state, *_real_eigenpair(n, lam, state))
         residuals.append(_wave_residual(data))
         ground = data.psi if state == 1 else _real_eigenpair(n, lam, 1)[1]
-        amplitudes.append(float(abs(ground[n // 2 - 1]) + abs(ground[n // 2])))
+        amplitudes.append(abs(ground[n // 2 - 1]) + abs(ground[n // 2]))
     decreasing = amplitudes[-1] < amplitudes[0] and all(
         later <= earlier * 1.1
         for earlier, later in zip(amplitudes, amplitudes[1:])
@@ -353,29 +276,3 @@ def _sweep(lam: float, sizes: Iterable[int], state: int) -> tuple[list[float], W
         amplitudes=tuple(amplitudes),
         decreasing=decreasing,
     )
-
-
-@dataclass(frozen=True)
-class FreeMetricParams:
-    """Parameters of the free-chain metric family
-    exp(-f) (cosh(k) I - sinh(k) J), with J the lattice parity."""
-
-    f: float = 0.0
-    k: float = 0.0
-
-
-def free_lattice_metric(
-    n: int, params: FreeMetricParams
-) -> tuple[np.ndarray, PositivityReport]:
-    """Two-parameter metric of the uncoupled chain.
-
-    Only the identity-like and parity-like basis matrices survive the
-    continuum limit at zero coupling; their hyperbolic combination has
-    eigenvalues exp(-f -/+ k), each of multiplicity n/2, hence is positive
-    for every parameter choice and commutes with the free chain exactly.
-    """
-    _check_size(n)
-    a = math.exp(-params.f) * math.cosh(params.k)
-    b = -math.exp(-params.f) * math.sinh(params.k)
-    theta = a * np.eye(n) + b * np.fliplr(np.eye(n))
-    return theta, positivity(theta)

@@ -7,9 +7,10 @@ in 1-based indexing.  Transposition therefore flips the sign of the
 coupling, and the spectrum stays real for |lam| < 1: there the two
 middle-bond entries multiply to 1 - lam^2 > 0, so a diagonal similarity
 maps the chain onto a symmetric tridiagonal matrix (Parlett, The
-Symmetric Eigenvalue Problem).  This module imports only the standard
-library; the float chain, that similarity and the float eigensolves
-live in `analysis`.
+Symmetric Eigenvalue Problem).  There every eigenvalue is also explicit,
+one root of the chain's secular equation each (`closed_form_spectrum`).
+This module imports only the standard library; the float chain, that
+similarity and the dense float eigensolves live in `analysis`.
 """
 
 from __future__ import annotations
@@ -116,26 +117,46 @@ def hamiltonian_polynomial(n: int) -> Matrix:
     return _band_matrix(n, IntPolynomial((0, 1)), IntPolynomial((1,)))
 
 
-def closed_form_spectrum(spec: HamiltonianSpec) -> list[float]:
-    """Explicit eigenvalues for sizes 2 and 4, ascending.
+def _secular_root(n: int, lam: float, state: int) -> float:
+    """The angle eps of the state-th eigenvalue 4 sin^2(eps/2) of the
+    chain (ascending, 1-based) at a float coupling inside (-1, 1).
 
-    Size 2: 2 -/+ sqrt(1 - lam^2).  Size 4: the four branches
-    2 +/- sqrt(6 - 2 lam^2 +/- 2 sqrt(5 - 6 lam^2 + lam^4)) / 2, which are
-    real exactly for |lam| < 1 (the inner radicand factors as
-    (1 - lam^2)(5 - lam^2)).
+    Away from the middle bond an eigenvector is an exact sine on each
+    half: psi_k = sin(k eps) for k <= K and psi_{n+1-k} = +/- r sin(k eps),
+    with r = sqrt((1 - lam)/(1 + lam)).  The two middle rows leave the
+    secular equation sin((K+1) eps) = +/- c sin(K eps), c = sqrt(1 - lam^2).
+    State s is its one root inside ((m-1) pi/K, m pi/K), m = ceil(s/2),
+    with the + sign for odd s.  The function sin((K+1) eps) -/+ c sin(K eps)
+    has the sign (-1)^(m-1) just above the lower end (it is positive at
+    0+), so bisection compares signs with that end only, until the
+    midpoint equals an end: the upper end pi of m = K is a root with no
+    eigenvector.
     """
-    if spec.n not in (2, 4):
-        raise DomainError("closed-form spectrum is available for sizes 2 and 4 only")
+    half = n // 2
+    c = (-1.0) ** (state + 1) * math.sqrt(1.0 - lam * lam)
+    m = (state + 1) // 2
+    lower_positive = m % 2 == 1
+    lo, hi = (m - 1) * math.pi / half, m * math.pi / half
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if (math.sin((half + 1) * mid) - c * math.sin(half * mid) > 0.0) == lower_positive:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+def closed_form_spectrum(spec: HamiltonianSpec) -> list[float]:
+    """Explicit eigenvalues 4 sin^2(eps/2), ascending, one secular root
+    eps each (`_secular_root`), for every size and |lam| < 1.  At size 2
+    (K = 1) the secular equation reads 2 cos(eps) = +/- sqrt(1 - lam^2),
+    which gives the paper's 2 -/+ sqrt(1 - lam^2) with no root to find."""
     if not -1 < spec.lam < 1:
         raise DomainError("closed-form spectrum requires |lam| < 1")
     lam = float(spec.lam)
     if spec.n == 2:
         s = math.sqrt(1.0 - lam * lam)
         return [2.0 - s, 2.0 + s]
-    inner = math.sqrt(5.0 - 6.0 * lam * lam + lam ** 4)
-    values = [
-        2.0 + outer * 0.5 * math.sqrt(6.0 - 2.0 * lam * lam + pm * 2.0 * inner)
-        for outer in (-1.0, 1.0)
-        for pm in (-1.0, 1.0)
+    return [
+        4.0 * math.sin(0.5 * _secular_root(spec.n, lam, state)) ** 2
+        for state in range(1, spec.n + 1)
     ]
-    return sorted(values)

@@ -4,6 +4,16 @@ The constraint Theta H = H^T Theta over real symmetric Theta is a
 homogeneous linear system in the n(n+1)/2 upper-triangle unknowns.  This
 module vectorizes it exactly and hands it to the fraction-free kernel
 solver, producing the complete, canonically ordered solution space.
+
+Its dimension is n at every coupling.  Row i of Theta H = H^T Theta reads
+Theta[i,:] H = sum_r H[r,i] Theta[r,:] over r = i-1, i, i+1, so for
+lam != 1, where every subdiagonal entry H[i+1,i] is nonzero, each row
+follows from the two before it and the first row fixes the solution; at
+lam = 1 the superdiagonal is nonzero and the last row fixes it.  So the
+space has dimension at most n, and the n independent closed-form members
+fill it (for a nonderogatory A the solutions of X A = A^T X form an
+n-dimensional space of symmetric matrices: Taussky and Zassenhaus,
+Pacific J. Math. 9 (1959) 893-896).
 """
 
 from __future__ import annotations

@@ -9,10 +9,12 @@ from fractions import Fraction
 import numpy as np
 
 from metric_forge.analysis import (
+    FreeMetricParams,
     biorthogonal_system,
     closed_form_margin,
     eigs_general,
     evaluate_basis_stack,
+    free_lattice_metric,
     reality_scan,
     sample_positivity_region,
     theta_from_weights,
@@ -27,9 +29,7 @@ from metric_forge.closedform import (
     reflection_symmetry_holds,
 )
 from metric_forge.continuum import (
-    FreeMetricParams,
     fit_loglog_slope,
-    free_lattice_metric,
     matching_residual,
     opaque_wall_check,
 )
@@ -49,6 +49,14 @@ ORACLE_COUPLINGS = (
     Fraction(2, 3),
     Fraction(-2, 3),
 )
+
+
+def size4_radicals(lam: float) -> list[float]:
+    """The paper's size-4 spectrum, ascending:
+    2 +/- sqrt(6 - 2 lam^2 +/- 2 sqrt(5 - 6 lam^2 + lam^4)) / 2."""
+    inner = math.sqrt(5.0 - 6.0 * lam * lam + lam**4)
+    outer = [math.sqrt(6.0 - 2.0 * lam * lam + pm * 2.0 * inner) / 2.0 for pm in (1.0, -1.0)]
+    return [2.0 - outer[0], 2.0 - outer[1], 2.0 + outer[1], 2.0 + outer[0]]
 
 
 def _criterion(number: int, description: str, passed: bool) -> None:
@@ -80,14 +88,13 @@ def test_criterion_03_span_equivalence():
     for n in (2, 4, 6, 8, 10):
         for lam in ORACLE_COUPLINGS:
             space = solve_metric_space(HamiltonianSpec(n, lam))
-            stacked = [upper_triangle_vector(b) for b in space.basis]
-            stacked += [
-                upper_triangle_vector(el.evaluate(Fraction(lam)))
-                for el in basis_family(n)
-            ]
-            if rank(Matrix.from_rows(stacked)) != n:
+            family = [upper_triangle_vector(el.evaluate(lam)) for el in basis_family(n)]
+            stacked = [upper_triangle_vector(b) for b in space.basis] + family
+            if rank(Matrix.from_rows(family)) != n or rank(Matrix.from_rows(stacked)) != n:
                 ok = False
-    _criterion(3, "oracle and closed-form bases span the same space, n <= 10", ok)
+    _criterion(
+        3, "closed-form family independent and spanning the oracle's space, n <= 10", ok
+    )
 
 
 def test_criterion_04_zero_coupling_reduction():
@@ -191,18 +198,25 @@ def test_criterion_05_printed_matrix_reproduction():
 def test_criterion_06_spectra():
     grid = np.linspace(-0.99, 0.99, 201)
     ok = True
-    for n in (2, 4):
+    for n in (2, 4, 6, 8):
         for lam in grid:
             closed = closed_form_spectrum(HamiltonianSpec(n, float(lam)))
             numeric = eigs_general(build_hamiltonian(HamiltonianSpec(n, float(lam))))
             if np.max(np.abs(np.sort(numeric.real) - closed)) > 1e-10:
+                ok = False
+            if n == 4 and np.max(np.abs(np.array(size4_radicals(float(lam))) - closed)) > 1e-13:
                 ok = False
     for n in (2, 4, 6, 8):
         reports = reality_scan(n, grid)
         ok &= all(r.all_real for r in reports)
     (complex_report,) = reality_scan(4, [1.2])
     ok &= not complex_report.all_real and complex_report.max_imag > 1e-3
-    _criterion(6, "closed-form spectra match numerics to 1e-10; real on (-1,1); complex at 1.2", ok)
+    _criterion(
+        6,
+        "closed-form spectra match numerics to 1e-10 and the paper's size-4 radicals; "
+        "real on (-1,1); complex at 1.2",
+        ok,
+    )
 
 
 def test_criterion_07_positivity_verdicts():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
@@ -257,6 +258,28 @@ class TestMetricVerifyCommand:
         assert code == 2
         assert "exact" in err
 
+    @pytest.mark.parametrize("lam", [Fraction(5, 9), Fraction(1), Fraction(-1)], ids=str)
+    def test_duplicated_member_fails_span_equivalence(self, monkeypatch, lam):
+        # the copy lies inside the oracle's space, so the combined rank
+        # stays n; only the independence of the family catches it
+        family = cli.basis_family(8)
+        monkeypatch.setattr(cli, "basis_family", lambda n: family[:-1] + family[-2:-1])
+        checks = {c.name: c for c in cli.run_verification(8, lam)}
+        assert [name for name, c in checks.items() if not c.passed] == ["span_equivalence"]
+        assert checks["span_equivalence"].detail == 8
+
+    @pytest.mark.parametrize(
+        "lam", [Fraction(5, 9), Fraction(1), Fraction(-1), Fraction(0)], ids=str
+    )
+    def test_row_certificate_needs_no_rank(self, monkeypatch, lam):
+        # the first or the last rows prove the family independent, so the
+        # one exact rank is the combined one
+        ranks = []
+        rank = cli.rank
+        monkeypatch.setattr(cli, "rank", lambda a: ranks.append(a.rows) or rank(a))
+        assert all(c.passed for c in cli.run_verification(8, lam))
+        assert ranks == [16]
+
 
 class TestPositivityCommand:
     def test_single_positive(self, capsys):
@@ -390,6 +413,11 @@ class TestContinuumCommand:
             ("--sizes", "8,9"),
             ("--sizes", "6,8"),
             ("--sizes", f"8,{continuum.MAX_CONTINUUM_SIZE + 2}"),
+            pytest.param(
+                "--sizes",
+                ",".join(str(n) for n in range(8, 10 + 2 * continuum.MAX_SWEEP_SIZES, 2)),
+                id="--sizes-over-the-count-limit",
+            ),
         ],
     )
     def test_inputs_checked_before_any_solve(self, capsys, monkeypatch, option, value):
@@ -422,8 +450,19 @@ class TestContinuumCommand:
     def test_help_names_the_size_limits(self, capsys):
         with pytest.raises(SystemExit):
             main(["continuum", "--help"])
-        out = capsys.readouterr().out
+        out = " ".join(capsys.readouterr().out.split())
         assert f"{continuum.MIN_STENCIL_SIZE}..{continuum.MAX_CONTINUUM_SIZE}" in out
+        assert f"at most {continuum.MAX_SWEEP_SIZES} of them" in out
+
+    @pytest.mark.parametrize("residual", [0.0, float("nan"), float("inf")])
+    def test_residual_without_a_logarithm_exits_two(self, capsys, monkeypatch, residual):
+        # math.log(0.0) raises ValueError, which main does not catch: the
+        # fit turns such a residual into a DomainError before anything prints
+        monkeypatch.setattr(continuum, "_wave_residual", lambda data: residual)
+        code, out, err = run_cli(capsys, "continuum", "--lambda", "0.5", "--sizes", "8,10")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_central_amplitude_decreasing(self, capsys):
         code, out, _ = run_cli(
@@ -557,11 +596,12 @@ _EXACT_ARGV = [
     ("metric", "basis", "--n", "8", "--lambda", "0.3"),
     ("metric", "verify", "--n", "6", "--lambda", "1/3"),
 ]
+# each float command and whether it loads numpy
 _FLOAT_ARGV = [
-    ("spectrum", "--n", "4", "--grid", "0:1:3"),
-    ("positivity", "--n", "2", "--lambda", "0.5", "--alpha", "1,0"),
-    ("continuum", "--lambda", "0.5", "--sizes", "8,10"),
-    ("hamiltonian", "--n", "2", "--lambda", "0.3"),
+    (("spectrum", "--n", "4", "--grid", "0:1:3"), True),
+    (("positivity", "--n", "2", "--lambda", "0.5", "--alpha", "1,0"), True),
+    (("continuum", "--lambda", "0.5", "--sizes", "8,10"), False),
+    (("hamiltonian", "--n", "2", "--lambda", "0.3"), True),
 ]
 
 
@@ -573,7 +613,7 @@ class TestStartup:
 
     @pytest.mark.parametrize(
         "argv, numpy_loaded",
-        [(argv, False) for argv in _EXACT_ARGV] + [(argv, True) for argv in _FLOAT_ARGV],
+        [(argv, False) for argv in _EXACT_ARGV] + _FLOAT_ARGV,
     )
     def test_only_float_commands_load_numpy(self, argv, numpy_loaded):
         probe = (

@@ -41,7 +41,8 @@ SAMPLES = st.sampled_from(["-1", "0", "1", "7", "50", "1000001", "x"])
 SEEDS = st.sampled_from(["-1", "0", "7", "x"])
 CONTINUUM_SIZES = st.sampled_from(
     ["8,16", "10,20,40", "40,80", "8", "16,8", "8,8", "7,16", "-8,16", "8,x", "",
-     f"8,{continuum.MAX_CONTINUUM_SIZE + 2}"]
+     f"8,{continuum.MAX_CONTINUUM_SIZE + 2}",
+     ",".join(str(n) for n in range(8, 10 + 2 * continuum.MAX_SWEEP_SIZES, 2))]
 )
 STATES = st.sampled_from(["-1", "0", "1", "2", "9", "x"])
 J_INDICES = st.sampled_from(["-1", "0", "1", "3", "9", "x"])
@@ -104,22 +105,27 @@ def out_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module", autouse=True)
-def no_solve_over_the_size_limit():
-    """An over-limit size is a usage error before any eigensolve."""
+def solved_sizes():
+    """The sizes solved by the current command: an over-limit size, or more
+    sizes than a sweep may take, is a usage error before any eigensolve."""
     solve = continuum._real_eigenpair
+    sizes = set()
 
     def checked(n, lam, state):
         assert n <= continuum.MAX_CONTINUUM_SIZE, "eigensolve over the size limit"
+        sizes.add(n)
+        assert len(sizes) <= continuum.MAX_SWEEP_SIZES, "sweep over the count limit"
         return solve(n, lam, state)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(continuum, "_real_eigenpair", checked)
-        yield
+        yield sizes
 
 
 @settings(max_examples=150, deadline=None)
 @given(command=COMMANDS, output=OUTPUTS)
-def test_exit_code_in_documented_set(out_dir, command, output):
+def test_exit_code_in_documented_set(out_dir, solved_sizes, command, output):
+    solved_sizes.clear()
     words, options = command
     argv = words + options
     if output is not None:

@@ -292,6 +292,18 @@ class TestBasisElement:
         )
         assert rank(stacked) == n
 
+    @pytest.mark.parametrize("lam", [Fraction(5, 9), -1, 1, 0, 2], ids=str)
+    def test_first_and_last_rows_certify_independence(self, lam):
+        # row 1 of M_j holds one entry, at (1, j): 1 - lam for j <= K, 1
+        # above; row n holds one, at (n, n + 1 - j): 1 + lam or 1
+        for n in range(2, 31, 2):
+            for element in basis_family(n):
+                j, values = element.j, element.values(lam)
+                first = {k: v for (i, k), v in values.items() if i == 1}
+                last = {k: v for (i, k), v in values.items() if i == n}
+                assert first == {j: 1 - lam if j <= n // 2 else 1}
+                assert last == {n + 1 - j: 1 + lam if j <= n // 2 else 1}
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_span_matches_oracle(self, n):
         lam = Fraction(1, 3)

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from metric_forge import continuum
-from metric_forge.analysis import symmetric_similarity
+from metric_forge.analysis import FreeMetricParams, free_lattice_metric, symmetric_similarity
 from metric_forge.continuum import (
     MAX_CONTINUUM_SIZE,
-    FreeMetricParams,
+    MAX_SWEEP_SIZES,
     LatticeGrid,
     _matching_sides,
     _real_eigenpair,
     _sweep,
+    check_sweep,
     fit_loglog_slope,
-    free_lattice_metric,
     matching_data,
     matching_residual,
     opaque_wall_check,
@@ -58,8 +58,8 @@ def _exact_count_below(n, lam, x):
 
 
 class TestSelectedEigenpair:
-    """The one eigenpair of S that bisection and inverse iteration find,
-    against the dense symmetric eigensolver."""
+    """The one eigenpair that the secular root gives, against the dense
+    symmetric eigensolver of S and an exact Sturm count."""
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, -0.3, 0.9, -0.9, 0.999, -0.999])
     @pytest.mark.parametrize("n", [8, 10, 40, 200])
@@ -80,16 +80,14 @@ class TestSelectedEigenpair:
             error = min(np.linalg.norm(u - reference), np.linalg.norm(u + reference))
             assert error <= bound / gap
 
-    @pytest.mark.parametrize("steps", [1, continuum._INVERSE_STEPS])
+    @pytest.mark.parametrize("odd_state", [1, 3])
     @pytest.mark.parametrize("lam", [0.3, -0.9])
     @pytest.mark.parametrize("n", [8, 40, 200])
-    def test_reflection_parity(self, monkeypatch, n, lam, steps):
-        # S is persymmetric, so state 1 is reflection symmetric and state 2
-        # antisymmetric; a start vector with either symmetry would miss
-        # the other states, which one inverse step already shows
-        monkeypatch.setattr(continuum, "_INVERSE_STEPS", steps)
+    def test_reflection_parity(self, n, lam, odd_state):
+        # S is persymmetric, so an odd state is reflection symmetric and the
+        # even state after it antisymmetric: the sign of the secular equation
         _, _, scale = symmetric_similarity(n, lam)
-        for state, parity in ((1, 1.0), (2, -1.0)):
+        for state, parity in ((odd_state, 1.0), (odd_state + 1, -1.0)):
             u = _real_eigenpair(n, lam, state)[1] / scale
             assert np.max(np.abs(u - parity * u[::-1])) <= 1e-9 * np.max(np.abs(u))
 
@@ -125,6 +123,10 @@ class TestMatchingData:
     def test_coupling_domain(self):
         with pytest.raises(DomainError):
             matching_data(HamiltonianSpec(40, 1.5), 1)
+
+    def test_coupling_beyond_the_float_range(self):
+        with pytest.raises(DomainError):
+            matching_residual(HamiltonianSpec(40, 10**400), 1)
 
     def test_state_range(self):
         with pytest.raises(DomainError):
@@ -243,6 +245,19 @@ class TestSlopeFit:
     def test_length_validation(self):
         with pytest.raises(DimensionError):
             fit_loglog_slope([40], [1.0])
+        with pytest.raises(DimensionError):
+            fit_loglog_slope([40, 40], [1.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, math.inf, math.nan])
+    def test_residual_without_a_logarithm(self, bad):
+        with pytest.raises(DomainError):
+            fit_loglog_slope([40, 80], [1e-3, bad])
+
+    def test_matches_numpy_polyfit(self):
+        sizes = [20, 40, 80, 160, 320]
+        residuals = [3e-2, 8e-3, 2.2e-3, 5e-4, 1.3e-4]
+        reference = np.polyfit(np.log([LatticeGrid(n).h for n in sizes]), np.log(residuals), 1)[0]
+        assert abs(fit_loglog_slope(sizes, residuals) - reference) <= 1e-12
 
 
 class TestOpaqueWall:
@@ -272,7 +287,14 @@ class TestOpaqueWall:
             opaque_wall_check(0.5, [40, 20])
 
     @pytest.mark.parametrize(
-        "sizes", [[8, 9], [8, 10, 11], [6, 8], [8, MAX_CONTINUUM_SIZE + 2]]
+        "sizes",
+        [
+            [8, 9],
+            [8, 10, 11],
+            [6, 8],
+            [8, MAX_CONTINUUM_SIZE + 2],
+            list(range(8, 10 + 2 * MAX_SWEEP_SIZES, 2)),
+        ],
     )
     def test_sizes_checked_before_any_solve(self, monkeypatch, sizes):
         def solve(*args):
@@ -281,6 +303,11 @@ class TestOpaqueWall:
         monkeypatch.setattr(continuum, "_real_eigenpair", solve)
         with pytest.raises(DimensionError):
             opaque_wall_check(0.5, sizes)
+
+
+    def test_sweep_at_the_size_count_limit(self):
+        sizes = list(range(8, 8 + 2 * MAX_SWEEP_SIZES, 2))
+        assert check_sweep(0.5, sizes) == tuple(sizes)
 
 
 class TestFreeLatticeMetric:

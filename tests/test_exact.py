@@ -320,7 +320,7 @@ def test_module_imports_only_stdlib_and_errors():
 
 
 # the modules that import only the standard library when they load
-_STDLIB_ONLY = ("errors", "exact", "hamiltonian", "closedform", "oracle")
+_STDLIB_ONLY = ("errors", "exact", "hamiltonian", "closedform", "oracle", "continuum")
 
 
 def _module_level_imports(tree):
@@ -338,7 +338,9 @@ def _module_level_imports(tree):
             stack.extend(ast.iter_child_nodes(node))
 
 
-@pytest.mark.parametrize("name", ["errors", "hamiltonian", "closedform", "oracle", "cli", "__init__"])
+@pytest.mark.parametrize(
+    "name", ["errors", "hamiltonian", "closedform", "oracle", "continuum", "cli", "__init__"]
+)
 def test_module_level_imports_leave_out_numpy(name):
     # a float module imported at module level would bring numpy in as well
     path = Path(exact.__file__).with_name(f"{name}.py")

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from metric_forge import analysis
 from metric_forge.analysis import (
+    FreeMetricParams,
     eigs_general,
     evaluate_basis_stack,
+    free_lattice_metric,
     reality_scan,
     symmetric_similarity,
 )
 from metric_forge.closedform import basis_family, incidence_family, occupancy_positions
-from metric_forge.continuum import FreeMetricParams, LatticeGrid, free_lattice_metric
+from metric_forge.continuum import LatticeGrid
 from metric_forge.errors import DimensionError, DomainError
 from metric_forge.exact import Matrix
 from metric_forge.hamiltonian import (
@@ -112,6 +114,19 @@ class TestBuild:
         assert evaluated == build_hamiltonian(HamiltonianSpec(6, lam))
 
 
+def size4_radicals(lam):
+    """The paper's size-4 spectrum, ascending:
+    2 +/- sqrt(6 - 2 lam^2 +/- 2 sqrt(5 - 6 lam^2 + lam^4)) / 2, real
+    exactly for |lam| < 1, where the inner radicand factors as
+    (1 - lam^2)(5 - lam^2)."""
+    inner = math.sqrt(5.0 - 6.0 * lam * lam + lam**4)
+    return sorted(
+        2.0 + outer * 0.5 * math.sqrt(6.0 - 2.0 * lam * lam + pm * 2.0 * inner)
+        for outer in (-1.0, 1.0)
+        for pm in (-1.0, 1.0)
+    )
+
+
 class TestClosedFormSpectrum:
     def test_size2_free(self):
         assert closed_form_spectrum(HamiltonianSpec(2, 0)) == [1.0, 3.0]
@@ -134,9 +149,16 @@ class TestClosedFormSpectrum:
         values = closed_form_spectrum(HamiltonianSpec(4, 1 - 1e-12))
         assert np.allclose(values, [1.0, 1.0, 3.0, 3.0], atol=1e-5)
 
-    def test_unsupported_size(self):
-        with pytest.raises(DomainError):
-            closed_form_spectrum(HamiltonianSpec(6, 0))
+    def test_every_even_size(self):
+        # the free chain: 2 - 2 cos(s pi / (n + 1))
+        values = closed_form_spectrum(HamiltonianSpec(6, 0))
+        golden = [2 - 2 * math.cos(s * math.pi / 7) for s in range(1, 7)]
+        assert np.allclose(values, golden, atol=1e-14)
+
+    def test_size4_radicals(self):
+        for lam in np.linspace(-0.999, 0.999, 41):
+            closed = closed_form_spectrum(HamiltonianSpec(4, float(lam)))
+            assert np.allclose(closed, size4_radicals(float(lam)), atol=1e-13)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_coupling_beyond_the_float_range(self, n):
@@ -146,6 +168,15 @@ class TestClosedFormSpectrum:
     def test_domain_error_outside_unit_interval(self):
         with pytest.raises(DomainError):
             closed_form_spectrum(HamiltonianSpec(4, 1.0))
+
+    @pytest.mark.parametrize("n", [6, 10, 40])
+    def test_agrees_with_general_solver_at_larger_sizes(self, n):
+        for lam in (-0.999, -0.7, -0.2, 0.0, 0.35, 0.9, 0.999):
+            closed = closed_form_spectrum(HamiltonianSpec(n, lam))
+            numeric = eigs_general(build_hamiltonian(HamiltonianSpec(n, lam)))
+            assert closed == sorted(closed)
+            assert np.max(np.abs(numeric.imag)) < 1e-10
+            assert np.allclose(closed, numeric.real, atol=1e-10)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_agrees_with_numeric_solver(self, n):

@@ -16,6 +16,22 @@ from metric_forge.oracle import (
 )
 
 
+def _rebuild_from_one_row(theta, h, order):
+    """The rows of a solution of Theta H = H^T Theta, rebuilt from its row
+    order[0] alone.  Row i of the constraint reads
+    Theta[i,:] H = sum_r H[r,i] Theta[r,:] over the neighbours r of i, so
+    each next row along `order` follows from the two before it."""
+    n = len(order)
+    rows = {order[0]: list(theta.entries[order[0]])}
+    for before, i, after in zip([None] + order, order, order[1:]):
+        known = [sum(rows[i][r] * h[r, c] for r in range(n)) for c in range(n)]
+        for r in (before, i):
+            if r is not None:
+                known = [a - h[r, i] * b for a, b in zip(known, rows[r])]
+        rows[after] = [a / h[after, i] for a in known]
+    return [rows[i] for i in range(n)]
+
+
 class TestSymmetricIndexer:
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_bijection(self, n):
@@ -130,6 +146,20 @@ class TestSolveMetricSpace:
         space = solve_metric_space(HamiltonianSpec(8, Fraction(2, 3)))
         stacked = Matrix.from_rows([upper_triangle_vector(b) for b in space.basis])
         assert rank(stacked) == space.dimension
+
+    @pytest.mark.parametrize("lam", [Fraction(5, 9), -1, 2, 0, 1], ids=str)
+    @pytest.mark.parametrize("n", [2, 4, 8, 12])
+    def test_each_solution_is_fixed_by_one_row(self, n, lam):
+        # for lam != 1 every subdiagonal entry of H is nonzero and the first
+        # row fixes the solution; at lam = 1 the middle one vanishes, and the
+        # last row fixes it through the superdiagonal
+        spec = HamiltonianSpec(n, lam)
+        order = list(range(n - 1, -1, -1)) if lam == 1 else list(range(n))
+        space = solve_metric_space(spec)
+        assert space.dimension == n
+        for theta in space.basis:
+            rebuilt = _rebuild_from_one_row(theta, build_hamiltonian(spec), order)
+            assert rebuilt == [list(row) for row in theta.entries]
 
     def test_identity_member_at_zero_coupling(self):
         space = solve_metric_space(HamiltonianSpec(8, 0))
