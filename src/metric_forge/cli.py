@@ -51,9 +51,24 @@ MAX_GRID_POINTS = 10_000
 
 # Most digits in the numerator and in the denominator of an exact
 # coupling.  The oracle and the symbolic checks carry numbers of that size
-# through every step: `metric verify --n 22` takes 0.3 / 0.5 / 1.1 / 3.0 /
-# 9.4 s at 2 / 20 / 50 / 100 / 200 digits (one subprocess each, 2 cores).
+# through every step: `metric verify --n 22` takes 0.2 / 0.4 / 1.1 / 3.5 /
+# 13 s at 2 / 20 / 50 / 100 / 200 digits (one subprocess each, 2 cores;
+# the last two with this cap lifted).
 MAX_COUPLING_DIGITS = 50
+
+# Largest `metric verify --n`.  The oracle's Bareiss elimination sets the
+# cost, and the digits of the coupling multiply it: at n = 40 the
+# subprocess takes 0.84 s and peaks at 37 MB of RSS with --lambda 5/9,
+# and 36 s and 49 MB with a coupling of 49 digits over 50; at n = 50 the
+# same two take 1.8 s and 130 s (2 cores).
+MAX_VERIFY_SIZE = 40
+
+# Largest `metric basis --n`.  The incidence recursion keeps the family of
+# every smaller size: at n = 80 the subprocess takes 1.9 s, peaks at
+# 146 MB of RSS and prints 9 MB with --lambda 5/9, and 2.4 s, 284 MB and
+# 57 MB of text with a coupling of 49 digits over 50; at n = 120, 5/9
+# takes 8.8 s and 609 MB (2 cores).
+MAX_BASIS_SIZE = 80
 
 # Output pieces (CSV rows, text lines) joined per write; bounds the
 # formatted text held at once.
@@ -150,7 +165,7 @@ def _exact_texts(values: Iterable[Fraction | int]) -> list[str]:
     through here.  One with more digits than Python's int-to-str limit
     allows is an error."""
     try:
-        return [str(value) for value in values]
+        return list(map(str, values))
     except ValueError as exc:
         raise DomainError("an exact result has too many digits to print") from exc
 
@@ -255,7 +270,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_command_size(n: int, limit: int) -> None:
+    if n > limit:
+        raise UsageError(f"--n must be at most {limit}")
+
+
 def cmd_metric_basis(args: argparse.Namespace) -> int:
+    _check_command_size(args.n, MAX_BASIS_SIZE)
     lam = parse_scalar(args.lam) if args.lam is not None else None
     if args.j is not None and not 1 <= args.j <= args.n:
         raise UsageError(f"--j must lie in 1..{args.n}")
@@ -309,10 +330,7 @@ def run_verification(n: int, lam: Fraction) -> list[CheckResult]:
     checks: list[CheckResult] = []
     family = basis_family(n)
 
-    identity_ok = all(
-        all(p.is_zero for row in intertwining_defect(el).entries for p in row)
-        for el in family
-    )
+    identity_ok = not any(intertwining_defect(el) for el in family)
     checks.append(CheckResult("closed_form_intertwining", identity_ok))
 
     space = solve_metric_space(HamiltonianSpec(n, lam))
@@ -336,6 +354,7 @@ def run_verification(n: int, lam: Fraction) -> list[CheckResult]:
 
 
 def cmd_metric_verify(args: argparse.Namespace) -> int:
+    _check_command_size(args.n, MAX_VERIFY_SIZE)
     lam = parse_exact_scalar(args.lam)
     checks = run_verification(args.n, lam)
     failed = sum(0 if c.passed else 1 for c in checks)
@@ -418,6 +437,14 @@ def cmd_continuum(args: argparse.Namespace) -> int:
     # or non-finite is a residual, which the fit refuses with a DomainError
     lam_float = _float_coupling(parse_scalar(args.lam))
     residuals, wall = _sweep(lam_float, parse_int_list(args.sizes), args.state)
+    for n, residual in zip(wall.sizes, residuals):
+        # a relative gap |a - b| / (|a| + |b|) reads exactly 1 when the two
+        # sides have opposite signs: a point that carries no information
+        if residual == 1.0:
+            raise DomainError(
+                f"state {args.state} is not resolved at size {n}: the two sides "
+                "of a matching relation have opposite signs (residual 1)"
+            )
     slope = fit_loglog_slope(wall.sizes, residuals)
     lines = (
         f"{n},{_fmt(LatticeGrid(n).h)},{_fmt(residual)},{_fmt(amplitude)}\n"
@@ -461,14 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
     msub = p_m.add_subparsers(dest="metric_command", required=True)
 
     p_mb = msub.add_parser("basis", help="emit the incidence/basis family")
-    p_mb.add_argument("--n", type=int, required=True)
+    p_mb.add_argument("--n", type=int, required=True, help=f"even size, 2..{MAX_BASIS_SIZE}")
     p_mb.add_argument("--j", type=int, default=None)
     p_mb.add_argument("--lambda", dest="lam", default=None, help=f"numeric mode: {_COUPLING_HELP}")
     p_mb.add_argument("--output")
     p_mb.set_defaults(func=cmd_metric_basis)
 
     p_mv = msub.add_parser("verify", help="cross-validate the closed form")
-    p_mv.add_argument("--n", type=int, required=True)
+    p_mv.add_argument("--n", type=int, required=True, help=f"even size, 2..{MAX_VERIFY_SIZE}")
     p_mv.add_argument(
         "--lambda", dest="lam", required=True, help=f"exact p/q or integer, {_DIGITS_HELP}"
     )

@@ -18,7 +18,9 @@ suite.  A basis matrix is held as its occupied entries only; a dense
 view is derived on demand.
 
 The family is complete at every coupling: each M_j satisfies the
-constraint as a polynomial identity (`intertwining_defect`); row 1 of M_j
+constraint as a polynomial identity (`intertwining_defect`, which sums
+integer coefficient tuples read against the three bands of the chain and
+returns the cells that fail to cancel); row 1 of M_j
 holds one entry, at (1, j), and row n one, at (n, n + 1 - j), so the first
 rows (lam != 1) or the last rows (lam != -1) make the n members
 independent; and no solution space is larger than n (`oracle`).
@@ -29,11 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import zip_longest
 from typing import Any, Literal, Mapping, Optional, Sequence
 
 from .errors import ConstructionError, DimensionError, DomainError
 from .exact import IntPolynomial, Matrix
-from .hamiltonian import _check_size, hamiltonian_polynomial
+from .hamiltonian import _chain_bands, _check_size
 
 Sign = Optional[Literal["minus", "plus"]]
 
@@ -284,22 +287,53 @@ def reflection_symmetry_holds(element: MetricBasisElement) -> bool:
     )
 
 
-def intertwining_defect(element: MetricBasisElement) -> Matrix:
-    """Polynomial matrix M H - H^T M; identically zero for a valid element.
+@cache
+def _hamiltonian_rows(n: int) -> tuple[tuple, ...]:
+    """Row r of the symbolic chain H (1-based; entry 0 is empty) as
+    (c, H[r, c], -H[r, c]) for each of its nonzeros, read from the three
+    bands."""
+    diag, upper, lower = _chain_bands(n, IntPolynomial((0, 1)), IntPolynomial((1,)))
+    rows: list[tuple] = [()]
+    for r in range(1, n + 1):
+        cells = [(r - 1, lower[r - 2])] if r > 1 else []
+        cells.append((r, diag[r - 1]))
+        if r < n:
+            cells.append((r + 1, upper[r - 1]))
+        rows.append(tuple((c, h, -h) for c, h in cells))
+    return tuple(rows)
+
+
+def intertwining_defect(element: MetricBasisElement) -> dict[tuple[int, int], IntPolynomial]:
+    """The nonzero cells of the polynomial matrix M H - H^T M, 1-based
+    (i, k) -> IntPolynomial; a valid element has none.
 
     H is tridiagonal, so an occupied entry M[i, r] meets only the nonzeros
     H[r, c] of row r of H in M H, adding M[i, r] H[r, c] at (i, c), and
-    only the nonzeros H[i, c] of row i in H^T M, adding H[i, c] M[i, r] at
-    (c, r)."""
-    n = element.n
-    h_rows = hamiltonian_polynomial(n).T.column_nonzeros()
-    zero = IntPolynomial()
-    defect: dict[tuple[int, int], IntPolynomial] = {}
+    only the nonzeros H[i, c] of row i in H^T M, adding -H[i, c] M[i, r]
+    at (c, r).  Each distinct product of an alphabet polynomial with a
+    band entry is formed once, as an integer coefficient tuple, and each
+    cell sums its at most six tuples coefficientwise, so the defect is an
+    exact polynomial identity over the integers."""
+    h_rows = _hamiltonian_rows(element.n)
+    products: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
+
+    def times(m: IntPolynomial, h: IntPolynomial) -> tuple[int, ...]:
+        key = (m.coeffs, h.coeffs)
+        if key not in products:
+            products[key] = (m * h).coeffs
+        return products[key]
+
+    terms: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for (i, r), m in element.entries.items():
-        for c, h in h_rows[r - 1]:
-            defect[i - 1, c] = defect.get((i - 1, c), zero) + m * h
-        for c, h in h_rows[i - 1]:
-            defect[c, r - 1] = defect.get((c, r - 1), zero) - h * m
-    return Matrix.from_rows(
-        [[defect.get((a, b), zero) for b in range(n)] for a in range(n)]
-    )
+        for c, h, _ in h_rows[r]:
+            terms.setdefault((i, c), []).append(times(m, h))
+        for c, _, minus_h in h_rows[i]:
+            terms.setdefault((c, r), []).append(times(m, minus_h))
+    defect = {}
+    for cell, tuples in terms.items():
+        coeffs = [sum(column) for column in zip_longest(*tuples, fillvalue=0)]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        if coeffs:
+            defect[cell] = IntPolynomial._stripped(tuple(coeffs))
+    return defect

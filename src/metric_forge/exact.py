@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Any, Sequence
 
 from .errors import DimensionError
@@ -54,6 +55,14 @@ class IntPolynomial:
             cleaned = cleaned[:-1]
         object.__setattr__(self, "coeffs", cleaned)
 
+    @classmethod
+    def _stripped(cls, coeffs: tuple[int, ...]) -> "IntPolynomial":
+        """A polynomial from a tuple of ints whose last entry, if any, is
+        nonzero; it skips the validation pass of the public constructor."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
+
     @property
     def degree(self) -> int:
         """Degree of the polynomial, -1 for the zero polynomial."""
@@ -81,7 +90,7 @@ class IntPolynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-v for v in self.coeffs))
+        return IntPolynomial._stripped(tuple(-v for v in self.coeffs))
 
     def __sub__(self, other: Any) -> "IntPolynomial":
         other = _as_poly(other)
@@ -97,7 +106,7 @@ class IntPolynomial:
 
     def __mul__(self, other: Any) -> "IntPolynomial":
         if isinstance(other, int):
-            return IntPolynomial(tuple(v * other for v in self.coeffs))
+            other = _as_poly(other)
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
@@ -108,7 +117,8 @@ class IntPolynomial:
                 continue
             for k, b in enumerate(other.coeffs):
                 out[i + k] += a * b
-        return IntPolynomial(tuple(out))
+        # the leading coefficient is the product of two nonzero ones
+        return IntPolynomial._stripped(tuple(out))
 
     __rmul__ = __mul__
 
@@ -136,7 +146,7 @@ class IntPolynomial:
 
     def negate_variable(self) -> "IntPolynomial":
         """The polynomial p(-x)."""
-        return IntPolynomial(
+        return IntPolynomial._stripped(
             tuple(v if i % 2 == 0 else -v for i, v in enumerate(self.coeffs))
         )
 
@@ -253,12 +263,12 @@ class Matrix:
 
 
 def _integer_rows(a: Matrix) -> list[dict[int, int]]:
-    """Each nonzero row as {column: integer entry}, scaled by the lcm of its
-    denominators.  Zero entries are skipped before any conversion and zero
-    rows are dropped."""
+    """Each nonzero row of an int/Fraction matrix as {column: integer
+    entry}, scaled by the lcm of its denominators.  Zero entries are
+    skipped before any conversion and zero rows are dropped."""
     out = []
     for row in a.entries:
-        exact = {k: Fraction(v) for k, v in enumerate(row) if v}
+        exact = {k: row[k] for k in compress(range(len(row)), row)}
         if exact:
             scale = math.lcm(*(f.denominator for f in exact.values()))
             out.append({k: f.numerator * (scale // f.denominator) for k, f in exact.items()})

@@ -90,9 +90,9 @@ def _chain_bands(n: int, lam: Any, one: Any) -> tuple[list, list, list]:
     return [one + one] * n, upper, lower
 
 
-def _band_matrix(n: int, lam: Any, one: Any) -> Matrix:
+def _band_matrix(n: int, lam: Any, one: Any, zero: Any) -> Matrix:
     diag, upper, lower = _chain_bands(n, lam, one)
-    rows = [[one - one] * n for _ in range(n)]
+    rows = [[zero] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = diag[i]
     for i in range(n - 1):
@@ -102,10 +102,11 @@ def _band_matrix(n: int, lam: Any, one: Any) -> Matrix:
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> Any:
-    """Dense chain member: a `Matrix` of Fractions for an exact coupling,
-    a float numpy array otherwise."""
+    """Dense chain member: for an exact coupling a `Matrix` of Fractions
+    on the three bands and the int 0 off them, a float numpy array
+    otherwise."""
     if spec.is_exact:
-        return _band_matrix(spec.n, Fraction(spec.lam), Fraction(1))
+        return _band_matrix(spec.n, Fraction(spec.lam), Fraction(1), 0)
     from .analysis import _float_chain
 
     return _float_chain(spec.n, spec.lam)
@@ -114,7 +115,8 @@ def build_hamiltonian(spec: HamiltonianSpec) -> Any:
 def hamiltonian_polynomial(n: int) -> Matrix:
     """The chain member with the coupling kept symbolic (IntPolynomial entries)."""
     _check_size(n)
-    return _band_matrix(n, IntPolynomial((0, 1)), IntPolynomial((1,)))
+    # the zero polynomial, not the int 0, which a dataclass never equals
+    return _band_matrix(n, IntPolynomial((0, 1)), IntPolynomial((1,)), IntPolynomial())
 
 
 def _secular_root(n: int, lam: float, state: int) -> float:

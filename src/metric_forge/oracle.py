@@ -87,23 +87,23 @@ def intertwining_system(h: Matrix) -> Matrix:
 
     Rows are the n^2 entries of the defect matrix in row-major order;
     columns follow the canonical upper-triangle ordering.  Row (p, q) is
-    filled only from the nonzero entries of columns p and q of `h`.
+    filled only from the nonzero entries of columns p and q of `h`, as
+    Fractions; an entry that no nonzero of `h` reaches is the int 0.
     """
     if not h.is_square:
         raise DimensionError("square matrix required")
     n = h.rows
     indexer = SymmetricIndexer(n)
-    zero = Fraction(0)
     columns = [[(r, Fraction(v)) for r, v in col] for col in h.column_nonzeros()]
     rows = []
     for p in range(n):
         for q in range(n):
-            row = [zero] * indexer.count
+            row = [0] * indexer.count
             for r, v in columns[q]:
                 row[indexer.flat(p, r)] += v
             for r, v in columns[p]:
                 row[indexer.flat(r, q)] -= v
-            rows.append(row)
+            rows.append(tuple(row))
     return Matrix.from_rows(rows)
 
 

@@ -11,7 +11,9 @@ import pytest
 import metric_forge
 from metric_forge import cli, continuum
 from metric_forge.analysis import reality_scan, sample_positivity_region
+from metric_forge.closedform import MetricBasisElement
 from metric_forge.errors import DomainError
+from metric_forge.exact import IntPolynomial
 from metric_forge.cli import (
     _CSV_CHUNK_ROWS,
     MAX_COUPLING_DIGITS,
@@ -231,6 +233,39 @@ class TestMetricBasisCommand:
         assert err.startswith("error: --j")
 
 
+class TestExactSizeLimits:
+    @pytest.mark.parametrize(
+        "argv, work, limit",
+        [
+            (("metric", "verify", "--lambda", "1/2"), "run_verification", cli.MAX_VERIFY_SIZE),
+            (("metric", "basis"), "basis_family", cli.MAX_BASIS_SIZE),
+            (("metric", "basis", "--lambda", "1/2"), "basis_family", cli.MAX_BASIS_SIZE),
+        ],
+    )
+    def test_size_over_the_limit_is_a_usage_error(self, capsys, monkeypatch, argv, work, limit):
+        def refused(*args):
+            raise AssertionError(f"{work} called")
+
+        monkeypatch.setattr(cli, work, refused)
+        code, out, err = run_cli(capsys, *argv, "--n", str(limit + 2))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: --n must be at most {limit}"]
+        # the limit itself is accepted; the work is stubbed, not run
+        monkeypatch.setattr(cli, work, lambda *args: [])
+        code, _, _ = run_cli(capsys, *argv, "--n", str(limit))
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "command, limit",
+        [("verify", cli.MAX_VERIFY_SIZE), ("basis", cli.MAX_BASIS_SIZE)],
+    )
+    def test_help_names_the_size_limit(self, capsys, command, limit):
+        with pytest.raises(SystemExit):
+            main(["metric", command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"--n N even size, 2..{limit}" in out
+
+
 class TestMetricVerifyCommand:
     @pytest.mark.parametrize("n,lam", [(6, "1/2"), (8, "2/3")])
     def test_passes_cleanly(self, capsys, n, lam):
@@ -267,6 +302,24 @@ class TestMetricVerifyCommand:
         checks = {c.name: c for c in cli.run_verification(8, lam)}
         assert [name for name, c in checks.items() if not c.passed] == ["span_equivalence"]
         assert checks["span_equivalence"].detail == 8
+
+    @pytest.mark.parametrize("lam", ["5/9", "1", "-1", "0"])
+    def test_perturbed_member_fails_the_identity(self, capsys, monkeypatch, lam):
+        # x added to the first entry of M_3 breaks M H = H^T M as a
+        # polynomial identity; `metric verify` exits with the failed count
+        family = cli.basis_family(8)
+        entries = dict(family[2].entries)
+        position = next(iter(entries))
+        entries[position] = entries[position] + IntPolynomial((0, 1))
+        perturbed = MetricBasisElement(8, 3, entries)
+        monkeypatch.setattr(cli, "basis_family", lambda n: family[:2] + (perturbed,) + family[3:])
+        checks = {c.name: c.passed for c in cli.run_verification(8, Fraction(lam))}
+        assert checks["closed_form_intertwining"] is False
+        code, out, _ = run_cli(capsys, "metric", "verify", "--n", "8", "--lambda", lam)
+        payload = json.loads(out)
+        failed = [c["name"] for c in payload["checks"] if not c["passed"]]
+        assert failed == [name for name, passed in checks.items() if not passed]
+        assert code == payload["failed"] == len(failed) >= 1
 
     @pytest.mark.parametrize(
         "lam", [Fraction(5, 9), Fraction(1), Fraction(-1), Fraction(0)], ids=str
@@ -443,7 +496,7 @@ class TestContinuumCommand:
 
         monkeypatch.setattr(continuum, "_real_eigenpair", counted)
         code, _, _ = run_cli(
-            capsys, "continuum", "--lambda", "0.5", "--sizes", "8,10", "--state", state
+            capsys, "continuum", "--lambda", "0.5", "--sizes", "12,16", "--state", state
         )
         assert code == 0 and len(calls) == solves
 
@@ -463,6 +516,21 @@ class TestContinuumCommand:
         assert code == 2 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "lam, sizes, state, size",
+        [("0.3", "40,80", "3", "40"), ("0.5", "8,10,12", "1", "8"), ("0.3", "8,40", "1", "8")],
+    )
+    def test_unresolved_state_exits_two(self, capsys, lam, sizes, state, size):
+        # a residual of exactly 1: the two sides of a matching relation
+        # have opposite signs on that lattice
+        code, out, err = run_cli(
+            capsys, "continuum", "--lambda", lam, "--sizes", sizes, "--state", state
+        )
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"state {state} " in lines[0] and f"size {size}:" in lines[0]
 
     def test_central_amplitude_decreasing(self, capsys):
         code, out, _ = run_cli(
@@ -600,7 +668,7 @@ _EXACT_ARGV = [
 _FLOAT_ARGV = [
     (("spectrum", "--n", "4", "--grid", "0:1:3"), True),
     (("positivity", "--n", "2", "--lambda", "0.5", "--alpha", "1,0"), True),
-    (("continuum", "--lambda", "0.5", "--sizes", "8,10"), False),
+    (("continuum", "--lambda", "0.5", "--sizes", "12,16"), False),
     (("hamiltonian", "--n", "2", "--lambda", "0.3"), True),
 ]
 

@@ -3,17 +3,21 @@
 Whatever the arguments, `cli.main` returns 0 or 2 (for `metric verify`,
 0 to 5: the number of failed checks) or argparse exits with status 2;
 nothing else may raise.  Sizes, sample and grid counts stay small so
-the test runs in seconds.
+the test runs in seconds; a size over the limit of `metric verify` or
+`metric basis` is drawn too, and must be refused before any work.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metric_forge import continuum
-from metric_forge.cli import MAX_COUPLING_DIGITS, main
+from metric_forge import cli, continuum
+from metric_forge.cli import MAX_BASIS_SIZE, MAX_COUPLING_DIGITS, MAX_VERIFY_SIZE, main
 
 SIZES = st.sampled_from(["-2", "0", "1", "2", "3", "4", "6", "8", "x", ""])
+# over the size limits of the exact commands: usage errors, never run
+VERIFY_SIZES = st.one_of(SIZES, st.sampled_from([str(MAX_VERIFY_SIZE + 2), "1000000"]))
+BASIS_SIZES = st.one_of(SIZES, st.sampled_from([str(MAX_BASIS_SIZE + 2), "1000000"]))
 COUPLINGS = st.one_of(
     st.sampled_from(
         ["0", "-0", "1/3", "-2/5", "1", "-1", "3/2", "1/0", "0.3", "-0.99", "1.5",
@@ -76,11 +80,11 @@ COMMANDS = st.one_of(
     ),
     st.tuples(
         st.just(["metric", "basis"]),
-        _options(**{"--n": SIZES, "--j": J_INDICES, "--lambda": COUPLINGS}),
+        _options(**{"--n": BASIS_SIZES, "--j": J_INDICES, "--lambda": COUPLINGS}),
     ),
     st.tuples(
         st.just(["metric", "verify"]),
-        _options(**{"--n": SIZES, "--lambda": COUPLINGS}),
+        _options(**{"--n": VERIFY_SIZES, "--lambda": COUPLINGS}),
     ),
     st.tuples(
         st.just(["positivity"]),
@@ -120,6 +124,26 @@ def solved_sizes():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(continuum, "_real_eigenpair", checked)
         yield sizes
+
+
+@pytest.fixture(scope="module", autouse=True)
+def exact_sizes_within_limits():
+    """An exact command over its size limit is a usage error before the
+    family is built or the battery runs."""
+    verify, family = cli.run_verification, cli.basis_family
+
+    def checked_verify(n, lam):
+        assert n <= MAX_VERIFY_SIZE, "verification over the size limit"
+        return verify(n, lam)
+
+    def checked_family(n):
+        assert n <= MAX_BASIS_SIZE, "basis family over the size limit"
+        return family(n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "run_verification", checked_verify)
+        patch.setattr(cli, "basis_family", checked_family)
+        yield
 
 
 @settings(max_examples=150, deadline=None)

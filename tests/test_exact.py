@@ -17,6 +17,8 @@ from metric_forge.exact import IntPolynomial, Matrix, null_space, rank
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 small_ints = st.integers(min_value=-5, max_value=5)
 poly_coeffs = st.lists(small_ints, min_size=0, max_size=6)
+# mostly small values, so that products cancel and trailing zeros occur
+any_coeffs = st.lists(st.one_of(small_ints, small_ints, st.integers()), max_size=6)
 
 
 @st.composite
@@ -57,6 +59,28 @@ class TestIntPolynomial:
     def test_negate_variable(self):
         p = IntPolynomial((1, 2, 3, 4))
         assert p.negate_variable().coeffs == (1, -2, 3, -4)
+
+    @given(any_coeffs, any_coeffs, st.one_of(small_ints, st.integers()))
+    def test_unvalidated_results_match_the_public_constructor(self, a, b, c):
+        # *, unary - and negate_variable build their results without the
+        # public constructor's pass; each must equal what that pass gives
+        product = [0] * (len(a) + len(b))
+        for i, u in enumerate(a):
+            for k, v in enumerate(b):
+                product[i + k] += u * v
+        p, q = IntPolynomial(tuple(a)), IntPolynomial(tuple(b))
+        results = [
+            (p * q, product),
+            (p * c, [u * c for u in a]),
+            (c * p, [u * c for u in a]),
+            (-p, [-u for u in a]),
+            (p.negate_variable(), [u if d % 2 == 0 else -u for d, u in enumerate(a)]),
+        ]
+        for result, coeffs in results:
+            public = IntPolynomial(tuple(coeffs))
+            assert result.coeffs == public.coeffs
+            assert all(type(v) is int for v in result.coeffs)
+            assert result == public and hash(result) == hash(public)
 
     @given(poly_coeffs, poly_coeffs, poly_coeffs)
     def test_ring_distributivity(self, a, b, c):
