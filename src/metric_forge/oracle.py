@@ -59,6 +59,11 @@ class SymmetricIndexer:
             i, k = k, i
         return i * (2 * self.n - i + 1) // 2 + (k - i)
 
+    def table(self) -> list[list[int]]:
+        """`flat(i, k)` of every position, as n rows of n indices."""
+        span = range(self.n)
+        return [[self.flat(i, k) for k in span] for i in span]
+
 
 @dataclass(frozen=True)
 class MetricSolutionSpace:
@@ -94,23 +99,18 @@ def intertwining_system(h: Matrix) -> Matrix:
         raise DimensionError("square matrix required")
     n = h.rows
     indexer = SymmetricIndexer(n)
+    flat = indexer.table()
     columns = [[(r, Fraction(v)) for r, v in col] for col in h.column_nonzeros()]
     rows = []
     for p in range(n):
         for q in range(n):
             row = [0] * indexer.count
             for r, v in columns[q]:
-                row[indexer.flat(p, r)] += v
+                row[flat[p][r]] += v
             for r, v in columns[p]:
-                row[indexer.flat(r, q)] -= v
+                row[flat[r][q]] -= v
             rows.append(tuple(row))
     return Matrix.from_rows(rows)
-
-
-def _symmetric_from_flat(n: int, indexer: SymmetricIndexer, vec) -> Matrix:
-    return Matrix.from_rows(
-        [[vec[indexer.flat(i, k)] for k in range(n)] for i in range(n)]
-    )
 
 
 def solve_metric_space(spec: HamiltonianSpec) -> MetricSolutionSpace:
@@ -124,8 +124,8 @@ def solve_metric_space(spec: HamiltonianSpec) -> MetricSolutionSpace:
     h = build_hamiltonian(spec)
     system = intertwining_system(h)
     kernel = null_space(system)
-    indexer = SymmetricIndexer(spec.n)
-    basis = tuple(_symmetric_from_flat(spec.n, indexer, vec) for vec in kernel)
+    flat = SymmetricIndexer(spec.n).table()
+    basis = tuple(Matrix.from_rows([[vec[f] for f in row] for row in flat]) for vec in kernel)
     return MetricSolutionSpace(
         n=spec.n,
         lam=Fraction(spec.lam),

@@ -45,6 +45,13 @@ class TestSymmetricIndexer:
         indexer = SymmetricIndexer(4)
         assert indexer.flat(2, 1) == indexer.flat(1, 2)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_table_holds_every_flat_index(self, n):
+        indexer = SymmetricIndexer(n)
+        table = indexer.table()
+        assert table == [[indexer.flat(i, k) for k in range(n)] for i in range(n)]
+        assert sorted({f for row in table for f in row}) == list(range(indexer.count))
+
 
 class TestIntertwiningSystem:
     def test_size2_free_forces_equal_diagonal(self):
