@@ -21,7 +21,9 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .closedform import (
     assemble_theta,
+    basis_element,
     basis_family,
+    incidence_family,
     intertwining_defect,
     occupancy_matrix,
     reflection_symmetry_holds,
@@ -63,12 +65,13 @@ MAX_COUPLING_DIGITS = 50
 # same two take 1.8 s and 130 s (2 cores).
 MAX_VERIFY_SIZE = 40
 
-# Largest `metric basis --n`.  The incidence recursion keeps the family of
-# every smaller size: at n = 80 the subprocess takes 1.9 s, peaks at
-# 146 MB of RSS and prints 9 MB with --lambda 5/9, and 2.4 s, 284 MB and
-# 57 MB of text with a coupling of 49 digits over 50; at n = 120, 5/9
-# takes 8.8 s and 609 MB (2 cores).
-MAX_BASIS_SIZE = 80
+# Largest `metric basis --n`.  Each element comes straight from the
+# closed-form degrees, so the printed text sets the cost: at n = 120 the
+# subprocess takes 2.7 s, peaks at 151 MB of RSS and prints 36 MB with
+# --lambda 5/9, and 10 s, 816 MB and 267 MB of text with a coupling of
+# 49 digits over 50; at n = 160, 5/9 takes 7.0 s and 376 MB (2 cores,
+# the last with this cap lifted).
+MAX_BASIS_SIZE = 120
 
 # Output pieces (CSV rows, text lines) joined per write; bounds the
 # formatted text held at once.
@@ -280,9 +283,7 @@ def cmd_metric_basis(args: argparse.Namespace) -> int:
     lam = parse_scalar(args.lam) if args.lam is not None else None
     if args.j is not None and not 1 <= args.j <= args.n:
         raise UsageError(f"--j must lie in 1..{args.n}")
-    family = basis_family(args.n)
-    if args.j is not None:
-        family = (family[args.j - 1],)
+    family = basis_family(args.n) if args.j is None else (basis_element(args.n, args.j),)
     # each element is encoded as soon as it is built, so that only one
     # element's entries are held as objects; the text is that of one dump
     elements = []
@@ -328,6 +329,9 @@ def _independent(members: Sequence[Matrix]) -> bool:
 def run_verification(n: int, lam: Fraction) -> list[CheckResult]:
     """The cross-validation battery behind `metric verify`."""
     checks: list[CheckResult] = []
+    # the paper's recurrence, checked step by step against the closed-form
+    # degrees the family is built from; a mismatch raises ConstructionError
+    incidence_family(n)
     family = basis_family(n)
 
     identity_ok = not any(intertwining_defect(el) for el in family)

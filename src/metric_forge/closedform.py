@@ -1,4 +1,4 @@
-"""Recurrent closed-form construction of the complete metric family.
+"""Closed-form construction of the complete metric family.
 
 Every admissible metric of the n-point chain is a superposition
 Theta(lam) = sum_j alpha_j M_j(lam) of n sparse polynomial matrices.
@@ -9,13 +9,19 @@ position, the degree of the polynomial entry; the entry alphabet is
     degree 2m+1:   (1 -/+ lam) (1 - lam^2)^m
 
 with the minus factor above the antidiagonal (i + k < n + 1), the plus
-factor below it, and only even degrees on the antidiagonal itself.  The
-incidence matrices grow recurrently from the two-point base case; the
-growth rules are checked at every step against the closed-form occupancy
-rule, whose positions are enumerated directly, and the full family is
-cross-checked against the exact brute-force solution space in the test
-suite.  A basis matrix is held as its occupied entries only; a dense
-view is derived on demand.
+factor below it, and only even degrees on the antidiagonal itself.
+
+The degrees have a closed form.  With d = i - k, t = n + 1 - i - k and
+K = n/2, position (i, k) of M_j is occupied iff the lattice coordinates
+a = (j-1-d)/2 and b = (n-j-t)/2 are integers in [0, j) and [0, n-j].  Let
+
+    A = min(a, j-1-a) - max(0, j-K),   B = max(min(b, n-j-b) - max(0, K-j), 0);
+
+the degree is 0 when A < 0 and min(2A+2, 2B+1) otherwise; on the
+antidiagonal (t = 0) 2A + 2 <= 2B, so the degree there is even.  The basis
+is built from this rule, each matrix held as its occupied entries only.
+The paper's recurrent growth of the S_j (`incidence_family`) is a second
+derivation, checked against the rule at every step.
 
 The family is complete at every coupling: each M_j satisfies the
 constraint as a polynomial identity (`intertwining_defect`, which sums
@@ -82,13 +88,9 @@ def _check_indices(n: int, j: int) -> None:
 
 
 def occupancy_positions(n: int, j: int) -> frozenset[tuple[int, int]]:
-    """1-based positions occupied by the j-th basis matrix.
-
-    A position (i, k) is occupied iff d = i - k lies in {j-1, j-3, ..., 1-j}
-    and t = n + 1 - i - k lies in {n-j, n-j-2, ..., j-n}; the j (n + 1 - j)
-    pairs (d, t) are enumerated directly, and their parity places every
-    one of them inside the matrix.
-    """
+    """1-based positions occupied by the j-th basis matrix: the j (n + 1 - j)
+    pairs (d, t) of the module docstring, enumerated directly; their parity
+    places every one of them inside the matrix."""
     _check_indices(n, j)
     return frozenset(
         ((n + 1 + d - t) // 2, (n + 1 - d - t) // 2)
@@ -109,91 +111,91 @@ def occupancy_matrix(n: int, j: int) -> Matrix:
     )
 
 
+def _rule_degrees(n: int, j: int) -> dict[tuple[int, int], int]:
+    """The closed-form (i, k) -> degree pattern of M_j (module docstring) in
+    sorted position order.  Row i holds k = |i-j|+1, |i-j|+3, ... below
+    min(i+j, 2n+2-i-j), and a and b both step by one along it."""
+    _check_indices(n, j)
+    shift_a, shift_b = max(0, j - n // 2), max(0, n // 2 - j)
+    # the degree at (a, b) is min(high[a], low[b]); high is 0 where A < 0
+    high = [max(2 * (min(a, j - 1 - a) - shift_a) + 2, 0) for a in range(j)]
+    low = [2 * max(min(b, n - j - b) - shift_b, 0) + 1 for b in range(n - j + 1)]
+    degrees: dict[tuple[int, int], int] = {}
+    for i in range(1, n + 1):
+        row = range(abs(i - j) + 1, min(i + j, 2 * n + 2 - i - j), 2)
+        a, b = (j - 1 - i + row.start) // 2, (i + row.start - j - 1) // 2
+        degrees.update(zip([(i, k) for k in row], map(min, high[a:], low[b:])))
+    return degrees
+
+
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """Sparse (i, k) -> degree pattern for one basis element; positions
-    absent from `degrees` are structural zeros."""
+    """Sparse (i, k) -> degree pattern for one basis element, as grown by
+    `incidence_family`; positions absent from `degrees` are structural zeros."""
 
     n: int
     j: int
     degrees: Mapping[tuple[int, int], int]
-
-    def __post_init__(self) -> None:
-        _check_indices(self.n, self.j)
-        plain = dict(self.degrees)
-        object.__setattr__(self, "degrees", plain)
-        for (i, k), degree in plain.items():
-            if not (1 <= i <= self.n and 1 <= k <= self.n):
-                raise ConstructionError(f"position {(i, k)} outside the matrix")
-            if degree < 0:
-                raise ConstructionError("degrees must be nonnegative")
-            if plain.get((k, i)) != degree:
-                raise ConstructionError("pattern must be symmetric")
 
 
 def _embed_centered(degrees: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     return {(i + 1, k + 1): d for (i, k), d in degrees.items()}
 
 
-@cache
+def _grown(previous: Sequence[Mapping], n: int, j: int) -> dict[tuple[int, int], int]:
+    """S_j at size n, grown from the size n-2 family (`incidence_family`)."""
+    half = n // 2
+    if j > half:
+        degrees = _embed_centered(previous[j - 3])
+        for t in range(1, n + 2 - j):
+            degrees[t, t + j - 1] = degrees[t + j - 1, t] = 0
+        return degrees
+    if j < half:
+        degrees = _embed_centered(previous[j - 1])
+    else:
+        central = previous[half - 2]
+        degrees = _embed_centered({(i, n - 1 - k): d + 1 for (i, k), d in central.items()})
+    for t in range(1, j + 1):
+        degrees[t, j + 1 - t] = degrees[n + 1 - t, n - j + t] = 1
+    return degrees
+
+
 def incidence_family(n: int) -> tuple[IncidenceMatrix, ...]:
-    """All n incidence matrices, grown recurrently from the size n-2 family.
+    """All n incidence matrices, grown by the paper's recurrence from the
+    two-point base case, keeping only the previous size.  Each grown
+    pattern is compared with the closed-form rule in one dict equality; a
+    mismatch raises ConstructionError.
 
-    With K = n/2, and every rule first embedding its predecessor centered
-    (both indices shifted by one):
+    They agree by induction on n.  The rule gives the base case n = 2.  Each
+    growth rule embeds a size n-2 pattern (primed, K' = K - 1) centered,
+    which keeps d and t, and maps the rule at n - 2 to the rule at n:
 
-    * j < K: embed the same-j predecessor, then complete the pattern with
-      degree-1 entries on the corner antidiagonal segments i + k = j + 1
-      and i + k = 2n + 1 - j (j entries each).
-    * j = K: take the previous central matrix, raise every stored degree
-      by one, reflect it left-right, embed, then add degree-1 entries on
-      the segments i + k = K + 1 and i + k = 3K + 1 (K entries each).
-    * j > K: embed the (j-2)-nd predecessor, then append degree-0 entries
-      along the corner diagonals i - k = -(j - 1) and i - k = j - 1
-      (n + 1 - j entries each).
-
-    The occupancy of every result is checked against the closed-form
-    position rule; a mismatch raises ConstructionError.
+    * j < K: the same-j predecessor, a' = a and b' = b - 1: A' = A, and
+      B' = B as min(b, n-j-b) and the shift K - j both drop by one.  The
+      new b = 0 and b = n - j, the corner antidiagonal segments
+      i + k = j + 1 and 2n + 1 - j, get degree 1, and there B = 0 <= A.
+    * j = K: the previous central matrix (j' = K'), every degree raised by
+      one, reflected left-right, (d', t') -> (-t', -d'): a = K-1-b' and
+      b = K-1-a', so A = B' and B = A' + 1, and min(2A+2, 2B+1) is the old
+      degree plus one.  The new b = 0 and b = K, the segments
+      i + k = K + 1 and 3K + 1, get degree 1, and there B = 0.
+    * j > K: the (j-2)-nd predecessor, a' = a - 1 and b' = b: both shifts
+      of B are 0, and A' = min(a, j-1-a) - 1 - (j-K-1) = A.  The new a = 0
+      and a = j - 1, the corner diagonals i - k = -(j - 1) and j - 1, get
+      degree 0, and there A = K - j < 0.
     """
     _check_size(n)
-    if n == 2:
-        return (
-            IncidenceMatrix(2, 1, {(1, 1): 1, (2, 2): 1}),
-            IncidenceMatrix(2, 2, {(1, 2): 0, (2, 1): 0}),
-        )
-    half = n // 2
-    previous = incidence_family(n - 2)
-    members = []
-    for j in range(1, n + 1):
-        if j < half:
-            degrees = _embed_centered(previous[j - 1].degrees)
-            for t in range(1, j + 1):
-                degrees[(t, j + 1 - t)] = 1
-            for i in range(n + 1 - j, n + 1):
-                degrees[(i, 2 * n + 1 - j - i)] = 1
-        elif j == half:
-            source = previous[half - 2]
-            width = n - 2
-            mirrored = {
-                (i, width + 1 - k): degree + 1
-                for (i, k), degree in source.degrees.items()
-            }
-            degrees = _embed_centered(mirrored)
-            for t in range(1, half + 1):
-                degrees[(t, half + 1 - t)] = 1
-            for i in range(half + 1, n + 1):
-                degrees[(i, 3 * half + 1 - i)] = 1
-        else:
-            degrees = _embed_centered(previous[j - 3].degrees)
-            for t in range(1, n + 2 - j):
-                degrees[(t, t + j - 1)] = 0
-                degrees[(t + j - 1, t)] = 0
-        if frozenset(degrees) != occupancy_positions(n, j):
-            raise ConstructionError(
-                f"growth rules missed the expected occupancy at n={n}, j={j}"
-            )
-        members.append(IncidenceMatrix(n, j, degrees))
-    return tuple(members)
+    family: list[Mapping] = [{(1, 1): 1, (2, 2): 1}, {(1, 2): 0, (2, 1): 0}]
+    for size in range(4, n + 1, 2):
+        previous, family = family, []
+        for j in range(1, size + 1):
+            degrees = _grown(previous, size, j)
+            if degrees != _rule_degrees(size, j):
+                raise ConstructionError(
+                    f"growth rules missed the closed-form degrees at n={size}, j={j}"
+                )
+            family.append(degrees)
+    return tuple(IncidenceMatrix(n, j, degrees) for j, degrees in enumerate(family, start=1))
 
 
 @dataclass(frozen=True)
@@ -229,24 +231,22 @@ class MetricBasisElement:
         return Matrix.from_rows(rows)
 
 
-def basis_element(incidence: IncidenceMatrix) -> MetricBasisElement:
-    """Resolve an incidence pattern into its polynomial entries by the
-    triangle sign rule: the minus factor above the antidiagonal, the plus
-    factor below it.  Odd degrees on the antidiagonal are impossible by
-    the parity of the occupancy rule and are rejected defensively."""
-    n = incidence.n
+def basis_element(n: int, j: int) -> MetricBasisElement:
+    """M_j, in O(j (n + 1 - j)): the closed-form degrees resolved by the
+    triangle sign rule, the minus factor above the antidiagonal and the
+    plus factor below it (an odd degree on it would raise DomainError)."""
     entries = {}
-    for (i, k), degree in sorted(incidence.degrees.items()):
-        if i + k == n + 1 and degree % 2 == 1:
-            raise ConstructionError(f"odd degree {degree} on the antidiagonal at {(i, k)}")
-        entries[i, k] = entry_polynomial(degree, "minus" if i + k < n + 1 else "plus")
-    return MetricBasisElement(n=n, j=incidence.j, entries=entries)
+    for (i, k), degree in _rule_degrees(n, j).items():
+        sign = "minus" if i + k <= n else "plus" if i + k > n + 1 else None
+        entries[i, k] = entry_polynomial(degree, sign)
+    return MetricBasisElement(n=n, j=j, entries=entries)
 
 
 @cache
 def basis_family(n: int) -> tuple[MetricBasisElement, ...]:
     """The n assembled polynomial basis matrices."""
-    return tuple(basis_element(s) for s in incidence_family(n))
+    _check_size(n)
+    return tuple(basis_element(n, j) for j in range(1, n + 1))
 
 
 def assemble_theta(n: int, lam: Any, alpha: Sequence[Any]) -> Any:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import metric_forge
-from metric_forge import cli, continuum
+from metric_forge import cli, closedform, continuum
 from metric_forge.analysis import reality_scan, sample_positivity_region
 from metric_forge.closedform import MetricBasisElement
 from metric_forge.errors import DomainError
@@ -222,12 +222,24 @@ class TestMetricBasisCommand:
         assert entries[(2, 3)] == [1, 0, -1]
         assert entries[(3, 4)] == [1, 1]
 
+    @pytest.mark.parametrize("n, j", [(2, 1), (6, 3), (8, 8), (12, 5)])
+    @pytest.mark.parametrize("lam", [None, "5/9", "-0.3"])
+    def test_one_element_is_that_of_the_full_dump(self, capsys, n, j, lam):
+        coupling = () if lam is None else ("--lambda", lam)
+        _, full, _ = run_cli(capsys, "metric", "basis", "--n", str(n), *coupling)
+        code, one, _ = run_cli(capsys, "metric", "basis", "--n", str(n), "--j", str(j), *coupling)
+        full, one = json.loads(full), json.loads(one)
+        assert code == 0
+        assert one["elements"] == [full["elements"][j - 1]]
+        assert {**one, "elements": None} == {**full, "elements": None}
+
     @pytest.mark.parametrize("j", ["0", "81"])
     def test_index_checked_before_the_family_grows(self, capsys, monkeypatch, j):
-        def grow(n):
-            raise AssertionError("basis_family called")
+        def grow(*args):
+            raise AssertionError("basis built")
 
         monkeypatch.setattr(cli, "basis_family", grow)
+        monkeypatch.setattr(cli, "basis_element", grow)
         code, out, err = run_cli(capsys, "metric", "basis", "--n", "80", "--j", j)
         assert code == 2 and out == ""
         assert err.startswith("error: --j")
@@ -320,6 +332,24 @@ class TestMetricVerifyCommand:
         failed = [c["name"] for c in payload["checks"] if not c["passed"]]
         assert failed == [name for name, passed in checks.items() if not passed]
         assert code == payload["failed"] == len(failed) >= 1
+
+    def test_growth_mismatch_is_an_error_line(self, capsys, monkeypatch):
+        # `metric verify` runs the paper's recurrence; a growth step that
+        # misses the closed-form degrees ends the command with exit 2
+        grow = closedform._grown
+
+        def wrong(previous, n, j):
+            degrees = grow(previous, n, j)
+            if (n, j) == (6, 4):
+                degrees[1, 4] = degrees[4, 1] = 2
+            return degrees
+
+        monkeypatch.setattr(closedform, "_grown", wrong)
+        code, out, err = run_cli(capsys, "metric", "verify", "--n", "8", "--lambda", "1/2")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: growth rules missed the closed-form degrees at n=6, j=4"
+        ]
 
     @pytest.mark.parametrize(
         "lam", [Fraction(5, 9), Fraction(1), Fraction(-1), Fraction(0)], ids=str

@@ -130,7 +130,7 @@ def solved_sizes():
 def exact_sizes_within_limits():
     """An exact command over its size limit is a usage error before the
     family is built or the battery runs."""
-    verify, family = cli.run_verification, cli.basis_family
+    verify, family, element = cli.run_verification, cli.basis_family, cli.basis_element
 
     def checked_verify(n, lam):
         assert n <= MAX_VERIFY_SIZE, "verification over the size limit"
@@ -140,9 +140,14 @@ def exact_sizes_within_limits():
         assert n <= MAX_BASIS_SIZE, "basis family over the size limit"
         return family(n)
 
+    def checked_element(n, j):
+        assert n <= MAX_BASIS_SIZE, "basis element over the size limit"
+        return element(n, j)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "run_verification", checked_verify)
         patch.setattr(cli, "basis_family", checked_family)
+        patch.setattr(cli, "basis_element", checked_element)
         yield
 
 

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metric_forge import closedform
 from metric_forge.closedform import (
-    IncidenceMatrix,
     MetricBasisElement,
+    _rule_degrees,
     assemble_theta,
     basis_element,
     basis_family,
@@ -95,6 +96,20 @@ def scanned_positions(n: int, j: int) -> set[tuple[int, int]]:
     return occupied
 
 
+def corrupt_growth(monkeypatch, at, change):
+    """Let the growth step of S_j at size n, `at` = (n, j), apply `change`
+    to the pattern it grew."""
+    grow = closedform._grown
+
+    def corrupted(previous, n, j):
+        degrees = grow(previous, n, j)
+        if (n, j) == at:
+            change(degrees)
+        return degrees
+
+    monkeypatch.setattr(closedform, "_grown", corrupted)
+
+
 class TestEntryPolynomial:
     def test_degree_zero_is_one(self):
         assert entry_polynomial(0) == poly(1)
@@ -176,9 +191,29 @@ class TestIncidenceFamily:
         with pytest.raises(DimensionError):
             incidence_family(5)
 
-    def test_asymmetric_pattern_rejected(self):
-        with pytest.raises(ConstructionError):
-            IncidenceMatrix(4, 2, {(1, 2): 1})
+    @pytest.mark.parametrize("n", range(2, 61, 2))
+    def test_recurrence_equals_the_closed_form_rule(self, n):
+        family = incidence_family(n)
+        assert [member.degrees for member in family] == [
+            _rule_degrees(n, j) for j in range(1, n + 1)
+        ]
+
+    def test_asymmetric_pattern_rejected(self, monkeypatch):
+        # a growth step that writes only one of the pair (2, 1), (1, 2)
+        corrupt_growth(monkeypatch, (4, 2), lambda degrees: degrees.pop((2, 1)))
+        with pytest.raises(ConstructionError, match="n=4, j=2"):
+            incidence_family(6)
+
+    @pytest.mark.parametrize("n, j", [(4, 3), (6, 5), (8, 8)])
+    def test_wrong_degree_on_the_right_occupancy_rejected(self, monkeypatch, n, j):
+        # the corner diagonals of j > K written with degree 2, not 0: the
+        # occupancy and the symmetry still hold, only the degrees differ
+        def corners(degrees):
+            degrees[1, j] = degrees[j, 1] = 2
+
+        corrupt_growth(monkeypatch, (n, j), corners)
+        with pytest.raises(ConstructionError, match=f"n={n}, j={j}"):
+            incidence_family(8)
 
 
 class TestBasisElement:
@@ -235,10 +270,28 @@ class TestBasisElement:
             assert values == {pos: p(lam) for pos, p in element.entries.items()}
             assert {type(v) for v in values.values()} == {type(lam)}
 
-    def test_antidiagonal_odd_degree_rejected(self):
-        bad = IncidenceMatrix(2, 2, {(1, 2): 1, (2, 1): 1})
-        with pytest.raises(ConstructionError):
-            basis_element(bad)
+    def test_antidiagonal_odd_degree_rejected(self, monkeypatch):
+        # a growth step that writes an odd degree on the antidiagonal
+        def odd(degrees):
+            degrees[1, 4] = degrees[4, 1] = 1
+
+        corrupt_growth(monkeypatch, (4, 4), odd)
+        with pytest.raises(ConstructionError, match="n=4, j=4"):
+            incidence_family(4)
+
+    @pytest.mark.parametrize("n", range(2, 61, 2))
+    def test_rule_is_symmetric_on_the_occupancy_with_even_antidiagonal(self, n):
+        for j in range(1, n + 1):
+            degrees = _rule_degrees(n, j)
+            assert list(degrees) == sorted(occupancy_positions(n, j))
+            assert all(degrees[k, i] == d for (i, k), d in degrees.items())
+            assert all(d % 2 == 0 for (i, k), d in degrees.items() if i + k == n + 1)
+
+    def test_element_index_checked(self):
+        with pytest.raises(DomainError):
+            basis_element(4, 5)
+        with pytest.raises(DimensionError):
+            basis_element(5, 1)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_exact_intertwining_identity(self, n):
