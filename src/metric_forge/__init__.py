@@ -9,33 +9,39 @@ cross-validated exactly, and spectral, positivity and continuum-limit
 properties are checked numerically.
 
 Every module but `analysis` imports only the standard library.  The
-package loads the exact modules; the names of `analysis`, the one module
-that imports numpy, and of `continuum` resolve on first use, so that a
-command loads only the code it runs.
+package itself imports no submodule: each exported name, such as
+`metric_forge.Matrix`, loads its module on first use, and each command
+imports its modules when it runs, so that a command loads only the code
+it runs.  `from metric_forge import *` loads every module, numpy too.
 """
 
 from typing import Any
 
-from .closedform import *  # noqa: F401,F403
-from .errors import *  # noqa: F401,F403
-from .exact import *  # noqa: F401,F403
-from .hamiltonian import *  # noqa: F401,F403
-from .oracle import *  # noqa: F401,F403
-
 __version__ = "0.1.0"
 
-_LAZY_MODULES = ("analysis", "continuum")
+# The modules whose public names the package exports, in the order a name
+# is looked up: the cheapest to import first, `analysis` (numpy) last.
+_MODULES = ("errors", "hamiltonian", "continuum", "exact", "closedform", "oracle", "analysis")
+
+
+def _exports(module: Any) -> list[str]:
+    """The exported names of one module: its `__all__`, or for `errors`,
+    which has none, its public names (the exception types)."""
+    names = getattr(module, "__all__", None)
+    return list(names) if names is not None else [n for n in vars(module) if not n.startswith("_")]
 
 
 def __getattr__(name: str) -> Any:
-    """A name exported by a lazily loaded module, imported on first use.
-    Private names and submodules (as in `from metric_forge import cli`)
-    load neither."""
+    """An exported name, its module imported on first use; `__all__` loads
+    every module.  Private names and submodules (as in
+    `from metric_forge import cli`) load none."""
     import importlib.util
 
+    modules = (importlib.import_module(f"{__name__}.{m}") for m in _MODULES)
+    if name == "__all__":
+        return [export for module in modules for export in _exports(module)]
     if not name.startswith("_") and importlib.util.find_spec(f"{__name__}.{name}") is None:
-        for module_name in _LAZY_MODULES:
-            module = importlib.import_module(f"{__name__}.{module_name}")
-            if name in module.__all__:
+        for module in modules:
+            if name in _exports(module):
                 return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,7 +25,6 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .closedform import basis_family
 from .errors import DegenerateSpectrumError, DimensionError, DomainError
 from .hamiltonian import HamiltonianSpec, _chain_bands, _check_size, build_hamiltonian
 
@@ -402,6 +401,8 @@ class RegionSample:
 def evaluate_basis_stack(n: int, lam: float) -> np.ndarray:
     """Float stack of the basis family at one coupling, shape (n, n, n).
     A coupling so large that an entry overflows is rejected."""
+    from .closedform import basis_family
+
     family = basis_family(n)  # rejects a bad size before the stack exists
     lam = float(lam)
     stack = np.zeros((n, n, n))

@@ -14,24 +14,25 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
-
-from .closedform import (
-    assemble_theta,
-    basis_element,
-    basis_family,
-    incidence_family,
-    intertwining_defect,
-    occupancy_matrix,
-    reflection_symmetry_holds,
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TextIO,
 )
+
 from .errors import ConstructionError, DegenerateSpectrumError, DimensionError, DomainError
-from .exact import Matrix, rank
 from .hamiltonian import HamiltonianSpec, _float_coupling, build_hamiltonian
-from .oracle import solve_metric_space, upper_triangle_vector
+
+if TYPE_CHECKING:
+    from .exact import Matrix
 
 
 class UsageError(ValueError):
@@ -72,6 +73,26 @@ MAX_VERIFY_SIZE = 40
 # 49 digits over 50; at n = 160, 5/9 takes 7.0 s and 376 MB (2 cores,
 # the last with this cap lifted).
 MAX_BASIS_SIZE = 120
+
+# Largest `hamiltonian --n`.  The printed n^2 cells set the cost: at
+# n = 1000 the subprocess takes at most 1.2 s and peaks at 116 MB of RSS
+# over the three formats and exact, float and 49-digit couplings (12 MB of
+# text); at n = 2000, 2.8 s and 414 MB (2 cores, the last with this cap
+# lifted).
+MAX_HAMILTONIAN_SIZE = 1000
+
+# Largest `spectrum --n`.  Each grid point is one dense eigensolve, and
+# one outside (-1, 1) runs the general solver: at n = 80 and the grid cap
+# of 10000 points the subprocess takes 38 s with every point outside and
+# peaks at 90 MB of RSS for CSV (268 MB for JSON); 1000 points across
+# -1.2..1.2 take 1.2 s at n = 80 and 5.4 s at n = 160 (2 cores).
+MAX_SPECTRUM_SIZE = 80
+
+# Largest `positivity --n`.  A sampled draw is one n x n eigensolve and
+# one CSV row of n + 6 cells: at n = 12, the sample cap of a million draws
+# takes 23 s as a subprocess and peaks at 181 MB of RSS; 20000 draws take
+# 0.8 s at n = 12, 2.2 s at n = 24 and 8.0 s at n = 48 (2 cores).
+MAX_POSITIVITY_SIZE = 12
 
 # Output pieces (CSV rows, text lines) joined per write; bounds the
 # formatted text held at once.
@@ -209,7 +230,13 @@ def _emit(pieces: Iterable[str], output: Optional[str]) -> None:
             stream.write(chunk)
 
 
+def _check_command_size(n: int, limit: int) -> None:
+    if n > limit:
+        raise UsageError(f"--n must be at most {limit}")
+
+
 def cmd_hamiltonian(args: argparse.Namespace) -> int:
+    _check_command_size(args.n, MAX_HAMILTONIAN_SIZE)
     lam = parse_scalar(args.lam)
     spec = HamiltonianSpec(args.n, lam)
     matrix = build_hamiltonian(spec)
@@ -247,6 +274,7 @@ def _float_command(command: Callable[..., int]) -> Callable[..., int]:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     from .analysis import reality_scan
 
+    _check_command_size(args.n, MAX_SPECTRUM_SIZE)
     grid = parse_grid(args.grid)
     if not (math.isfinite(args.reality_tol) and args.reality_tol >= 0):
         raise UsageError("--reality-tol must be finite and >= 0")
@@ -273,12 +301,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_command_size(n: int, limit: int) -> None:
-    if n > limit:
-        raise UsageError(f"--n must be at most {limit}")
-
-
 def cmd_metric_basis(args: argparse.Namespace) -> int:
+    from .closedform import basis_element, basis_family
+
     _check_command_size(args.n, MAX_BASIS_SIZE)
     lam = parse_scalar(args.lam) if args.lam is not None else None
     if args.j is not None and not 1 <= args.j <= args.n:
@@ -301,8 +326,7 @@ def cmd_metric_basis(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: Any = None
@@ -315,6 +339,9 @@ def _independent(members: Sequence[Matrix]) -> bool:
     Row n holds one, at (n, n + 1 - j): 1 + lam or 1.  So the first rows
     (lam != 1) or the last rows (lam != -1) prove independence without
     elimination; other members fall back to the exact rank."""
+    from .exact import Matrix, rank
+    from .oracle import upper_triangle_vector
+
     n = len(members)
     for row, columns in ((0, range(n)), (n - 1, range(n - 1, -1, -1))):
         if all(
@@ -328,6 +355,16 @@ def _independent(members: Sequence[Matrix]) -> bool:
 
 def run_verification(n: int, lam: Fraction) -> list[CheckResult]:
     """The cross-validation battery behind `metric verify`."""
+    from .closedform import (
+        basis_family,
+        incidence_family,
+        intertwining_defect,
+        occupancy_matrix,
+        reflection_symmetry_holds,
+    )
+    from .exact import Matrix, rank
+    from .oracle import solve_metric_space, upper_triangle_vector
+
     checks: list[CheckResult] = []
     # the paper's recurrence, checked step by step against the closed-form
     # degrees the family is built from; a mismatch raises ConstructionError
@@ -377,7 +414,9 @@ def cmd_metric_verify(args: argparse.Namespace) -> int:
 @_float_command
 def cmd_positivity(args: argparse.Namespace) -> int:
     from .analysis import positivity, positivity_closed_form, sample_positivity_region
+    from .closedform import assemble_theta
 
+    _check_command_size(args.n, MAX_POSITIVITY_SIZE)
     lam_float = _float_coupling(parse_scalar(args.lam))
     if args.alpha is not None and args.sample is not None:
         raise UsageError("choose either --alpha or --sample")
@@ -472,14 +511,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_h = sub.add_parser("hamiltonian", help="emit one family member")
-    p_h.add_argument("--n", type=int, required=True)
+    p_h.add_argument("--n", type=int, required=True, help=f"even size, 2..{MAX_HAMILTONIAN_SIZE}")
     p_h.add_argument("--lambda", dest="lam", default="0", help=_COUPLING_HELP)
     p_h.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_h.add_argument("--output")
     p_h.set_defaults(func=cmd_hamiltonian)
 
     p_s = sub.add_parser("spectrum", help="eigenvalue sweep over a coupling grid")
-    p_s.add_argument("--n", type=int, required=True)
+    p_s.add_argument("--n", type=int, required=True, help=f"even size, 2..{MAX_SPECTRUM_SIZE}")
     p_s.add_argument(
         "--grid", required=True, help=f"start:stop:count, inclusive, count 1..{MAX_GRID_POINTS}"
     )
@@ -507,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mv.set_defaults(func=cmd_metric_verify)
 
     p_p = sub.add_parser("positivity", help="positivity verdicts")
-    p_p.add_argument("--n", type=int, required=True)
+    p_p.add_argument("--n", type=int, required=True, help=f"even size, 2..{MAX_POSITIVITY_SIZE}")
     p_p.add_argument("--lambda", dest="lam", required=True, help=_COUPLING_HELP)
     p_p.add_argument("--alpha", default=None, help="comma-separated coefficients")
     p_p.add_argument(

@@ -13,8 +13,7 @@ module imports only the standard library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError
 from .hamiltonian import HamiltonianSpec, _check_size, _float_coupling, _secular_root
@@ -48,15 +47,19 @@ MAX_CONTINUUM_SIZE = 10_000
 MAX_SWEEP_SIZES = 200
 
 
-@dataclass(frozen=True)
-class LatticeGrid:
+class _Grid(NamedTuple):
+    n: int
+
+
+class LatticeGrid(_Grid):
     """Equidistant grid with n interior points and Dirichlet endpoints at
     -1 and +1 exactly."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_size(self.n)
+    def __new__(cls, n: int) -> LatticeGrid:
+        _check_size(n)
+        return super().__new__(cls, n)
 
     @property
     def h(self) -> float:
@@ -85,8 +88,7 @@ def _real_eigenpair(n: int, lam: float, state: int) -> tuple[float, tuple[float,
     return 4.0 * math.sin(0.5 * eps) ** 2, tuple(v / top for v in psi)
 
 
-@dataclass(frozen=True, eq=False)
-class MatchingData:
+class MatchingData(NamedTuple):
     """One real eigenpair with its one-sided boundary estimates.
 
     The estimates invert the two-term Taylor expansions through the four
@@ -212,8 +214,7 @@ def fit_loglog_slope(sizes: Sequence[int], residuals: Sequence[float]) -> float:
     return sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / spread
 
 
-@dataclass(frozen=True)
-class WallReport:
+class WallReport(NamedTuple):
     """Normalized central amplitude of the ground state per size."""
 
     lam: float

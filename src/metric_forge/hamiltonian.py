@@ -16,12 +16,13 @@ similarity and the dense float eigensolves live in `analysis`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Union
+from typing import TYPE_CHECKING, Any, NamedTuple, Union
 
 from .errors import DimensionError, DomainError
-from .exact import IntPolynomial, Matrix
+
+if TYPE_CHECKING:
+    from .exact import Matrix
 
 ScalarLike = Union[int, float, Fraction]
 
@@ -33,8 +34,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
+class _Spec(NamedTuple):
+    n: int
+    lam: ScalarLike = 0
+
+
+class HamiltonianSpec(_Spec):
     """Size and coupling of one chain member.
 
     `lam` may be exact (int or Fraction) or a float; exact couplings
@@ -42,11 +47,11 @@ class HamiltonianSpec:
     cos(phi) = lam, defined only inside the open interval (-1, 1).
     """
 
-    n: int
-    lam: ScalarLike = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_size(self.n)
+    def __new__(cls, n: int, lam: ScalarLike = 0) -> HamiltonianSpec:
+        _check_size(n)
+        return super().__new__(cls, n, lam)
 
     @property
     def k(self) -> int:
@@ -91,6 +96,8 @@ def _chain_bands(n: int, lam: Any, one: Any) -> tuple[list, list, list]:
 
 
 def _band_matrix(n: int, lam: Any, one: Any, zero: Any) -> Matrix:
+    from .exact import Matrix
+
     diag, upper, lower = _chain_bands(n, lam, one)
     rows = [[zero] * n for _ in range(n)]
     for i in range(n):
@@ -114,6 +121,8 @@ def build_hamiltonian(spec: HamiltonianSpec) -> Any:
 
 def hamiltonian_polynomial(n: int) -> Matrix:
     """The chain member with the coupling kept symbolic (IntPolynomial entries)."""
+    from .exact import IntPolynomial
+
     _check_size(n)
     # the zero polynomial, not the int 0, which a dataclass never equals
     return _band_matrix(n, IntPolynomial((0, 1)), IntPolynomial((1,)), IntPolynomial())

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import metric_forge
-from metric_forge import cli, closedform, continuum
+from metric_forge import analysis, cli, closedform, continuum, exact
 from metric_forge.analysis import reality_scan, sample_positivity_region
 from metric_forge.closedform import MetricBasisElement
 from metric_forge.errors import DomainError
@@ -238,8 +238,8 @@ class TestMetricBasisCommand:
         def grow(*args):
             raise AssertionError("basis built")
 
-        monkeypatch.setattr(cli, "basis_family", grow)
-        monkeypatch.setattr(cli, "basis_element", grow)
+        monkeypatch.setattr(closedform, "basis_family", grow)
+        monkeypatch.setattr(closedform, "basis_element", grow)
         code, out, err = run_cli(capsys, "metric", "basis", "--n", "80", "--j", j)
         assert code == 2 and out == ""
         assert err.startswith("error: --j")
@@ -258,12 +258,13 @@ class TestExactSizeLimits:
         def refused(*args):
             raise AssertionError(f"{work} called")
 
-        monkeypatch.setattr(cli, work, refused)
+        owner = cli if work == "run_verification" else closedform
+        monkeypatch.setattr(owner, work, refused)
         code, out, err = run_cli(capsys, *argv, "--n", str(limit + 2))
         assert code == 2 and out == ""
         assert err.splitlines() == [f"error: --n must be at most {limit}"]
         # the limit itself is accepted; the work is stubbed, not run
-        monkeypatch.setattr(cli, work, lambda *args: [])
+        monkeypatch.setattr(owner, work, lambda *args: [])
         code, _, _ = run_cli(capsys, *argv, "--n", str(limit))
         assert code == 0
 
@@ -274,6 +275,59 @@ class TestExactSizeLimits:
     def test_help_names_the_size_limit(self, capsys, command, limit):
         with pytest.raises(SystemExit):
             main(["metric", command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"--n N even size, 2..{limit}" in out
+
+
+class TestCommandSizeLimits:
+    """The `--n` caps of the chain, spectrum and positivity commands."""
+
+    @pytest.mark.parametrize(
+        "argv, owner, work, limit",
+        [
+            (
+                ("hamiltonian", "--lambda", "1/2", "--format", "csv"),
+                cli,
+                "build_hamiltonian",
+                cli.MAX_HAMILTONIAN_SIZE,
+            ),
+            (("spectrum", "--grid", "0:0:1"), analysis, "reality_scan", cli.MAX_SPECTRUM_SIZE),
+            (
+                ("positivity", "--lambda", "0.5", "--sample", "3"),
+                analysis,
+                "sample_positivity_region",
+                cli.MAX_POSITIVITY_SIZE,
+            ),
+        ],
+        ids=["hamiltonian", "spectrum", "positivity"],
+    )
+    def test_size_over_the_limit_is_a_usage_error(
+        self, capsys, monkeypatch, argv, owner, work, limit
+    ):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{work} called")
+
+        run = getattr(owner, work)
+        monkeypatch.setattr(owner, work, refused)
+        code, out, err = run_cli(capsys, *argv, "--n", str(limit + 2))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: --n must be at most {limit}"]
+        # the limit itself runs, in a form that costs little
+        monkeypatch.setattr(owner, work, run)
+        code, _, err = run_cli(capsys, *argv, "--n", str(limit), "--output", os.devnull)
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize(
+        "command, limit",
+        [
+            ("hamiltonian", cli.MAX_HAMILTONIAN_SIZE),
+            ("spectrum", cli.MAX_SPECTRUM_SIZE),
+            ("positivity", cli.MAX_POSITIVITY_SIZE),
+        ],
+    )
+    def test_help_names_the_size_limit(self, capsys, command, limit):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
         out = " ".join(capsys.readouterr().out.split())
         assert f"--n N even size, 2..{limit}" in out
 
@@ -309,8 +363,8 @@ class TestMetricVerifyCommand:
     def test_duplicated_member_fails_span_equivalence(self, monkeypatch, lam):
         # the copy lies inside the oracle's space, so the combined rank
         # stays n; only the independence of the family catches it
-        family = cli.basis_family(8)
-        monkeypatch.setattr(cli, "basis_family", lambda n: family[:-1] + family[-2:-1])
+        family = closedform.basis_family(8)
+        monkeypatch.setattr(closedform, "basis_family", lambda n: family[:-1] + family[-2:-1])
         checks = {c.name: c for c in cli.run_verification(8, lam)}
         assert [name for name, c in checks.items() if not c.passed] == ["span_equivalence"]
         assert checks["span_equivalence"].detail == 8
@@ -319,12 +373,14 @@ class TestMetricVerifyCommand:
     def test_perturbed_member_fails_the_identity(self, capsys, monkeypatch, lam):
         # x added to the first entry of M_3 breaks M H = H^T M as a
         # polynomial identity; `metric verify` exits with the failed count
-        family = cli.basis_family(8)
+        family = closedform.basis_family(8)
         entries = dict(family[2].entries)
         position = next(iter(entries))
         entries[position] = entries[position] + IntPolynomial((0, 1))
         perturbed = MetricBasisElement(8, 3, entries)
-        monkeypatch.setattr(cli, "basis_family", lambda n: family[:2] + (perturbed,) + family[3:])
+        monkeypatch.setattr(
+            closedform, "basis_family", lambda n: family[:2] + (perturbed,) + family[3:]
+        )
         checks = {c.name: c.passed for c in cli.run_verification(8, Fraction(lam))}
         assert checks["closed_form_intertwining"] is False
         code, out, _ = run_cli(capsys, "metric", "verify", "--n", "8", "--lambda", lam)
@@ -358,8 +414,8 @@ class TestMetricVerifyCommand:
         # the first or the last rows prove the family independent, so the
         # one exact rank is the combined one
         ranks = []
-        rank = cli.rank
-        monkeypatch.setattr(cli, "rank", lambda a: ranks.append(a.rows) or rank(a))
+        rank = exact.rank
+        monkeypatch.setattr(exact, "rank", lambda a: ranks.append(a.rows) or rank(a))
         assert all(c.passed for c in cli.run_verification(8, lam))
         assert ranks == [16]
 
@@ -702,6 +758,9 @@ _FLOAT_ARGV = [
     (("hamiltonian", "--n", "2", "--lambda", "0.3"), True),
 ]
 
+# the two constructions of the family, which only `metric` and `positivity` load
+_CONSTRUCTIONS = ("metric_forge.closedform", "metric_forge.oracle")
+
 
 class TestStartup:
     @pytest.mark.parametrize("module", ["scipy", "numpy"])
@@ -724,3 +783,47 @@ class TestStartup:
         assert code == "0"
         assert numpy == str(numpy_loaded)
         assert scipy == "False"
+
+    def test_package_import_loads_no_submodule(self):
+        probe = (
+            "import sys, metric_forge\n"
+            "print(*[m for m in sys.modules if m.startswith('metric_forge.')], file=sys.stderr)\n"
+        )
+        assert _fresh_python(probe).split() == []
+
+    def test_error_types_resolve_from_the_package(self):
+        # `errors` has no `__all__`; its exception types are exported too
+        names = ("ConstructionError", "DegenerateSpectrumError", "DimensionError", "DomainError")
+        probe = (
+            "import sys, metric_forge\n"
+            f"found = [getattr(metric_forge, name) for name in {names!r}]\n"
+            f"assert found == [getattr(metric_forge.errors, name) for name in {names!r}]\n"
+            "print(*[m for m in sys.modules if m.startswith('metric_forge.')], file=sys.stderr)\n"
+        )
+        assert _fresh_python(probe).split() == ["metric_forge.errors"]
+
+    @pytest.mark.parametrize(
+        "argv, unloaded",
+        [
+            (
+                ("continuum", "--lambda", "0.5", "--sizes", "12,16"),
+                (*_CONSTRUCTIONS, "metric_forge.exact", "dataclasses", "inspect"),
+            ),
+            *(
+                (argv, _CONSTRUCTIONS)
+                for argv in (
+                    ("hamiltonian", "--n", "4", "--lambda", "1/3"),
+                    ("hamiltonian", "--n", "4", "--lambda", "0.3"),
+                    ("spectrum", "--n", "4", "--grid", "0:1:3"),
+                )
+            ),
+        ],
+    )
+    def test_command_leaves_other_modules_unloaded(self, argv, unloaded):
+        probe = (
+            "import os, sys\n"
+            "from metric_forge.cli import main\n"
+            "code = main(sys.argv[1:] + ['--output', os.devnull])\n"
+            f"print(code, *[m for m in {unloaded!r} if m in sys.modules], file=sys.stderr)\n"
+        )
+        assert _fresh_python(probe, *argv).split() == ["0"]

@@ -3,21 +3,33 @@
 Whatever the arguments, `cli.main` returns 0 or 2 (for `metric verify`,
 0 to 5: the number of failed checks) or argparse exits with status 2;
 nothing else may raise.  Sizes, sample and grid counts stay small so
-the test runs in seconds; a size over the limit of `metric verify` or
-`metric basis` is drawn too, and must be refused before any work.
+the test runs in seconds; a size over the limit of each command that
+takes `--n` is drawn too, and must be refused before any work.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metric_forge import cli, continuum
-from metric_forge.cli import MAX_BASIS_SIZE, MAX_COUPLING_DIGITS, MAX_VERIFY_SIZE, main
+from metric_forge import analysis, cli, closedform, continuum
+from metric_forge.cli import (
+    MAX_BASIS_SIZE,
+    MAX_COUPLING_DIGITS,
+    MAX_HAMILTONIAN_SIZE,
+    MAX_POSITIVITY_SIZE,
+    MAX_SPECTRUM_SIZE,
+    MAX_VERIFY_SIZE,
+    main,
+)
 
 SIZES = st.sampled_from(["-2", "0", "1", "2", "3", "4", "6", "8", "x", ""])
-# over the size limits of the exact commands: usage errors, never run
-VERIFY_SIZES = st.one_of(SIZES, st.sampled_from([str(MAX_VERIFY_SIZE + 2), "1000000"]))
-BASIS_SIZES = st.one_of(SIZES, st.sampled_from([str(MAX_BASIS_SIZE + 2), "1000000"]))
+
+
+def _sizes(limit):
+    """Small sizes, and two over `limit`: usage errors, never run."""
+    return st.one_of(SIZES, st.sampled_from([str(limit + 2), "1000000"]))
+
+
 COUPLINGS = st.one_of(
     st.sampled_from(
         ["0", "-0", "1/3", "-2/5", "1", "-1", "3/2", "1/0", "0.3", "-0.99", "1.5",
@@ -64,7 +76,7 @@ COMMANDS = st.one_of(
     st.tuples(
         st.just(["hamiltonian"]),
         _options(**{
-            "--n": SIZES,
+            "--n": _sizes(MAX_HAMILTONIAN_SIZE),
             "--lambda": COUPLINGS,
             "--format": st.sampled_from(["json", "csv", "text", "xml"]),
         }),
@@ -72,7 +84,7 @@ COMMANDS = st.one_of(
     st.tuples(
         st.just(["spectrum"]),
         _options(**{
-            "--n": SIZES,
+            "--n": _sizes(MAX_SPECTRUM_SIZE),
             "--grid": GRIDS,
             "--reality-tol": TOLERANCES,
             "--format": st.sampled_from(["csv", "json"]),
@@ -80,16 +92,16 @@ COMMANDS = st.one_of(
     ),
     st.tuples(
         st.just(["metric", "basis"]),
-        _options(**{"--n": BASIS_SIZES, "--j": J_INDICES, "--lambda": COUPLINGS}),
+        _options(**{"--n": _sizes(MAX_BASIS_SIZE), "--j": J_INDICES, "--lambda": COUPLINGS}),
     ),
     st.tuples(
         st.just(["metric", "verify"]),
-        _options(**{"--n": VERIFY_SIZES, "--lambda": COUPLINGS}),
+        _options(**{"--n": _sizes(MAX_VERIFY_SIZE), "--lambda": COUPLINGS}),
     ),
     st.tuples(
         st.just(["positivity"]),
         _options(**{
-            "--n": SIZES,
+            "--n": _sizes(MAX_POSITIVITY_SIZE),
             "--lambda": COUPLINGS,
             "--alpha": ALPHAS,
             "--sample": SAMPLES,
@@ -126,28 +138,31 @@ def solved_sizes():
         yield sizes
 
 
+def _bounded(patch, owner, name, limit, what, size=lambda args: args[0]):
+    """Patch `owner.name` to assert that its size is at most `limit`."""
+    work = getattr(owner, name)
+
+    def checked(*args, **kwargs):
+        assert size(args) <= limit, f"{what} over the size limit"
+        return work(*args, **kwargs)
+
+    patch.setattr(owner, name, checked)
+
+
 @pytest.fixture(scope="module", autouse=True)
-def exact_sizes_within_limits():
-    """An exact command over its size limit is a usage error before the
-    family is built or the battery runs."""
-    verify, family, element = cli.run_verification, cli.basis_family, cli.basis_element
-
-    def checked_verify(n, lam):
-        assert n <= MAX_VERIFY_SIZE, "verification over the size limit"
-        return verify(n, lam)
-
-    def checked_family(n):
-        assert n <= MAX_BASIS_SIZE, "basis family over the size limit"
-        return family(n)
-
-    def checked_element(n, j):
-        assert n <= MAX_BASIS_SIZE, "basis element over the size limit"
-        return element(n, j)
-
+def sizes_within_limits():
+    """A command over its size limit is a usage error before the work that
+    the size sets the cost of starts."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "run_verification", checked_verify)
-        patch.setattr(cli, "basis_family", checked_family)
-        patch.setattr(cli, "basis_element", checked_element)
+        _bounded(patch, cli, "run_verification", MAX_VERIFY_SIZE, "verification")
+        _bounded(patch, closedform, "basis_family", MAX_BASIS_SIZE, "basis family")
+        _bounded(patch, closedform, "basis_element", MAX_BASIS_SIZE, "basis element")
+        _bounded(
+            patch, cli, "build_hamiltonian", MAX_HAMILTONIAN_SIZE, "chain", lambda args: args[0].n
+        )
+        _bounded(patch, analysis, "reality_scan", MAX_SPECTRUM_SIZE, "spectrum")
+        _bounded(patch, closedform, "assemble_theta", MAX_POSITIVITY_SIZE, "candidate")
+        _bounded(patch, analysis, "sample_positivity_region", MAX_POSITIVITY_SIZE, "sample")
         yield
 
 
