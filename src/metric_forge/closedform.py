@@ -25,11 +25,11 @@ derivation, checked against the rule at every step.
 
 The family is complete at every coupling: each M_j satisfies the
 constraint as a polynomial identity (`intertwining_defect`, which sums
-integer coefficient tuples read against the three bands of the chain and
-returns the cells that fail to cancel); row 1 of M_j
-holds one entry, at (1, j), and row n one, at (n, n + 1 - j), so the first
-rows (lam != 1) or the last rows (lam != -1) make the n members
-independent; and no solution space is larger than n (`oracle`).
+integer coefficient tuples read against the nonzeros of the chain's rows
+and returns the cells that fail to cancel); row 1 of M_j holds one entry,
+at (1, j), and row n one, at (n, n + 1 - j), so the first rows (lam != 1)
+or the last rows (lam != -1) make the n members independent; and no
+solution space is larger than n (`oracle`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Any, Literal, Mapping, Optional, Sequence
 
 from .errors import ConstructionError, DimensionError, DomainError
 from .exact import IntPolynomial, Matrix
-from .hamiltonian import _chain_bands, _check_size
+from .hamiltonian import _chain_rows, _check_size
 
 Sign = Optional[Literal["minus", "plus"]]
 
@@ -290,17 +290,9 @@ def reflection_symmetry_holds(element: MetricBasisElement) -> bool:
 @cache
 def _hamiltonian_rows(n: int) -> tuple[tuple, ...]:
     """Row r of the symbolic chain H (1-based; entry 0 is empty) as
-    (c, H[r, c], -H[r, c]) for each of its nonzeros, read from the three
-    bands."""
-    diag, upper, lower = _chain_bands(n, IntPolynomial((0, 1)), IntPolynomial((1,)))
-    rows: list[tuple] = [()]
-    for r in range(1, n + 1):
-        cells = [(r - 1, lower[r - 2])] if r > 1 else []
-        cells.append((r, diag[r - 1]))
-        if r < n:
-            cells.append((r + 1, upper[r - 1]))
-        rows.append(tuple((c, h, -h) for c, h in cells))
-    return tuple(rows)
+    (c, H[r, c], -H[r, c]) for each of its nonzeros."""
+    rows = _chain_rows(n, IntPolynomial((0, 1)), IntPolynomial((1,)), 0)
+    return ((),) + tuple(tuple((c, h, -h) for c, h in enumerate(row, 1) if h) for row in rows)
 
 
 def intertwining_defect(element: MetricBasisElement) -> dict[tuple[int, int], IntPolynomial]:

@@ -9,7 +9,8 @@ middle-bond entries multiply to 1 - lam^2 > 0, so a diagonal similarity
 maps the chain onto a symmetric tridiagonal matrix (Parlett, The
 Symmetric Eigenvalue Problem).  There every eigenvalue is also explicit,
 one root of the chain's secular equation each (`closed_form_spectrum`).
-This module imports only the standard library; the float chain, that
+`_chain_rows` alone lays the bands out as rows of Python scalars.  This
+module imports only the standard library; the batched numpy chain, that
 similarity and the dense float eigensolves live in `analysis`.
 """
 
@@ -95,9 +96,8 @@ def _chain_bands(n: int, lam: Any, one: Any) -> tuple[list, list, list]:
     return [one + one] * n, upper, lower
 
 
-def _band_matrix(n: int, lam: Any, one: Any, zero: Any) -> Matrix:
-    from .exact import Matrix
-
+def _chain_rows(n: int, lam: Any, one: Any, zero: Any) -> list[list]:
+    """The chain as n rows of n cells: `_chain_bands` in place, `zero` off them."""
     diag, upper, lower = _chain_bands(n, lam, one)
     rows = [[zero] * n for _ in range(n)]
     for i in range(n):
@@ -105,7 +105,7 @@ def _band_matrix(n: int, lam: Any, one: Any, zero: Any) -> Matrix:
     for i in range(n - 1):
         rows[i][i + 1] = upper[i]
         rows[i + 1][i] = lower[i]
-    return Matrix.from_rows(rows)
+    return rows
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> Any:
@@ -113,7 +113,9 @@ def build_hamiltonian(spec: HamiltonianSpec) -> Any:
     on the three bands and the int 0 off them, a float numpy array
     otherwise."""
     if spec.is_exact:
-        return _band_matrix(spec.n, Fraction(spec.lam), Fraction(1), 0)
+        from .exact import Matrix
+
+        return Matrix.from_rows(_chain_rows(spec.n, Fraction(spec.lam), Fraction(1), 0))
     from .analysis import _float_chain
 
     return _float_chain(spec.n, spec.lam)
@@ -121,11 +123,12 @@ def build_hamiltonian(spec: HamiltonianSpec) -> Any:
 
 def hamiltonian_polynomial(n: int) -> Matrix:
     """The chain member with the coupling kept symbolic (IntPolynomial entries)."""
-    from .exact import IntPolynomial
+    from .exact import IntPolynomial, Matrix
 
     _check_size(n)
     # the zero polynomial, not the int 0, which a dataclass never equals
-    return _band_matrix(n, IntPolynomial((0, 1)), IntPolynomial((1,)), IntPolynomial())
+    one, zero = IntPolynomial((1,)), IntPolynomial()
+    return Matrix.from_rows(_chain_rows(n, IntPolynomial((0, 1)), one, zero))
 
 
 def _secular_root(n: int, lam: float, state: int) -> float:

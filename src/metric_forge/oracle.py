@@ -90,10 +90,13 @@ def intertwining_system(h: Matrix) -> Matrix:
     """Coefficient matrix A with A vec(Theta_upper) = 0 equivalent to
     Theta H - H^T Theta = 0 under the symmetric parametrization.
 
-    Rows are the n^2 entries of the defect matrix in row-major order;
-    columns follow the canonical upper-triangle ordering.  Row (p, q) is
-    filled only from the nonzero entries of columns p and q of `h`, as
-    Fractions; an entry that no nonzero of `h` reaches is the int 0.
+    For symmetric Theta and any square H the defect D is antisymmetric,
+    D^T = H^T Theta - Theta H = -D, so rows are its n(n-1)/2 entries p < q
+    in row-major order, with the kernel of all n^2 (a 1 x 1 `h` leaves no
+    row: a DimensionError).  Columns follow the canonical upper-triangle
+    ordering.  Row (p, q) is filled only from the nonzero entries of
+    columns p and q of `h`, as Fractions; an entry that no nonzero of `h`
+    reaches is the int 0.
     """
     if not h.is_square:
         raise DimensionError("square matrix required")
@@ -103,7 +106,7 @@ def intertwining_system(h: Matrix) -> Matrix:
     columns = [[(r, Fraction(v)) for r, v in col] for col in h.column_nonzeros()]
     rows = []
     for p in range(n):
-        for q in range(n):
+        for q in range(p + 1, n):
             row = [0] * indexer.count
             for r, v in columns[q]:
                 row[flat[p][r]] += v

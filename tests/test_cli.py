@@ -288,7 +288,7 @@ class TestCommandSizeLimits:
             (
                 ("hamiltonian", "--lambda", "1/2", "--format", "csv"),
                 cli,
-                "build_hamiltonian",
+                "_chain_rows",
                 cli.MAX_HAMILTONIAN_SIZE,
             ),
             (("spectrum", "--grid", "0:0:1"), analysis, "reality_scan", cli.MAX_SPECTRUM_SIZE),
@@ -755,7 +755,7 @@ _FLOAT_ARGV = [
     (("spectrum", "--n", "4", "--grid", "0:1:3"), True),
     (("positivity", "--n", "2", "--lambda", "0.5", "--alpha", "1,0"), True),
     (("continuum", "--lambda", "0.5", "--sizes", "12,16"), False),
-    (("hamiltonian", "--n", "2", "--lambda", "0.3"), True),
+    (("hamiltonian", "--n", "2", "--lambda", "0.3"), False),
 ]
 
 # the two constructions of the family, which only `metric` and `positivity` load
@@ -810,13 +810,13 @@ class TestStartup:
                 (*_CONSTRUCTIONS, "metric_forge.exact", "dataclasses", "inspect"),
             ),
             *(
-                (argv, _CONSTRUCTIONS)
-                for argv in (
-                    ("hamiltonian", "--n", "4", "--lambda", "1/3"),
-                    ("hamiltonian", "--n", "4", "--lambda", "0.3"),
-                    ("spectrum", "--n", "4", "--grid", "0:1:3"),
+                (
+                    ("hamiltonian", "--n", "4", "--lambda", lam),
+                    (*_CONSTRUCTIONS, "metric_forge.exact", "dataclasses", "inspect", "numpy"),
                 )
+                for lam in ("1/3", "0.3")
             ),
+            (("spectrum", "--n", "4", "--grid", "0:1:3"), _CONSTRUCTIONS),
         ],
     )
     def test_command_leaves_other_modules_unloaded(self, argv, unloaded):

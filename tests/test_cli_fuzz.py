@@ -157,9 +157,7 @@ def sizes_within_limits():
         _bounded(patch, cli, "run_verification", MAX_VERIFY_SIZE, "verification")
         _bounded(patch, closedform, "basis_family", MAX_BASIS_SIZE, "basis family")
         _bounded(patch, closedform, "basis_element", MAX_BASIS_SIZE, "basis element")
-        _bounded(
-            patch, cli, "build_hamiltonian", MAX_HAMILTONIAN_SIZE, "chain", lambda args: args[0].n
-        )
+        _bounded(patch, cli, "_chain_rows", MAX_HAMILTONIAN_SIZE, "chain")
         _bounded(patch, analysis, "reality_scan", MAX_SPECTRUM_SIZE, "spectrum")
         _bounded(patch, closedform, "assemble_theta", MAX_POSITIVITY_SIZE, "candidate")
         _bounded(patch, analysis, "sample_positivity_region", MAX_POSITIVITY_SIZE, "sample")

@@ -136,7 +136,7 @@ class TestNullSpace:
 
         h = build_hamiltonian(HamiltonianSpec(4, Fraction(1, 3)))
         a = intertwining_system(h)
-        assert a.shape == (16, 10)
+        assert a.shape == (6, 10)
         assert len(null_space(a)) == 4
 
     @settings(max_examples=60, deadline=None)

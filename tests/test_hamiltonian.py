@@ -21,12 +21,24 @@ from metric_forge.errors import DimensionError, DomainError
 from metric_forge.exact import Matrix
 from metric_forge.hamiltonian import (
     HamiltonianSpec,
+    _chain_rows,
     build_hamiltonian,
     closed_form_spectrum,
     hamiltonian_polynomial,
 )
 
 exact_couplings = st.fractions(min_value=-2, max_value=2, max_denominator=7)
+
+# signed zeros, the band's own values, the float range's ends and subnormals
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, -5e-324, 1e-310, -2.5e-320]
+
+
+def _float_rows_match_numpy(n, lam):
+    """Whether the Python-float rows equal the numpy chain, the reference,
+    in `float.hex` of every cell, so that the sign of zero counts."""
+    rows, reference = _chain_rows(n, lam, 1.0, 0.0), analysis._float_chain(n, lam).tolist()
+    return [list(map(float.hex, r)) for r in rows] == [list(map(float.hex, r)) for r in reference]
+
 
 # Everything that takes a chain, basis or lattice size, each called at size n.
 SIZED_CALLS = {
@@ -106,6 +118,25 @@ class TestBuild:
     def test_trace_is_twice_size(self, n, lam):
         h = build_hamiltonian(HamiltonianSpec(n, lam))
         assert sum(h[i, i] for i in range(n)) == 2 * n
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 4, 6, 8]), exact_couplings)
+    def test_exact_rows_are_the_exact_matrix(self, n, lam):
+        rows = _chain_rows(n, Fraction(lam), Fraction(1), 0)
+        assert tuple(map(tuple, rows)) == build_hamiltonian(HamiltonianSpec(n, lam)).entries
+        for i, row in enumerate(rows):
+            for k, e in enumerate(row):
+                assert type(e) is (Fraction if abs(i - k) <= 1 else int)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("lam", SPECIAL_FLOATS)
+    def test_float_rows_at_special_couplings(self, n, lam):
+        assert _float_rows_match_numpy(n, lam)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 4, 6, 8]), st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_rows_are_the_numpy_chain_bit_for_bit(self, n, lam):
+        assert _float_rows_match_numpy(n, lam)
 
     def test_polynomial_form_evaluates_to_numeric(self):
         lam = Fraction(1, 3)

@@ -57,7 +57,7 @@ class TestIntertwiningSystem:
     def test_size2_free_forces_equal_diagonal(self):
         h = build_hamiltonian(HamiltonianSpec(2, 0))
         system = intertwining_system(h)
-        assert system.shape == (4, 3)
+        assert system.shape == (1, 3)
         kernel = null_space(system)
         assert len(kernel) == 2
         # the one constraint is theta_11 = theta_22
@@ -73,12 +73,43 @@ class TestIntertwiningSystem:
     def test_size4_dimensions(self):
         h = build_hamiltonian(HamiltonianSpec(4, Fraction(1, 3)))
         system = intertwining_system(h)
-        assert system.shape == (16, 10)
+        assert system.shape == (6, 10)
         assert len(null_space(system)) == 4
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             intertwining_system(Matrix.from_rows([[Fraction(1), Fraction(0)]]))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("lam", [0, Fraction(1, 3), Fraction(-5, 7), 1, -1, Fraction(7, 3)])
+    def test_half_system_has_the_kernel_of_the_full_system(self, n, lam):
+        h = build_hamiltonian(HamiltonianSpec(n, lam))
+        half, full = null_space(intertwining_system(h)), null_space(_full_system(h))
+        assert half == full and half.pivots == full.pivots
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_half_system_of_a_dense_matrix(self, n):
+        h = Matrix.from_rows(
+            [[Fraction((3 * i + 7 * k) % 11 - 5, 1 + i * k % 4) for k in range(n)] for i in range(n)]
+        )
+        half, full = null_space(intertwining_system(h)), null_space(_full_system(h))
+        assert half == full and half.pivots == full.pivots
+
+
+def _full_system(h: Matrix) -> Matrix:
+    """All n^2 rows (p, q) of Theta H - H^T Theta, diagonal and both
+    triangles, straight from the definition."""
+    n = h.rows
+    indexer = SymmetricIndexer(n)
+    rows = []
+    for p in range(n):
+        for q in range(n):
+            row = [Fraction(0)] * indexer.count
+            for r in range(n):
+                row[indexer.flat(p, r)] += h[r, q]
+                row[indexer.flat(r, q)] -= h[r, p]
+            rows.append(row)
+    return Matrix.from_rows(rows)
 
 
 def exchange(n: int) -> Matrix:
