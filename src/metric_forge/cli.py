@@ -16,23 +16,10 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, islice
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Iterable,
-    Iterator,
-    NamedTuple,
-    Optional,
-    Sequence,
-    TextIO,
-)
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .errors import ConstructionError, DegenerateSpectrumError, DimensionError, DomainError
 from .hamiltonian import HamiltonianSpec, _chain_rows, _float_coupling
-
-if TYPE_CHECKING:
-    from .exact import Matrix
 
 
 class UsageError(ValueError):
@@ -54,16 +41,17 @@ MAX_GRID_POINTS = 10_000
 
 # Most digits in the numerator and in the denominator of an exact
 # coupling.  The oracle and the symbolic checks carry numbers of that size
-# through every step: `metric verify --n 22` takes 0.2 / 0.4 / 1.1 / 3.5 /
-# 13 s at 2 / 20 / 50 / 100 / 200 digits (one subprocess each, 2 cores;
-# the last two with this cap lifted).
+# through every step: `metric verify --n 22` takes 0.13 / 0.22 / 0.26 /
+# 0.8 / 1.8 s at 11...1/33...3 with 2 / 20 / 50 / 100 / 200 digits below
+# the bar (one subprocess each, 2 cores; the last two with this cap lifted).
 MAX_COUPLING_DIGITS = 50
 
 # Largest `metric verify --n`.  The oracle's Bareiss elimination sets the
 # cost, and the digits of the coupling multiply it: at n = 40 the
-# subprocess takes 0.84 s and peaks at 37 MB of RSS with --lambda 5/9,
-# and 36 s and 49 MB with a coupling of 49 digits over 50; at n = 50 the
-# same two take 1.8 s and 130 s (2 cores).
+# subprocess takes 0.6 s and peaks at 24 MB of RSS with --lambda 5/9,
+# and 3.1 s and 34 MB with a coupling of 49 digits over 50; at n = 50 the
+# same two take 0.7 s and 11 s (2 cores, with this cap lifted).  The
+# oracle's dense system, about n^4 / 4 cells, sets the memory beyond.
 MAX_VERIFY_SIZE = 40
 
 # Largest `metric basis --n`.  Each element comes straight from the
@@ -74,11 +62,11 @@ MAX_VERIFY_SIZE = 40
 # the last with this cap lifted).
 MAX_BASIS_SIZE = 120
 
-# Largest `hamiltonian --n`.  The printed n^2 cells set the cost: at
-# n = 1000 the subprocess takes at most 0.9 s and peaks at 98 MB of RSS
-# over the three formats and exact, float and 49-digit couplings (12 MB of
-# text); at n = 2000, 2.2 s and 342 MB (2 cores, the last with this cap
-# lifted).
+# Largest `hamiltonian --n`.  The printed n^2 cells set the cost, and
+# every format is written a row at a time: at n = 1000 the subprocess
+# takes at most 0.6 s and peaks at 51 MB of RSS over the three formats
+# and exact, float and 49-digit couplings (12 MB of text); at n = 2000,
+# 2.1 s and 137 MB (2 cores, the last with this cap lifted).
 MAX_HAMILTONIAN_SIZE = 1000
 
 # Largest `spectrum --n`.  Each grid point is one dense eigensolve, and
@@ -239,16 +227,19 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
     _check_command_size(args.n, MAX_HAMILTONIAN_SIZE)
     lam = parse_scalar(args.lam)
     spec = HamiltonianSpec(args.n, lam)
+    # no error can follow a write: an exact entry has at most
+    # MAX_COUPLING_DIGITS + 1 digits, far below the 4300-digit print limit,
+    # and a float entry, 2, -1 or -1 +/- lam, is finite for every finite lam
     if spec.is_exact:
-        # no error can follow a write: an entry has at most
-        # MAX_COUPLING_DIGITS + 1 digits, far below the 4300-digit print limit
         grid = cells = map(_exact_texts, _chain_rows(spec.n, Fraction(lam), Fraction(1), 0))
     else:
         grid = _chain_rows(spec.n, lam, 1.0, 0.0)
         cells = ([_fmt(e) for e in row] for row in grid)
     if args.format == "json":
-        payload = {"n": spec.n, "lambda": _scalar_json(lam), "matrix": list(grid)}
-        lines: Iterable[str] = [_json(payload) + "\n"]
+        # the text of one dump, written a row at a time
+        rows = map(_json, grid)
+        head = _json({"n": spec.n, "lambda": _scalar_json(lam)})[:-1] + ', "matrix": ['
+        lines: Iterable[str] = chain([head, next(rows)], (", " + row for row in rows), ["]}\n"])
     elif args.format == "csv":
         lines = (",".join(row) + "\n" for row in cells)
     else:
@@ -333,37 +324,16 @@ class CheckResult(NamedTuple):
     detail: Any = None
 
 
-def _independent(members: Sequence[Matrix]) -> bool:
-    """Whether the n symmetric matrices `members` are linearly independent.
-
-    Row 1 of the closed-form M_j holds one entry, at (1, j): 1 - lam or 1.
-    Row n holds one, at (n, n + 1 - j): 1 + lam or 1.  So the first rows
-    (lam != 1) or the last rows (lam != -1) prove independence without
-    elimination; other members fall back to the exact rank."""
-    from .exact import Matrix, rank
-    from .oracle import upper_triangle_vector
-
-    n = len(members)
-    for row, columns in ((0, range(n)), (n - 1, range(n - 1, -1, -1))):
-        if all(
-            bool(m[row, k]) == (k == column)
-            for m, column in zip(members, columns)
-            for k in range(n)
-        ):
-            return True
-    return rank(Matrix.from_rows([upper_triangle_vector(m) for m in members])) == n
-
-
 def run_verification(n: int, lam: Fraction) -> list[CheckResult]:
     """The cross-validation battery behind `metric verify`."""
     from .closedform import (
         basis_family,
         incidence_family,
         intertwining_defect,
-        occupancy_matrix,
+        occupancy_positions,
         reflection_symmetry_holds,
     )
-    from .exact import Matrix, rank
+    from .exact import Matrix, _integer_rows, rank
     from .oracle import solve_metric_space, upper_triangle_vector
 
     checks: list[CheckResult] = []
@@ -378,15 +348,36 @@ def run_verification(n: int, lam: Fraction) -> list[CheckResult]:
     space = solve_metric_space(HamiltonianSpec(n, lam))
     checks.append(CheckResult("oracle_dimension", space.dimension == n, space.dimension))
 
-    members = [el.evaluate(Fraction(lam)) for el in family]
-    stacked = [upper_triangle_vector(b) for b in space.basis]
-    stacked += [upper_triangle_vector(m) for m in members]
-    combined_rank = rank(Matrix.from_rows(stacked))
-    span_ok = combined_rank == n and _independent(members)
-    checks.append(CheckResult("span_equivalence", span_ok, combined_rank))
+    # Span equivalence in the coordinates of the oracle's reduced-echelon
+    # basis b_t (`exact.null_space`): member u has coordinates u[f_t] and
+    # residual u - sum_t u[f_t] b_t, which is 0 at every f_t, so the rank of
+    # the basis stacked on the members, the detail, is the basis size plus
+    # the rank of the residuals.  In integers, with row t scaled to `scale`
+    # at f_t; a zero member has no integer row.
+    basis = list(zip(space.free, _integer_rows(map(upper_triangle_vector, space.basis))))
+    scale = math.lcm(*(row[f] for f, row in basis))
+    basis = [(f, {k: v * (scale // row[f]) for k, v in row.items()}) for f, row in basis]
+    coordinates, residuals = [], []
+    for u in _integer_rows(upper_triangle_vector(el.evaluate(Fraction(lam))) for el in family):
+        coordinates.append([u.get(f, 0) for f, _ in basis])
+        residual = {k: scale * v for k, v in u.items()}
+        for f, row in basis:
+            if f in u:
+                for k, v in row.items():
+                    residual[k] = residual.get(k, 0) - u[f] * v
+        if any(residual.values()):
+            residuals.append([residual.get(k, 0) for k in range(n * (n + 1) // 2)])
+    detail = len(basis) + (rank(Matrix.from_rows(residuals)) if residuals else 0)
+    # inside the span, n members are independent exactly when their n x n
+    # coordinate matrix has rank n
+    spans = detail == n == len(basis) == len(coordinates)
+    span_ok = spans and rank(Matrix.from_rows(coordinates)) == n
+    checks.append(CheckResult("span_equivalence", span_ok, detail))
 
     reduction_ok = all(
-        el.evaluate(0) == occupancy_matrix(n, el.j) for el in family
+        {p: v for p, v in el.values(0).items() if v}
+        == dict.fromkeys(occupancy_positions(n, el.j), 1)
+        for el in family
     )
     checks.append(CheckResult("lambda0_reduction", reduction_ok))
 

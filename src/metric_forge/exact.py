@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import DimensionError
 
@@ -262,12 +262,12 @@ class Matrix:
         return max(abs(e) for row in self.entries for e in row)
 
 
-def _integer_rows(a: Matrix) -> list[dict[int, int]]:
-    """Each nonzero row of an int/Fraction matrix as {column: integer
-    entry}, scaled by the lcm of its denominators.  Zero entries are
-    skipped before any conversion and zero rows are dropped."""
+def _integer_rows(rows: Iterable[Sequence[Any]]) -> list[dict[int, int]]:
+    """Each nonzero row of int/Fraction entries as {column: integer entry},
+    scaled by the lcm of its denominators.  Zero entries are skipped before
+    any conversion and zero rows are dropped."""
     out = []
-    for row in a.entries:
+    for row in rows:
         exact = {k: row[k] for k in compress(range(len(row)), row)}
         if exact:
             scale = math.lcm(*(f.denominator for f in exact.values()))
@@ -298,7 +298,7 @@ def _echelon(a: Matrix) -> tuple[list[dict[int, int]], list[int], int]:
     """
     buckets: dict[int, list[tuple[int, dict[int, int]]]] = {}
     max_bits = 0
-    for row in _integer_rows(a):
+    for row in _integer_rows(a.entries):
         buckets.setdefault(min(row), []).append((0, row))
         max_bits = max(max_bits, _bits(row))
     pivot_values = [1]  # the pivot of step s; step 0 stands for the input
@@ -336,12 +336,13 @@ def _echelon(a: Matrix) -> tuple[list[dict[int, int]], list[int], int]:
 
 
 class KernelBasis(list):
-    """Kernel basis vectors, plus the counters of the elimination that
-    produced them: `pivots` (the rank) and `max_bits`, the largest bit
-    length of any intermediate integer entry."""
+    """Kernel basis vectors, their ascending free columns `free`, and the
+    counters of the elimination that produced them: `pivots` (the rank) and
+    `max_bits`, the largest bit length of any intermediate integer entry."""
 
-    def __init__(self, vectors: list, pivots: int, max_bits: int) -> None:
+    def __init__(self, vectors: list, free: list[int], pivots: int, max_bits: int) -> None:
         super().__init__(vectors)
+        self.free = free
         self.pivots = pivots
         self.max_bits = max_bits
 
@@ -350,8 +351,10 @@ def null_space(a: Matrix) -> KernelBasis:
     """Exact basis of the right kernel of a rational matrix.
 
     Each basis vector is the reduced-echelon one attached to a free
-    column: it carries a 1 in that coordinate and the pivot coordinates
-    are solved exactly.  An empty list means the kernel is trivial.
+    column: vector t carries a 1 at `free[t]` and 0 at the other free
+    columns, so a kernel vector u is sum_t u[free[t]] times vector t; the
+    pivot coordinates are solved exactly.  An empty list means the kernel
+    is trivial.
 
     Back-substitution stays in integers: scaled by the last pivot, which
     is the determinant of the pivot minor, every kernel coordinate is an
@@ -377,7 +380,7 @@ def null_space(a: Matrix) -> KernelBasis:
         tuple(Fraction(scaled[k][t], det) if scaled[k][t] else zero for k in range(a.cols))
         for t in range(len(free))
     ]
-    return KernelBasis(basis, len(pivot_cols), max_bits)
+    return KernelBasis(basis, free, len(pivot_cols), max_bits)
 
 
 def rank(a: Matrix) -> int:

@@ -69,6 +69,8 @@ class SymmetricIndexer:
 class MetricSolutionSpace:
     """Complete space of real symmetric solutions at one exact coupling.
 
+    Basis matrix t reads 1 at entry `free[t]` of `upper_triangle_vector`
+    and 0 at the other free columns (`exact.null_space`).
     `pivots` and `max_bits` are the counters of the kernel elimination:
     its pivot count (the rank of the constraint system) and the largest
     bit length of any intermediate integer entry."""
@@ -76,6 +78,7 @@ class MetricSolutionSpace:
     n: int
     lam: Fraction
     basis: tuple[Matrix, ...]
+    free: tuple[int, ...]
     dimension: int
     pivots: int
     max_bits: int
@@ -133,6 +136,7 @@ def solve_metric_space(spec: HamiltonianSpec) -> MetricSolutionSpace:
         n=spec.n,
         lam=Fraction(spec.lam),
         basis=basis,
+        free=tuple(kernel.free),
         dimension=len(basis),
         pivots=kernel.pivots,
         max_bits=kernel.max_bits,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,11 +10,13 @@ from pathlib import Path
 import pytest
 
 import metric_forge
-from metric_forge import analysis, cli, closedform, continuum, exact
+from metric_forge import analysis, cli, closedform, continuum, exact, oracle
 from metric_forge.analysis import reality_scan, sample_positivity_region
 from metric_forge.closedform import MetricBasisElement
 from metric_forge.errors import DomainError
-from metric_forge.exact import IntPolynomial
+from metric_forge.exact import IntPolynomial, Matrix
+from metric_forge.hamiltonian import HamiltonianSpec, build_hamiltonian
+from metric_forge.oracle import upper_triangle_vector
 from metric_forge.cli import (
     _CSV_CHUNK_ROWS,
     MAX_COUPLING_DIGITS,
@@ -99,6 +102,23 @@ class TestHamiltonianCommand:
         for i in range(4):
             for k in range(4):
                 assert grid[i][k] == grid[k][i]
+
+    @pytest.mark.parametrize("lam", ["-2/7", "0.3", "1" * 49 + "/" + "3" * 50])
+    def test_json_is_written_a_row_at_a_time(self, monkeypatch, lam):
+        # the pieces are the head, one per row, and the tail, and they join
+        # to the text of one dump
+        pieces = []
+        monkeypatch.setattr(cli, "_emit", lambda lines, output: pieces.extend(lines))
+        assert main(["hamiltonian", "--n", "6", "--lambda", lam]) == 0
+        value = parse_scalar(lam)
+        h = build_hamiltonian(HamiltonianSpec(6, value))
+        if isinstance(value, float):
+            payload = {"n": 6, "lambda": value, "matrix": h.tolist()}
+        else:
+            rows = [list(map(str, row)) for row in h.entries]
+            payload = {"n": 6, "lambda": lam, "matrix": rows}
+        assert "".join(pieces) == json.dumps(payload) + "\n"
+        assert len(pieces) == 6 + 2
 
     def test_json_roundtrip_exactness(self, capsys):
         from fractions import Fraction
@@ -410,14 +430,71 @@ class TestMetricVerifyCommand:
     @pytest.mark.parametrize(
         "lam", [Fraction(5, 9), Fraction(1), Fraction(-1), Fraction(0)], ids=str
     )
-    def test_row_certificate_needs_no_rank(self, monkeypatch, lam):
-        # the first or the last rows prove the family independent, so the
-        # one exact rank is the combined one
-        ranks = []
+    def test_passing_family_runs_one_rank_of_n_rows(self, monkeypatch, lam):
+        # every member lies in the oracle's span, so no residual needs a
+        # rank; the one exact rank is that of the n x n coordinate matrix
+        shapes = []
         rank = exact.rank
-        monkeypatch.setattr(exact, "rank", lambda a: ranks.append(a.rows) or rank(a))
+        monkeypatch.setattr(exact, "rank", lambda a: shapes.append(a.shape) or rank(a))
         assert all(c.passed for c in cli.run_verification(8, lam))
-        assert ranks == [16]
+        assert shapes == [(8, 8)]
+
+    @pytest.mark.parametrize(
+        "lam", [Fraction(0), Fraction(1), Fraction(-1), Fraction(5, 9), Fraction(7, 3)], ids=str
+    )
+    @pytest.mark.parametrize("n", [2, 4, 6, 10])
+    def test_span_check_is_the_stacked_rank_definition(self, monkeypatch, n, lam):
+        # (passed, detail) against the definition: the oracle basis stacked
+        # on the members has rank n and the members alone rank n, and the
+        # detail is the stacked rank; over in-span, out-of-span, dependent
+        # and zero members
+        family = closedform.basis_family(n)
+        x = IntPolynomial((0, 1))
+
+        def changed(index, change):
+            element = family[index]
+            entries = {p: change(p, v) for p, v in element.entries.items()}
+            entries = {p: v for p, v in entries.items() if v}
+            replaced = MetricBasisElement(n, element.j, entries)
+            return family[:index] + (replaced,) + family[index + 1 :]
+
+        first = next(iter(family[-1].entries))
+        variants = [
+            family,
+            family[::-1],
+            changed(0, lambda p, v: v * 3),
+            changed(n - 1, lambda p, v: v + x if p == first else v),
+            changed(n - 1, lambda p, v: v + 1 if p == first else v),
+            changed(0, lambda p, v: IntPolynomial()),
+            family[:-1] + family[-2:-1],
+            family[:-1] + (MetricBasisElement(n, n, {**family[0].entries, **family[1].entries}),),
+            tuple(MetricBasisElement(n, el.j, {}) for el in family),
+        ]
+        space = oracle.solve_metric_space(HamiltonianSpec(n, lam))
+        basis_rows = [upper_triangle_vector(b) for b in space.basis]
+        for variant in variants:
+            members = [upper_triangle_vector(el.evaluate(lam)) for el in variant]
+            stacked = exact.rank(Matrix.from_rows(basis_rows + members))
+            passed = stacked == n and exact.rank(Matrix.from_rows(members)) == n
+            monkeypatch.setattr(closedform, "basis_family", lambda size: variant)
+            checks = {c.name: c for c in cli.run_verification(n, lam)}
+            assert checks["span_equivalence"][1:] == (passed, stacked)
+
+    @pytest.mark.parametrize("keep", [7, 0])
+    @pytest.mark.parametrize("lam", [Fraction(5, 9), Fraction(1), Fraction(-1)], ids=str)
+    def test_truncated_oracle_basis_fails_span_equivalence(self, monkeypatch, lam, keep):
+        # fewer than n oracle vectors cannot span the n members, although
+        # the basis stacked on the members still has rank n
+        solve = oracle.solve_metric_space
+
+        def truncated(spec):
+            space = solve(spec)
+            return dataclasses.replace(space, basis=space.basis[:keep])
+
+        monkeypatch.setattr(oracle, "solve_metric_space", truncated)
+        checks = {c.name: c for c in cli.run_verification(8, lam)}
+        assert [name for name, c in checks.items() if not c.passed] == ["span_equivalence"]
+        assert checks["span_equivalence"].detail == 8
 
 
 class TestPositivityCommand:

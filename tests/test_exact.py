@@ -221,6 +221,20 @@ class TestSparseElimination:
         assert rank(a) == expected_rank
         assert basis.pivots == expected_rank
 
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices())
+    def test_free_columns_read_the_identity(self, a):
+        # a free column is one that does not raise the rank of the columns
+        # before it; basis vector t reads 1 at free[t] and 0 at the others
+        basis = null_space(a)
+        ranks = [0] + [
+            gauss_jordan_kernel(Matrix.from_rows([row[: c + 1] for row in a.entries]))[1]
+            for c in range(a.cols)
+        ]
+        assert basis.free == [c for c in range(a.cols) if ranks[c + 1] == ranks[c]]
+        for t, vec in enumerate(basis):
+            assert [vec[f] for f in basis.free] == [int(s == t) for s in range(len(basis))]
+
     def test_waiting_row_is_rescaled_exactly(self):
         # the fourth row is updated at step 2 (pivot 36), then waits on
         # column 3 through step 3 (pivot -30); it is rescaled by -30/36,

@@ -180,6 +180,14 @@ class TestSolveMetricSpace:
             ok, residual = verify_membership(basis_matrix, spec)
             assert ok and residual == 0
 
+    @pytest.mark.parametrize("lam", [Fraction(5, 9), -1, 0, 1], ids=str)
+    def test_basis_reads_the_identity_at_its_free_columns(self, lam):
+        space = solve_metric_space(HamiltonianSpec(6, lam))
+        assert len(space.free) == space.dimension == 6
+        for t, basis_matrix in enumerate(space.basis):
+            vector = upper_triangle_vector(basis_matrix)
+            assert [vector[f] for f in space.free] == [int(s == t) for s in range(6)]
+
     def test_basis_linearly_independent(self):
         space = solve_metric_space(HamiltonianSpec(8, Fraction(2, 3)))
         stacked = Matrix.from_rows([upper_triangle_vector(b) for b in space.basis])
