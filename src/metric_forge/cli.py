@@ -15,7 +15,7 @@ import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .errors import ConstructionError, DegenerateSpectrumError, DimensionError, DomainError
@@ -47,11 +47,10 @@ MAX_GRID_POINTS = 10_000
 MAX_COUPLING_DIGITS = 50
 
 # Largest `metric verify --n`.  The oracle's Bareiss elimination sets the
-# cost, and the digits of the coupling multiply it: at n = 40 the
-# subprocess takes 0.6 s and peaks at 24 MB of RSS with --lambda 5/9,
-# and 3.1 s and 34 MB with a coupling of 49 digits over 50; at n = 50 the
-# same two take 0.7 s and 11 s (2 cores, with this cap lifted).  The
-# oracle's dense system, about n^4 / 4 cells, sets the memory beyond.
+# time, and the digits of the coupling multiply it: at n = 40 the
+# subprocess takes 0.25 s and peaks at 19 MB of RSS with --lambda 5/9,
+# and 2.3 s and 29 MB with a coupling of 49 digits over 50; at n = 50 the
+# same two take 0.45 s and 7.5 s (2 cores, with this cap lifted).
 MAX_VERIFY_SIZE = 40
 
 # Largest `metric basis --n`.  Each element comes straight from the
@@ -64,9 +63,9 @@ MAX_BASIS_SIZE = 120
 
 # Largest `hamiltonian --n`.  The printed n^2 cells set the cost, and
 # every format is written a row at a time: at n = 1000 the subprocess
-# takes at most 0.6 s and peaks at 51 MB of RSS over the three formats
+# takes at most 0.4 s and peaks at 23 MB of RSS over the three formats
 # and exact, float and 49-digit couplings (12 MB of text); at n = 2000,
-# 2.1 s and 137 MB (2 cores, the last with this cap lifted).
+# 1.1 s and 46 MB (2 cores, the last with this cap lifted).
 MAX_HAMILTONIAN_SIZE = 1000
 
 # Largest `spectrum --n`.  Each grid point is one dense eigensolve, and
@@ -82,9 +81,8 @@ MAX_SPECTRUM_SIZE = 80
 # 0.8 s at n = 12, 2.2 s at n = 24 and 8.0 s at n = 48 (2 cores).
 MAX_POSITIVITY_SIZE = 12
 
-# Output pieces (CSV rows, text lines) joined per write; bounds the
-# formatted text held at once.
-_CSV_CHUNK_ROWS = 4096
+# Characters of output joined per write; bounds the formatted text held at once.
+_WRITE_BYTES = 1 << 16
 
 
 def _fmt(value: float) -> str:
@@ -211,11 +209,15 @@ def _output(output: Optional[str]) -> Iterator[TextIO]:
 
 
 def _emit(pieces: Iterable[str], output: Optional[str]) -> None:
-    """Write the text pieces in order, joined `_CSV_CHUNK_ROWS` at a time."""
-    pieces = iter(pieces)
+    """Write the text pieces in order, joined until a write holds `_WRITE_BYTES` characters."""
+    chunk, size = [], 0
     with _output(output) as stream:
-        while chunk := "".join(islice(pieces, _CSV_CHUNK_ROWS)):
-            stream.write(chunk)
+        for piece in pieces:
+            chunk.append(piece)
+            if (size := size + len(piece)) >= _WRITE_BYTES:
+                stream.write("".join(chunk))
+                chunk, size = [], 0
+        stream.write("".join(chunk))
 
 
 def _check_command_size(n: int, limit: int) -> None:
@@ -333,8 +335,8 @@ def run_verification(n: int, lam: Fraction) -> list[CheckResult]:
         occupancy_positions,
         reflection_symmetry_holds,
     )
-    from .exact import Matrix, _integer_rows, rank
-    from .oracle import solve_metric_space, upper_triangle_vector
+    from .exact import _integer_rows, rank
+    from .oracle import SymmetricIndexer, solve_metric_space, upper_triangle_vector
 
     checks: list[CheckResult] = []
     # the paper's recurrence, checked step by step against the closed-form
@@ -354,24 +356,29 @@ def run_verification(n: int, lam: Fraction) -> list[CheckResult]:
     # the basis stacked on the members, the detail, is the basis size plus
     # the rank of the residuals.  In integers, with row t scaled to `scale`
     # at f_t; a zero member has no integer row.
-    basis = list(zip(space.free, _integer_rows(map(upper_triangle_vector, space.basis))))
+    basis = (dict(enumerate(upper_triangle_vector(b))) for b in space.basis)
+    basis = list(zip(space.free, _integer_rows(basis)))
     scale = math.lcm(*(row[f] for f, row in basis))
     basis = [(f, {k: v * (scale // row[f]) for k, v in row.items()}) for f, row in basis]
+    flat = SymmetricIndexer(n).table()
+    members = (
+        {flat[i - 1][k - 1]: v for (i, k), v in el.values(lam).items() if i <= k} for el in family
+    )
     coordinates, residuals = [], []
-    for u in _integer_rows(upper_triangle_vector(el.evaluate(Fraction(lam))) for el in family):
-        coordinates.append([u.get(f, 0) for f, _ in basis])
+    for u in _integer_rows(members):
+        coordinates.append({t: u[f] for t, (f, _) in enumerate(basis) if f in u})
         residual = {k: scale * v for k, v in u.items()}
         for f, row in basis:
             if f in u:
                 for k, v in row.items():
                     residual[k] = residual.get(k, 0) - u[f] * v
         if any(residual.values()):
-            residuals.append([residual.get(k, 0) for k in range(n * (n + 1) // 2)])
-    detail = len(basis) + (rank(Matrix.from_rows(residuals)) if residuals else 0)
+            residuals.append(residual)
+    detail = len(basis) + (rank(residuals) if residuals else 0)
     # inside the span, n members are independent exactly when their n x n
     # coordinate matrix has rank n
     spans = detail == n == len(basis) == len(coordinates)
-    span_ok = spans and rank(Matrix.from_rows(coordinates)) == n
+    span_ok = spans and rank(coordinates) == n
     checks.append(CheckResult("span_equivalence", span_ok, detail))
 
     reduction_ok = all(

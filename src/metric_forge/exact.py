@@ -3,15 +3,15 @@
 Matrices are immutable rows over one scalar kind: `fractions.Fraction`
 for exact work or `IntPolynomial` for symbolic-in-the-coupling work.
 Float work does not pass through here: it uses numpy arrays in the
-modules that need them.  The kernel solver runs fraction-free
-(Bareiss) elimination over sparse integerized rows: each row keeps only its
-nonzero entries, zero rows are dropped, and a row whose leading column
-is not yet reached is not touched until it is used, so the work on the
-oracle's banded systems follows their nonzeros and fill-in rather than
-their dense size.  Intermediate entries are minors of the input, so
-they stay polynomially bounded in bit size, every division is exact,
-and every returned vector annihilates the input exactly.  The module
-imports only the standard library.
+modules that need them.  The kernel solver and the rank take sparse rows,
+mappings from column to int or Fraction, and eliminate them fraction-free
+(Bareiss), integerized: zero entries and rows are dropped, and a row whose
+leading column is not yet reached is not touched until it is used, so the
+work on the oracle's banded systems follows their nonzeros and fill-in.
+Intermediate entries are minors of the input, so they stay polynomially
+bounded in bit size, every division is exact, and every returned vector
+annihilates the input exactly.  The module imports only the standard
+library.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import DimensionError
 
@@ -252,23 +251,17 @@ class Matrix:
             result.append(acc)
         return tuple(result)
 
-    def column_nonzeros(self) -> list[list[tuple[int, Any]]]:
-        """The nonzero entries of each column as (row, entry) pairs."""
-        return [
-            [(r, e) for r, e in enumerate(col) if e] for col in zip(*self.entries)
-        ]
-
     def max_abs(self) -> Any:
         return max(abs(e) for row in self.entries for e in row)
 
 
-def _integer_rows(rows: Iterable[Sequence[Any]]) -> list[dict[int, int]]:
-    """Each nonzero row of int/Fraction entries as {column: integer entry},
-    scaled by the lcm of its denominators.  Zero entries are skipped before
-    any conversion and zero rows are dropped."""
+def _integer_rows(rows: Iterable[Mapping[int, Any]]) -> list[dict[int, int]]:
+    """Each nonzero sparse row of int/Fraction entries as {column: integer
+    entry}, scaled by the lcm of its denominators.  Zero entries are skipped
+    before any conversion and zero rows are dropped."""
     out = []
     for row in rows:
-        exact = {k: row[k] for k in compress(range(len(row)), row)}
+        exact = {k: f for k, f in row.items() if f}
         if exact:
             scale = math.lcm(*(f.denominator for f in exact.values()))
             out.append({k: f.numerator * (scale // f.denominator) for k, f in exact.items()})
@@ -279,32 +272,34 @@ def _bits(row: dict[int, int]) -> int:
     return max(map(int.bit_length, row.values()))
 
 
-def _echelon(a: Matrix) -> tuple[list[dict[int, int]], list[int], int]:
-    """Fraction-free (Bareiss) row echelon form over sparse integer rows;
+def _echelon(rows: Iterable[Mapping[int, Any]]) -> tuple[list[dict[int, int]], list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of integerized sparse rows;
     returns the pivot rows in pivot order, their pivot columns, and the
     largest bit length of any entry the elimination produced.
 
-    Columns are processed left to right, so the pivot columns, and hence
-    the kernel basis, are canonical.  Every row waits in the bucket of its
-    leading column.  At step t the first row waiting on column c becomes
-    the pivot row; every other row waiting there is eliminated against it,
-    moves to the bucket of its new leading column, or is dropped once it
-    is zero.  A row waiting on a later column has a zero factor at step t,
-    and Bareiss's update would only rescale it by pivot_t / pivot_(t-1),
-    so it is left alone: it records the step s it was last brought up to
-    and is rescaled entrywise by pivot_t / pivot_s when it is next used.
-    Both that rescaling and the update divide exactly, because every
-    Bareiss entry is a minor of the integerized input (Bareiss 1968).
+    Columns are processed left to right, up to the last one an input row
+    holds, so the pivot columns, and hence the kernel basis, are canonical.
+    Every row waits in the bucket of its leading column.  At step t the
+    first row waiting on column c becomes the pivot row; every other row
+    waiting there is eliminated against it, moves to the bucket of its new
+    leading column, or is dropped once it is zero.  A row waiting on a
+    later column has a zero factor at step t, and Bareiss's update would
+    only rescale it by pivot_t / pivot_(t-1), so it is left alone: it
+    records the step s it was last brought up to and is rescaled entrywise
+    by pivot_t / pivot_s when it is next used.  Both that rescaling and the
+    update divide exactly, because every Bareiss entry is a minor of the
+    integerized input (Bareiss 1968).
     """
     buckets: dict[int, list[tuple[int, dict[int, int]]]] = {}
     max_bits = 0
-    for row in _integer_rows(a.entries):
+    integer_rows = _integer_rows(rows)
+    for row in integer_rows:
         buckets.setdefault(min(row), []).append((0, row))
         max_bits = max(max_bits, _bits(row))
     pivot_values = [1]  # the pivot of step s; step 0 stands for the input
-    rows: list[dict[int, int]] = []
+    pivot_rows: list[dict[int, int]] = []
     pivot_cols: list[int] = []
-    for c in range(a.cols):
+    for c in range(max(map(max, integer_rows), default=-1) + 1):
         waiting = buckets.pop(c, None)
         if waiting is None:
             continue
@@ -330,9 +325,9 @@ def _echelon(a: Matrix) -> tuple[list[dict[int, int]], list[int], int]:
                 buckets.setdefault(min(reduced), []).append((current + 1, reduced))
                 max_bits = max(max_bits, _bits(reduced))
         pivot_values.append(piv)
-        rows.append(pivot_row)
+        pivot_rows.append(pivot_row)
         pivot_cols.append(c)
-    return rows, pivot_cols, max_bits
+    return pivot_rows, pivot_cols, max_bits
 
 
 class KernelBasis(list):
@@ -347,8 +342,9 @@ class KernelBasis(list):
         self.max_bits = max_bits
 
 
-def null_space(a: Matrix) -> KernelBasis:
-    """Exact basis of the right kernel of a rational matrix.
+def null_space(rows: Iterable[Mapping[int, Any]], width: int) -> KernelBasis:
+    """Exact basis of the right kernel of the rational sparse rows, read as
+    a matrix of `width` columns, 0..width-1; a column no row holds is free.
 
     Each basis vector is the reduced-echelon one attached to a free
     column: vector t carries a 1 at `free[t]` and 0 at the other free
@@ -360,15 +356,15 @@ def null_space(a: Matrix) -> KernelBasis:
     is the determinant of the pivot minor, every kernel coordinate is an
     integer (Cramer's rule), so each division in it is exact.
     """
-    rows, pivot_cols, max_bits = _echelon(a)
+    pivot_rows, pivot_cols, max_bits = _echelon(rows)
     pivot_set = set(pivot_cols)
-    free = [c for c in range(a.cols) if c not in pivot_set]
-    det = rows[-1][pivot_cols[-1]] if rows else 1
+    free = [c for c in range(width) if c not in pivot_set]
+    det = pivot_rows[-1][pivot_cols[-1]] if pivot_rows else 1
     scaled: dict[int, list[int]] = {}
     for t, f in enumerate(free):
         scaled[f] = [0] * len(free)
         scaled[f][t] = det
-    for row, c in zip(reversed(rows), reversed(pivot_cols)):
+    for row, c in zip(reversed(pivot_rows), reversed(pivot_cols)):
         acc = [0] * len(free)
         for k, v in row.items():
             if k != c:
@@ -377,12 +373,12 @@ def null_space(a: Matrix) -> KernelBasis:
         scaled[c] = [-x // piv for x in acc]
     zero = Fraction(0)
     basis = [
-        tuple(Fraction(scaled[k][t], det) if scaled[k][t] else zero for k in range(a.cols))
+        tuple(Fraction(scaled[k][t], det) if scaled[k][t] else zero for k in range(width))
         for t in range(len(free))
     ]
     return KernelBasis(basis, free, len(pivot_cols), max_bits)
 
 
-def rank(a: Matrix) -> int:
-    """Exact rank over the rationals."""
-    return len(_echelon(a)[1])
+def rank(rows: Iterable[Mapping[int, Any]]) -> int:
+    """Exact rank of the rational sparse rows."""
+    return len(_echelon(rows)[1])

@@ -2,8 +2,8 @@
 
 The constraint Theta H = H^T Theta over real symmetric Theta is a
 homogeneous linear system in the n(n+1)/2 upper-triangle unknowns.  This
-module vectorizes it exactly and hands it to the fraction-free kernel
-solver, producing the complete, canonically ordered solution space.
+module builds it as exact sparse rows, which the fraction-free kernel
+solver eliminates as sparse rows into the complete, canonical solution space.
 
 Its dimension is n at every coupling.  Row i of Theta H = H^T Theta reads
 Theta[i,:] H = sum_r H[r,i] Theta[r,:] over r = i-1, i, i+1, so for
@@ -89,34 +89,32 @@ class MembershipResult(NamedTuple):
     residual: Any
 
 
-def intertwining_system(h: Matrix) -> Matrix:
-    """Coefficient matrix A with A vec(Theta_upper) = 0 equivalent to
-    Theta H - H^T Theta = 0 under the symmetric parametrization.
+def intertwining_system(h: Matrix) -> list[dict[int, Fraction]]:
+    """Sparse rows of the matrix A with A vec(Theta_upper) = 0 equivalent
+    to Theta H - H^T Theta = 0 under the symmetric parametrization.
 
     For symmetric Theta and any square H the defect D is antisymmetric,
     D^T = H^T Theta - Theta H = -D, so rows are its n(n-1)/2 entries p < q
     in row-major order, with the kernel of all n^2 (a 1 x 1 `h` leaves no
-    row: a DimensionError).  Columns follow the canonical upper-triangle
-    ordering.  Row (p, q) is filled only from the nonzero entries of
-    columns p and q of `h`, as Fractions; an entry that no nonzero of `h`
-    reaches is the int 0.
+    row).  Row (p, q) maps columns of the canonical upper-triangle ordering
+    to Fractions, only from the nonzero entries of columns p and q of `h`:
+    at most 6 for the chain, some of which may cancel to 0.
     """
     if not h.is_square:
         raise DimensionError("square matrix required")
     n = h.rows
-    indexer = SymmetricIndexer(n)
-    flat = indexer.table()
-    columns = [[(r, Fraction(v)) for r, v in col] for col in h.column_nonzeros()]
+    flat = SymmetricIndexer(n).table()
+    columns = [[(r, Fraction(v)) for r, v in enumerate(col) if v] for col in h.T.entries]
     rows = []
     for p in range(n):
         for q in range(p + 1, n):
-            row = [0] * indexer.count
+            row: dict[int, Fraction] = {}
             for r, v in columns[q]:
-                row[flat[p][r]] += v
+                row[flat[p][r]] = row.get(flat[p][r], 0) + v
             for r, v in columns[p]:
-                row[flat[r][q]] -= v
-            rows.append(tuple(row))
-    return Matrix.from_rows(rows)
+                row[flat[r][q]] = row.get(flat[r][q], 0) - v
+            rows.append(row)
+    return rows
 
 
 def solve_metric_space(spec: HamiltonianSpec) -> MetricSolutionSpace:
@@ -127,10 +125,9 @@ def solve_metric_space(spec: HamiltonianSpec) -> MetricSolutionSpace:
     """
     if not spec.is_exact:
         raise DomainError("the exact oracle requires an exact coupling")
-    h = build_hamiltonian(spec)
-    system = intertwining_system(h)
-    kernel = null_space(system)
-    flat = SymmetricIndexer(spec.n).table()
+    indexer = SymmetricIndexer(spec.n)
+    kernel = null_space(intertwining_system(build_hamiltonian(spec)), indexer.count)
+    flat = indexer.table()
     basis = tuple(Matrix.from_rows([[vec[f] for f in row] for row in flat]) for vec in kernel)
     return MetricSolutionSpace(
         n=spec.n,

@@ -33,13 +33,14 @@ from metric_forge.continuum import (
     matching_residual,
     opaque_wall_check,
 )
-from metric_forge.exact import IntPolynomial, Matrix, rank
+from metric_forge.exact import IntPolynomial, rank
 from metric_forge.hamiltonian import (
     HamiltonianSpec,
     build_hamiltonian,
     closed_form_spectrum,
 )
 from metric_forge.oracle import solve_metric_space, upper_triangle_vector, verify_membership
+from sparse_rows import rows_of
 
 ORACLE_SIZES = (2, 4, 6, 8, 10)
 ORACLE_COUPLINGS = (
@@ -89,7 +90,7 @@ def test_criterion_03_span_equivalence():
             space = solve_metric_space(HamiltonianSpec(n, lam))
             family = [upper_triangle_vector(el.evaluate(lam)) for el in basis_family(n)]
             stacked = [upper_triangle_vector(b) for b in space.basis] + family
-            if rank(Matrix.from_rows(family)) != n or rank(Matrix.from_rows(stacked)) != n:
+            if rank(rows_of(family)) != n or rank(rows_of(stacked)) != n:
                 ok = False
     _criterion(
         3, "closed-form family independent and spanning the oracle's space, n <= 10", ok

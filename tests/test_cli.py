@@ -14,11 +14,11 @@ from metric_forge import analysis, cli, closedform, continuum, exact, oracle
 from metric_forge.analysis import reality_scan, sample_positivity_region
 from metric_forge.closedform import MetricBasisElement
 from metric_forge.errors import DomainError
-from metric_forge.exact import IntPolynomial, Matrix
+from metric_forge.exact import IntPolynomial
 from metric_forge.hamiltonian import HamiltonianSpec, build_hamiltonian
 from metric_forge.oracle import upper_triangle_vector
 from metric_forge.cli import (
-    _CSV_CHUNK_ROWS,
+    _WRITE_BYTES,
     MAX_COUPLING_DIGITS,
     MAX_GRID_POINTS,
     UsageError,
@@ -28,6 +28,7 @@ from metric_forge.cli import (
     parse_grid,
     parse_scalar,
 )
+from sparse_rows import rows_of
 
 
 def run_cli(capsys, *argv):
@@ -163,7 +164,7 @@ class TestSpectrumCommand:
         assert code == 2 and "grid" in err
 
     def test_streamed_csv_matches_file_and_reports(self, capsys, tmp_path):
-        count = _CSV_CHUNK_ROWS + 500
+        count = 4596
         argv = ("spectrum", "--n", "2", "--grid", f"-1.2:1.2:{count}")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -435,7 +436,12 @@ class TestMetricVerifyCommand:
         # rank; the one exact rank is that of the n x n coordinate matrix
         shapes = []
         rank = exact.rank
-        monkeypatch.setattr(exact, "rank", lambda a: shapes.append(a.shape) or rank(a))
+
+        def spy(rows):
+            shapes.append((len(rows), 1 + max(k for row in rows for k in row)))
+            return rank(rows)
+
+        monkeypatch.setattr(exact, "rank", spy)
         assert all(c.passed for c in cli.run_verification(8, lam))
         assert shapes == [(8, 8)]
 
@@ -474,8 +480,8 @@ class TestMetricVerifyCommand:
         basis_rows = [upper_triangle_vector(b) for b in space.basis]
         for variant in variants:
             members = [upper_triangle_vector(el.evaluate(lam)) for el in variant]
-            stacked = exact.rank(Matrix.from_rows(basis_rows + members))
-            passed = stacked == n and exact.rank(Matrix.from_rows(members)) == n
+            stacked = exact.rank(rows_of(basis_rows + members))
+            passed = stacked == n and exact.rank(rows_of(members)) == n
             monkeypatch.setattr(closedform, "basis_family", lambda size: variant)
             checks = {c.name: c for c in cli.run_verification(n, lam)}
             assert checks["span_equivalence"][1:] == (passed, stacked)
@@ -554,7 +560,7 @@ class TestPositivityCommand:
         assert [row.split(",")[cf_col] for row in lines[1:-1]] == ["", "", ""]
 
     def test_streamed_sample_matches_file_and_rows(self, capsys, tmp_path):
-        n, lam, seed, count = 2, 0.4, 7, _CSV_CHUNK_ROWS + 1000
+        n, lam, seed, count = 2, 0.4, 7, 5096
         argv = (
             "positivity", "--n", str(n), "--lambda", str(lam),
             "--sample", str(count), "--seed", str(seed),
@@ -580,13 +586,23 @@ class TestPositivityCommand:
         )
         footer = f"# fraction_positive = {result.fraction_positive:.17g}"
         expected = "\n".join([header, *rows, footer]) + "\n"
-        assert len(rows) > _CSV_CHUNK_ROWS
+        assert len(out) > 4 * _WRITE_BYTES
         assert out.encode() == target.read_bytes()
         assert out == expected
 
 
 class TestEmit:
-    def test_pieces_are_written_a_chunk_at_a_time(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            ["x" * (i % 37) + "\n" for i in range(3000)],
+            ["a" * 2500, "b", "c" * 999, "d", "e" * 1000, ""],
+            [],
+        ],
+    )
+    def test_pieces_are_joined_to_a_byte_budget(self, monkeypatch, pieces):
+        # every write but the last reaches the budget, and stops at the
+        # piece that reached it
         writes = []
 
         class Recorder:
@@ -594,10 +610,12 @@ class TestEmit:
                 writes.append(text)
 
         monkeypatch.setattr("sys.stdout", Recorder())
-        pieces = [f"{i}\n" for i in range(2 * _CSV_CHUNK_ROWS + 1)]
+        monkeypatch.setattr(cli, "_WRITE_BYTES", 1000)
         _emit(iter(pieces), None)
-        assert [text.count("\n") for text in writes] == [_CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS, 1]
         assert "".join(writes) == "".join(pieces)
+        assert len(writes[-1]) < 1000
+        longest = max(map(len, pieces), default=0)
+        assert all(1000 <= len(text) < 1000 + longest for text in writes[:-1])
 
 
 class TestContinuumCommand:

@@ -23,6 +23,7 @@ from metric_forge.errors import ConstructionError, DimensionError, DomainError
 from metric_forge.exact import IntPolynomial, Matrix, rank
 from metric_forge.hamiltonian import HamiltonianSpec, hamiltonian_polynomial
 from metric_forge.oracle import solve_metric_space, upper_triangle_vector
+from sparse_rows import rows_of
 
 # incidence patterns exactly as printed for sizes 4 and 6
 PRINTED_S4 = {
@@ -339,9 +340,7 @@ class TestBasisElement:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_linear_independence_at_sample_coupling(self, n):
         lam = Fraction(2, 5)
-        stacked = Matrix.from_rows(
-            [upper_triangle_vector(el.evaluate(lam)) for el in basis_family(n)]
-        )
+        stacked = rows_of(upper_triangle_vector(el.evaluate(lam)) for el in basis_family(n))
         assert rank(stacked) == n
 
     @pytest.mark.parametrize("lam", [Fraction(5, 9), -1, 1, 0, 2], ids=str)
@@ -362,7 +361,7 @@ class TestBasisElement:
         space = solve_metric_space(HamiltonianSpec(n, lam))
         stacked = [upper_triangle_vector(b) for b in space.basis]
         stacked += [upper_triangle_vector(el.evaluate(lam)) for el in basis_family(n)]
-        assert rank(Matrix.from_rows(stacked)) == n
+        assert rank(rows_of(stacked)) == n
 
 
 def dense_defect_cells(element: MetricBasisElement) -> dict:

@@ -13,6 +13,7 @@ from metric_forge import exact
 from metric_forge.analysis import eigs_general, eigs_symmetric
 from metric_forge.errors import DimensionError
 from metric_forge.exact import IntPolynomial, Matrix, null_space, rank
+from sparse_rows import rows_of
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 small_ints = st.integers(min_value=-5, max_value=5)
@@ -123,11 +124,11 @@ class TestMatrix:
 
 class TestNullSpace:
     def test_full_rank_identity(self):
-        assert null_space(Matrix.identity(2)) == []
+        assert null_space(rows_of(Matrix.identity(2).entries), 2) == []
 
     def test_single_equation(self):
         a = Matrix.from_rows([[Fraction(1), Fraction(-1)]])
-        assert null_space(a) == [(Fraction(1), Fraction(1))]
+        assert null_space(rows_of(a.entries), 2) == [(Fraction(1), Fraction(1))]
 
     def test_intertwining_n4_kernel_size(self):
         # the vectorized constraint system at size 4 has a 4-dimensional kernel
@@ -136,24 +137,24 @@ class TestNullSpace:
 
         h = build_hamiltonian(HamiltonianSpec(4, Fraction(1, 3)))
         a = intertwining_system(h)
-        assert a.shape == (6, 10)
-        assert len(null_space(a)) == 4
+        assert len(a) == 6 and all(k < 10 for row in a for k in row)
+        assert len(null_space(a, 10)) == 4
 
     @settings(max_examples=60, deadline=None)
     @given(exact_matrices())
     def test_kernel_is_exact_and_complete(self, a):
-        basis = null_space(a)
+        basis = null_space(rows_of(a.entries), a.cols)
         zero = tuple(Fraction(0) for _ in range(a.rows))
         for vec in basis:
             assert a @ vec == zero
-        assert rank(a) + len(basis) == a.cols
+        assert rank(rows_of(a.entries)) + len(basis) == a.cols
 
     @settings(max_examples=40, deadline=None)
     @given(exact_matrices())
     def test_basis_vectors_linearly_independent(self, a):
-        basis = null_space(a)
+        basis = null_space(rows_of(a.entries), a.cols)
         if basis:
-            assert rank(Matrix.from_rows(basis)) == len(basis)
+            assert rank(rows_of(basis)) == len(basis)
 
 
 def gauss_jordan_kernel(a):
@@ -212,13 +213,13 @@ class TestSparseElimination:
     @settings(max_examples=200, deadline=None)
     @given(sparse_matrices())
     def test_matches_gauss_jordan_reference(self, a):
-        basis = null_space(a)
+        basis = null_space(rows_of(a.entries), a.cols)
         expected_basis, expected_rank = gauss_jordan_kernel(a)
         zero = tuple(Fraction(0) for _ in range(a.rows))
         for vec in basis:
             assert a @ vec == zero
         assert basis == expected_basis
-        assert rank(a) == expected_rank
+        assert rank(rows_of(a.entries)) == expected_rank
         assert basis.pivots == expected_rank
 
     @settings(max_examples=100, deadline=None)
@@ -226,7 +227,7 @@ class TestSparseElimination:
     def test_free_columns_read_the_identity(self, a):
         # a free column is one that does not raise the rank of the columns
         # before it; basis vector t reads 1 at free[t] and 0 at the others
-        basis = null_space(a)
+        basis = null_space(rows_of(a.entries), a.cols)
         ranks = [0] + [
             gauss_jordan_kernel(Matrix.from_rows([row[: c + 1] for row in a.entries]))[1]
             for c in range(a.cols)
@@ -235,6 +236,31 @@ class TestSparseElimination:
         for t, vec in enumerate(basis):
             assert [vec[f] for f in basis.free] == [int(s == t) for s in range(len(basis))]
 
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices())
+    def test_zeros_may_be_left_out(self, a):
+        dense = rows_of(a.entries)
+        sparse = [{k: v for k, v in row.items() if v} for row in dense]
+        assert null_space(sparse, a.cols) == null_space(dense, a.cols)
+        assert rank(sparse) == rank(dense)
+
+    def test_explicit_zeros_and_empty_rows(self):
+        rows = [{0: 1, 1: Fraction(0), 2: -1}, {}, {3: 0}, {1: Fraction(1, 2), 3: Fraction(0)}]
+        basis = null_space(rows, 4)
+        assert basis.free == [2, 3] and basis.pivots == rank(rows) == 2
+        assert basis == [(1, 0, 1, 0), (0, 0, 0, 1)]
+
+    def test_trailing_zero_columns_are_free(self):
+        basis = null_space([{0: 2, 1: -2}], 4)
+        assert basis.free == [1, 2, 3]
+        assert basis == [(1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+    def test_no_rows(self):
+        assert rank([]) == rank([{}, {1: 0}]) == 0
+        basis = null_space([], 2)
+        assert basis == [(1, 0), (0, 1)] and basis.free == [0, 1]
+        assert basis.pivots == basis.max_bits == 0
+
     def test_waiting_row_is_rescaled_exactly(self):
         # the fourth row is updated at step 2 (pivot 36), then waits on
         # column 3 through step 3 (pivot -30); it is rescaled by -30/36,
@@ -242,10 +268,10 @@ class TestSparseElimination:
         a = Matrix.from_rows(
             [[6, 0, 1, 0, 0, -1], [5, 0, 0, -4, -3, 0], [0, 6, 0, 1, 0, -6], [0, 5, 0, 5, 0, -3]]
         )
-        basis = null_space(a)
+        basis = null_space(rows_of(a.entries), a.cols)
         expected_basis, expected_rank = gauss_jordan_kernel(a)
         assert basis == expected_basis
-        assert rank(a) == expected_rank == 4
+        assert rank(rows_of(a.entries)) == expected_rank == 4
 
 
 class TestEigsSymmetric:

@@ -14,6 +14,7 @@ from metric_forge.oracle import (
     upper_triangle_vector,
     verify_membership,
 )
+from sparse_rows import rows_of
 
 
 def _rebuild_from_one_row(theta, h, order):
@@ -57,8 +58,8 @@ class TestIntertwiningSystem:
     def test_size2_free_forces_equal_diagonal(self):
         h = build_hamiltonian(HamiltonianSpec(2, 0))
         system = intertwining_system(h)
-        assert system.shape == (1, 3)
-        kernel = null_space(system)
+        assert len(system) == 1 and all(k < 3 for row in system for k in row)
+        kernel = null_space(system, 3)
         assert len(kernel) == 2
         # the one constraint is theta_11 = theta_22
         indexer = SymmetricIndexer(2)
@@ -67,14 +68,22 @@ class TestIntertwiningSystem:
 
     def test_identity_hamiltonian_gives_zero_system(self):
         system = intertwining_system(Matrix.identity(3))
-        assert all(e == 0 for row in system.entries for e in row)
-        assert len(null_space(system)) == 6
+        assert all(e == 0 for row in system for e in row.values())
+        assert len(null_space(system, 6)) == 6
 
     def test_size4_dimensions(self):
         h = build_hamiltonian(HamiltonianSpec(4, Fraction(1, 3)))
         system = intertwining_system(h)
-        assert system.shape == (6, 10)
-        assert len(null_space(system)) == 4
+        assert len(system) == 6 and all(k < 10 for row in system for k in row)
+        assert len(null_space(system, 10)) == 4
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("lam", [0, Fraction(5, 9), 1, -1, Fraction(7, 3)], ids=str)
+    def test_rows_are_sparse(self, n, lam):
+        system = intertwining_system(build_hamiltonian(HamiltonianSpec(n, lam)))
+        assert len(system) == n * (n - 1) // 2
+        assert all(len(row) <= 6 for row in system)
+        assert all(0 <= k < n * (n + 1) // 2 for row in system for k in row)
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
@@ -84,7 +93,9 @@ class TestIntertwiningSystem:
     @pytest.mark.parametrize("lam", [0, Fraction(1, 3), Fraction(-5, 7), 1, -1, Fraction(7, 3)])
     def test_half_system_has_the_kernel_of_the_full_system(self, n, lam):
         h = build_hamiltonian(HamiltonianSpec(n, lam))
-        half, full = null_space(intertwining_system(h)), null_space(_full_system(h))
+        width = SymmetricIndexer(n).count
+        half = null_space(intertwining_system(h), width)
+        full = null_space(rows_of(_full_system(h).entries), width)
         assert half == full and half.pivots == full.pivots
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -92,7 +103,9 @@ class TestIntertwiningSystem:
         h = Matrix.from_rows(
             [[Fraction((3 * i + 7 * k) % 11 - 5, 1 + i * k % 4) for k in range(n)] for i in range(n)]
         )
-        half, full = null_space(intertwining_system(h)), null_space(_full_system(h))
+        width = SymmetricIndexer(n).count
+        half = null_space(intertwining_system(h), width)
+        full = null_space(rows_of(_full_system(h).entries), width)
         assert half == full and half.pivots == full.pivots
 
 
@@ -121,10 +134,10 @@ def exchange(n: int) -> Matrix:
 
 
 def _span_contains(space, candidate: Matrix) -> bool:
-    rows = [upper_triangle_vector(b) for b in space.basis]
-    ambient = rank(Matrix.from_rows(rows))
-    rows.append(upper_triangle_vector(candidate))
-    return rank(Matrix.from_rows(rows)) == ambient
+    rows = rows_of(upper_triangle_vector(b) for b in space.basis)
+    ambient = rank(rows)
+    rows += rows_of([upper_triangle_vector(candidate)])
+    return rank(rows) == ambient
 
 
 class TestSolveMetricSpace:
@@ -165,6 +178,20 @@ class TestSolveMetricSpace:
         space = solve_metric_space(HamiltonianSpec(n, Fraction(5, 9)))
         assert space.pivots == n * (n + 1) // 2 - n
 
+    def test_builds_no_matrix_larger_than_the_chain(self, monkeypatch):
+        # the constraint system stays sparse rows: every Matrix built is the
+        # chain, its transpose or one n x n basis matrix
+        shapes = []
+        post_init = Matrix.__post_init__
+
+        def recording(self):
+            post_init(self)
+            shapes.append((len(self.entries), len(self.entries[0])))
+
+        monkeypatch.setattr(Matrix, "__post_init__", recording)
+        solve_metric_space(HamiltonianSpec(12, Fraction(5, 9)))
+        assert shapes and max(rows for rows, _ in shapes) <= 12
+
     def test_intermediate_bit_length_grows_linearly(self):
         # measured 7n - 10 bits at this coupling for n = 4..30
         lam = Fraction(5, 9)
@@ -190,7 +217,7 @@ class TestSolveMetricSpace:
 
     def test_basis_linearly_independent(self):
         space = solve_metric_space(HamiltonianSpec(8, Fraction(2, 3)))
-        stacked = Matrix.from_rows([upper_triangle_vector(b) for b in space.basis])
+        stacked = rows_of(upper_triangle_vector(b) for b in space.basis)
         assert rank(stacked) == space.dimension
 
     @pytest.mark.parametrize("lam", [Fraction(5, 9), -1, 2, 0, 1], ids=str)
@@ -303,7 +330,7 @@ class TestSimilarityAnchor:
         space = solve_metric_space(spec)
         rows = [upper_triangle_vector(b) for b in space.basis]
         rows.append(upper_triangle_vector(theta))
-        assert rank(Matrix.from_rows(rows)) == n
+        assert rank(rows_of(rows)) == n
         # diagonal with positive diagonal entries: positive definite exactly
         assert all(theta[i, i] > 0 for i in range(n))
         # the float similarity scales by the square roots of the same entries
