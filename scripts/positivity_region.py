@@ -16,14 +16,11 @@ def run(sizes: list[int], count: int, seed: int) -> None:
     for n in sizes:
         for lam in (-0.8, -0.4, 0.0, 0.4, 0.8):
             result = sample_positivity_region(n, lam, seed=seed, count=count)
-            comparable = [
-                r for r in result.records
-                if r.weights_positive is not None and not r.near_boundary
-            ]
-            agree = sum(
-                r.weights_positive == r.positive for r in comparable
-            )
-            ratio = agree / len(comparable) if comparable else float("nan")
+            comparable = ~result.near_boundary
+            ratio = float("nan")
+            if result.weights_positive is not None and comparable.any():
+                agree = result.weights_positive[comparable] == result.positive[comparable]
+                ratio = int(agree.sum()) / len(agree)
             print(f"{n},{lam},{result.fraction_positive:.4f},{ratio:.4f}")
 
 

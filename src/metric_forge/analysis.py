@@ -19,9 +19,9 @@ uncoupled chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,8 @@ __all__ = [
     "SpectrumReport",
     "symmetric_similarity",
     "eigs_general",
+    "ScanBlock",
+    "scan_blocks",
     "reality_scan",
     "evaluate_basis_stack",
     "BiorthogonalSystem",
@@ -45,6 +47,7 @@ __all__ = [
     "positivity",
     "closed_form_margin",
     "positivity_closed_form",
+    "sample_blocks",
     "sample_positivity_region",
     "FreeMetricParams",
     "free_lattice_metric",
@@ -68,15 +71,18 @@ class SpectrumReport:
     all_real: bool
 
 
-# Most matrix entries a stacked float solve holds at once; bounds the
-# memory of a batch for any number of points or draws.
-_BLOCK_FLOATS = 2**18
+# Most matrix entries a stacked float solve holds at once, with a floor of
+# `_MIN_BLOCK_ROWS` matrices a block so that large sizes still batch.  It
+# bounds both a block's numpy temporaries and the Python objects of its
+# rows, for any number of points or draws.
+_BLOCK_FLOATS = 2**12
+_MIN_BLOCK_ROWS = 32
 
 
 def _blocks(count: int, n: int) -> Iterator[slice]:
-    """Consecutive slices over `count` n x n matrices, each within the budget."""
-    step = max(1, _BLOCK_FLOATS // (n * n))
-    return (slice(start, start + step) for start in range(0, count, step))
+    """Consecutive slices that cover `count` n x n matrices, each within the budget."""
+    step = max(_MIN_BLOCK_ROWS, _BLOCK_FLOATS // (n * n))
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
 def _float_bands(n: int, lam: Any) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,6 +153,38 @@ def eigs_general(m: Any) -> np.ndarray:
     return np.take_along_axis(w, order, axis=-1)
 
 
+class ScanBlock(NamedTuple):
+    """Consecutive points of a reality scan, as columns: the couplings (m,),
+    the eigenvalues (m, n) as complex, and each point's largest imaginary
+    part and all-real flag (m,)."""
+
+    lams: np.ndarray
+    eigenvalues: np.ndarray
+    max_imag: np.ndarray
+    all_real: np.ndarray
+
+
+def scan_blocks(n: int, lambdas: Iterable[float], *, tol: float = 1e-9) -> Iterator[ScanBlock]:
+    """The points of `reality_scan` in input order, one solved block at a
+    time: a block is solved only when it is asked for.  The size is
+    checked and the couplings are read when this is called."""
+    HamiltonianSpec(n)  # rejects an odd or too small size
+    lams = np.array([float(lam) for lam in lambdas])
+    return (_scan_block(n, lams[part], tol) for part in _blocks(len(lams), n))
+
+
+def _scan_block(n: int, lams: np.ndarray, tol: float) -> ScanBlock:
+    values = np.zeros((len(lams), n), dtype=complex)
+    inside = (-1.0 < lams) & (lams < 1.0)
+    if inside.any():
+        diag, off, _ = symmetric_similarity(n, lams[inside])
+        values[inside] = np.linalg.eigvalsh(_tridiagonal(diag, off, off))
+    if not inside.all():
+        values[~inside] = eigs_general(_float_chain(n, lams[~inside]))
+    max_imag = np.max(np.abs(values.imag), axis=1)
+    return ScanBlock(lams, values, max_imag, max_imag <= tol)
+
+
 def reality_scan(
     n: int, lambdas: Iterable[float], *, tol: float = 1e-9
 ) -> list[SpectrumReport]:
@@ -154,25 +192,14 @@ def reality_scan(
 
     Inside (-1, 1) the eigenvalues come from the symmetric similarity and
     are real by construction; elsewhere from the general dense solver.
-    The points are solved in stacked blocks, each group of a block as one
-    batch.  A point is flagged all-real when every imaginary part stays
-    within `tol`.
+    The points are solved in the stacked blocks of `scan_blocks`, each
+    group of a block as one batch.  A point is flagged all-real when every
+    imaginary part stays within `tol`.
     """
-    HamiltonianSpec(n)  # rejects an odd or too small size
-    lams = np.array([float(lam) for lam in lambdas])
-    values = np.zeros((len(lams), n), dtype=complex)
-    for part in _blocks(len(lams), n):
-        block, out = lams[part], values[part]
-        inside = (-1.0 < block) & (block < 1.0)
-        if inside.any():
-            diag, off, _ = symmetric_similarity(n, block[inside])
-            out[inside] = np.linalg.eigvalsh(_tridiagonal(diag, off, off))
-        if not inside.all():
-            out[~inside] = eigs_general(_float_chain(n, block[~inside]))
-    max_imag = np.max(np.abs(values.imag), axis=1)
     return [
-        SpectrumReport(lam=lam, eigenvalues=tuple(row), max_imag=imag, all_real=imag <= tol)
-        for lam, row, imag in zip(lams.tolist(), values.tolist(), max_imag.tolist())
+        SpectrumReport(lam=lam, eigenvalues=tuple(row), max_imag=imag, all_real=real)
+        for block in scan_blocks(n, lambdas, tol=tol)
+        for lam, row, imag, real in zip(*(column.tolist() for column in block))
     ]
 
 
@@ -353,7 +380,8 @@ class SampleRecord:
 
 @dataclass(frozen=True, eq=False)
 class RegionSample:
-    """A seeded sweep over coefficient space, one array entry per draw.
+    """A seeded sweep over coefficient space, or one block of its draws,
+    one array entry per draw.
 
     `alphas` has shape (count, n); the other columns have length count.
     A verdict column that does not apply at the size and coupling is None.
@@ -377,10 +405,9 @@ class RegionSample:
     def fraction_positive(self) -> float:
         return int(np.count_nonzero(self.positive)) / self.count
 
-    def rows(self) -> Iterator[tuple]:
-        """Per-draw tuples in `SampleRecord` field order, of Python scalars
-        (the alpha entry a list), converted one sampler block at a time so
-        that the Python objects of only one block are held at once."""
+    @property
+    def records(self) -> tuple[SampleRecord, ...]:
+        """The draws as `SampleRecord`s, built on each read."""
         columns = (
             self.alphas,
             self.positive,
@@ -389,13 +416,10 @@ class RegionSample:
             self.weights_positive,
             self.near_boundary,
         )
-        for part in _blocks(self.count, self.n):
-            yield from zip(*(repeat(None) if c is None else c[part].tolist() for c in columns))
-
-    @property
-    def records(self) -> tuple[SampleRecord, ...]:
-        """The draws as `SampleRecord`s, built on each read."""
-        return tuple(SampleRecord(tuple(alpha), *rest) for alpha, *rest in self.rows())
+        return tuple(
+            SampleRecord(tuple(alpha), *rest)
+            for alpha, *rest in zip(*(repeat(None) if c is None else c.tolist() for c in columns))
+        )
 
 
 def evaluate_basis_stack(n: int, lam: float) -> np.ndarray:
@@ -414,40 +438,33 @@ def evaluate_basis_stack(n: int, lam: float) -> np.ndarray:
     return stack
 
 
-def sample_positivity_region(n: int, lam: float, seed: int, count: int) -> RegionSample:
-    """Draw coefficient vectors uniformly from [-1, 1]^n and record the
-    positivity verdicts.
-
-    Vectors with a positive leading coefficient are rescaled so it equals
-    one (the verdict is scale invariant).  Verdict columns that do not
-    apply at the given size/coupling are recorded as None.  Samples whose
-    minimum eigenvalue, closed-form margin, or smallest weight lies within
-    `SAMPLE_MARGIN` of zero are flagged near-boundary.  The draws are
-    solved in stacked blocks; each sample's arithmetic is that of a lone
-    solve.
-    """
+def sample_blocks(n: int, lam: float, seed: int, count: int) -> Iterator[RegionSample]:
+    """The draws of `sample_positivity_region` in draw order, one solved
+    block at a time, each a `RegionSample` of its own draws: a block is
+    drawn from the sweep's one generator and solved only when it is asked
+    for.  The count, the basis stack and the biorthogonal system are
+    checked and built when this is called."""
     if count < 1:
         raise DomainError("need at least one sample")
     lam = float(lam)
     stack = evaluate_basis_stack(n, lam).reshape(n, n * n)
-    alphas = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, n))
+    right = biorthogonal_system(HamiltonianSpec(n, lam)).right if -1.0 < lam < 1.0 else None
+    rng = np.random.default_rng(seed)
+    return (
+        _sample_block(n, lam, seed, stack, right, rng.uniform(-1.0, 1.0, (part.stop - part.start, n)))
+        for part in _blocks(count, n)
+    )
+
+
+def _sample_block(
+    n: int, lam: float, seed: int, stack: np.ndarray, right: Optional[np.ndarray], alphas: np.ndarray
+) -> RegionSample:
     lead = alphas[:, 0] > 0
     alphas[lead] /= alphas[lead, :1]
-    right = None
-    if -1.0 < lam < 1.0:
-        right = biorthogonal_system(HamiltonianSpec(n, lam)).right
-        lowest_weight = np.empty(count)
-        nearest_weight = np.empty(count)
-    minima = np.empty(count)
-    for part in _blocks(count, n):
-        # a batched matmul keeps each theta bit-identical to a lone
-        # tensordot; a 2-D product of the whole block does not
-        thetas = np.matmul(alphas[part, None, :], stack).reshape(-1, n, n)
-        minima[part] = np.linalg.eigvalsh(thetas)[:, 0]
-        if right is not None:
-            weights = np.einsum("in,sij,jn->sn", right, thetas, right)
-            lowest_weight[part] = np.min(weights, axis=1)
-            nearest_weight[part] = np.min(np.abs(weights), axis=1)
+    # a batched matmul keeps each theta bit-identical to a lone tensordot;
+    # a 2-D product of the whole block does not
+    thetas = np.matmul(alphas[:, None, :], stack).reshape(-1, n, n)
+    minima = np.linalg.eigvalsh(thetas)[:, 0]
     near = np.abs(minima) <= SAMPLE_MARGIN
     try:
         cf_margin = closed_form_margin(n, lam, alphas)
@@ -458,8 +475,9 @@ def sample_positivity_region(n: int, lam: float, seed: int, count: int) -> Regio
         near |= np.abs(cf_margin) <= SAMPLE_MARGIN
     weights_positive = None
     if right is not None:
-        weights_positive = lowest_weight > 0.0
-        near |= nearest_weight <= SAMPLE_MARGIN
+        weights = np.einsum("in,sij,jn->sn", right, thetas, right)
+        weights_positive = np.min(weights, axis=1) > 0.0
+        near |= np.min(np.abs(weights), axis=1) <= SAMPLE_MARGIN
     return RegionSample(
         n=n,
         lam=lam,
@@ -471,6 +489,28 @@ def sample_positivity_region(n: int, lam: float, seed: int, count: int) -> Regio
         weights_positive=weights_positive,
         near_boundary=near,
     )
+
+
+def sample_positivity_region(n: int, lam: float, seed: int, count: int) -> RegionSample:
+    """Draw coefficient vectors uniformly from [-1, 1]^n and record the
+    positivity verdicts.
+
+    Vectors with a positive leading coefficient are rescaled so it equals
+    one (the verdict is scale invariant).  Verdict columns that do not
+    apply at the given size/coupling are recorded as None.  Samples whose
+    minimum eigenvalue, closed-form margin, or smallest weight lies within
+    `SAMPLE_MARGIN` of zero are flagged near-boundary.  The draws are
+    solved in the stacked blocks of `sample_blocks` and collected into one
+    sample; each sample's arithmetic is that of a lone solve.
+    """
+    blocks = list(sample_blocks(n, lam, seed, count))
+
+    def joined(name: str) -> Optional[np.ndarray]:
+        parts = [getattr(block, name) for block in blocks]
+        return None if parts[0] is None else np.concatenate(parts)
+
+    columns = ("alphas", "minima", "positive", "closed_form_positive", "weights_positive", "near_boundary")
+    return replace(blocks[0], **{name: joined(name) for name in columns})
 
 
 @dataclass(frozen=True)

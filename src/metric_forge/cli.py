@@ -15,7 +15,7 @@ import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .errors import ConstructionError, DegenerateSpectrumError, DimensionError, DomainError
@@ -26,17 +26,19 @@ class UsageError(ValueError):
     """Invalid command-line arguments."""
 
 
-# Largest `positivity --sample`.  At n = 6 a million draws take about 16 s
-# on 2 cores and print 158 MB of CSV.  The CSV is formatted and written in
-# chunks, one sampler block of rows converted at a time; what grows with
-# the count is the sample's own numpy columns, about 80 bytes a draw at
-# n = 6 (peak RSS 59 MB at 200000 draws, 120 MB at a million).
+# Largest `positivity --sample`.  The draws are solved, formatted and
+# written one sampler block at a time, so the count sets the time and not
+# the memory: at n = 6 a million draws take 5.8 s as a subprocess, print
+# 158 MB of CSV and peak at 37 MB of RSS, which `--sample 1` also takes
+# (2 cores; 119 MB when the whole sample was held before the first write).
 MAX_SAMPLES = 1_000_000
 
 # Largest `spectrum --grid` count, rejected before the grid is built.
-# `spectrum` holds its whole result before it writes: at n = 40, 10000
-# points take about 3 s on 2 cores and peak at 62 MB of RSS for the CSV
-# and 144 MB for JSON, which grows about 11 kB a point.
+# Each block of points is solved, formatted and written before the next is
+# solved: at n = 40, 10000 points take 1.0 s as a subprocess for the CSV
+# and 1.3 s for JSON, and peak at 32 MB of RSS in either format (2 cores;
+# 61 and 138 MB when the whole result was held).  Only the grid itself,
+# about 32 bytes a point, grows with the count.
 MAX_GRID_POINTS = 10_000
 
 # Most digits in the numerator and in the denominator of an exact
@@ -70,15 +72,17 @@ MAX_HAMILTONIAN_SIZE = 1000
 
 # Largest `spectrum --n`.  Each grid point is one dense eigensolve, and
 # one outside (-1, 1) runs the general solver: at n = 80 and the grid cap
-# of 10000 points the subprocess takes 38 s with every point outside and
-# peaks at 90 MB of RSS for CSV (268 MB for JSON); 1000 points across
-# -1.2..1.2 take 1.2 s at n = 80 and 5.4 s at n = 160 (2 cores).
+# of 10000 points all outside, the subprocess takes 17 s and peaks at
+# 34 MB of RSS for CSV and JSON alike; 1000 points across -1.2..1.2 take
+# 0.6 s at n = 80 and 2.3 s at n = 160 (2 cores, the last with this cap
+# lifted).
 MAX_SPECTRUM_SIZE = 80
 
 # Largest `positivity --n`.  A sampled draw is one n x n eigensolve and
 # one CSV row of n + 6 cells: at n = 12, the sample cap of a million draws
-# takes 23 s as a subprocess and peaks at 181 MB of RSS; 20000 draws take
-# 0.8 s at n = 12, 2.2 s at n = 24 and 8.0 s at n = 48 (2 cores).
+# takes 14 s as a subprocess and peaks at 37 MB of RSS; 20000 draws take
+# 0.4 s at n = 12, 0.9 s at n = 24 and 3.5 s at n = 48 (2 cores, the last
+# two with this cap lifted).
 MAX_POSITIVITY_SIZE = 12
 
 # Characters of output joined per write; bounds the formatted text held at once.
@@ -266,31 +270,41 @@ def _float_command(command: Callable[..., int]) -> Callable[..., int]:
 
 @_float_command
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    from .analysis import reality_scan
+    from .analysis import scan_blocks
 
     _check_command_size(args.n, MAX_SPECTRUM_SIZE)
     grid = parse_grid(args.grid)
     if not (math.isfinite(args.reality_tol) and args.reality_tol >= 0):
         raise UsageError("--reality-tol must be finite and >= 0")
-    reports = reality_scan(args.n, grid, tol=args.reality_tol)
+    # each block of points is solved, formatted and written before the
+    # next is solved
+    blocks = scan_blocks(args.n, grid, tol=args.reality_tol)
+    points = (
+        point
+        for block in blocks
+        for point in zip(
+            block.lams.tolist(),
+            block.eigenvalues.real.tolist(),
+            block.eigenvalues.imag.tolist(),
+            block.max_imag.tolist(),
+            block.all_real.tolist(),
+        )
+    )
     if args.format == "json":
-        payload = [
-            {
-                "lambda": r.lam,
-                "eigenvalues": [[v.real, v.imag] for v in r.eigenvalues],
-                "max_imag": r.max_imag,
-                "all_real": r.all_real,
-            }
-            for r in reports
-        ]
-        _emit([_json(payload) + "\n"], args.output)
+        # the text of one dump of the list, written a point at a time
+        dumps = (
+            _json(
+                {"lambda": lam, "eigenvalues": list(zip(re, im)), "max_imag": imag, "all_real": real}
+            )
+            for lam, re, im, imag, real in points
+        )
+        _emit(chain(["[", next(dumps)], (", " + d for d in dumps), ["]\n"]), args.output)
         return 0
     header = ["lambda"] + [f"re_e_{i}" for i in range(1, args.n + 1)] + ["max_imag", "all_real"]
-    lines = (
-        ",".join([_fmt(r.lam), *(_fmt(v.real) for v in r.eigenvalues), _fmt(r.max_imag)])
-        + (",true\n" if r.all_real else ",false\n")
-        for r in reports
-    )
+    # one template per row, whose %.17g prints as `_fmt` does
+    cells = ",".join(["%.17g"] * (args.n + 2))
+    row = {True: cells + ",true\n", False: cells + ",false\n"}
+    lines = (row[real] % (lam, *re, imag) for lam, re, _, imag, real in points)
     _emit(chain([",".join(header) + "\n"], lines), args.output)
     return 0
 
@@ -412,7 +426,7 @@ def cmd_metric_verify(args: argparse.Namespace) -> int:
 
 @_float_command
 def cmd_positivity(args: argparse.Namespace) -> int:
-    from .analysis import positivity, positivity_closed_form, sample_positivity_region
+    from .analysis import positivity, positivity_closed_form, sample_blocks
     from .closedform import assemble_theta
 
     _check_command_size(args.n, MAX_POSITIVITY_SIZE)
@@ -448,7 +462,7 @@ def cmd_positivity(args: argparse.Namespace) -> int:
         raise UsageError(f"--sample must lie in 1..{MAX_SAMPLES}")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    result = sample_positivity_region(args.n, lam_float, args.seed, args.sample)
+    blocks = sample_blocks(args.n, lam_float, args.seed, args.sample)
     header = (
         ["index"]
         + [f"alpha_{i}" for i in range(1, args.n + 1)]
@@ -461,14 +475,31 @@ def cmd_positivity(args: argparse.Namespace) -> int:
         ]
     )
     cell = {True: "true", False: "false", None: ""}
-    # one format call per row, floats printed as `_fmt` prints them
-    row = ",".join(["{}"] + ["{:.17g}"] * (args.n + 1) + ["{}"] * 4) + "\n"
-    lines = (
-        row.format(idx, *alpha, minimum, cell[positive], cell[cf], cell[weights], cell[near])
-        for idx, (alpha, positive, minimum, cf, weights, near) in enumerate(result.rows())
-    )
-    footer = f"# fraction_positive = {_fmt(result.fraction_positive)}\n"
-    _emit(chain([",".join(header) + "\n"], lines, [footer]), args.output)
+    # one template per row, whose %.17g prints as `_fmt` does
+    row = ",".join(["%d"] + ["%.17g"] * (args.n + 1) + ["%s"] * 4) + "\n"
+
+    def lines() -> Iterator[str]:
+        # each block of draws is solved, formatted and written before the
+        # next is drawn
+        yield ",".join(header) + "\n"
+        drawn = positives = 0
+        for block in blocks:
+            columns = (
+                block.alphas,
+                block.positive,
+                block.minima,
+                block.closed_form_positive,
+                block.weights_positive,
+                block.near_boundary,
+            )
+            draws = zip(*(repeat(None) if c is None else c.tolist() for c in columns))
+            for index, (alpha, positive, minimum, cf, weights, near) in enumerate(draws, drawn):
+                yield row % (index, *alpha, minimum, cell[positive], cell[cf], cell[weights], cell[near])
+            drawn += block.count
+            positives += int(block.positive.sum())
+        yield f"# fraction_positive = {_fmt(positives / drawn)}\n"
+
+    _emit(lines(), args.output)
     return 0
 
 

@@ -12,6 +12,7 @@ from metric_forge.analysis import (
     evaluate_basis_stack,
     positivity,
     positivity_closed_form,
+    sample_blocks,
     sample_positivity_region,
     theta_from_weights,
     weights_from_theta,
@@ -317,15 +318,25 @@ class TestSampling:
     def test_block_edges_equal_one_by_one(self, monkeypatch, count):
         # five draws per block at n = 6
         monkeypatch.setattr(analysis, "_BLOCK_FLOATS", 5 * 36)
+        monkeypatch.setattr(analysis, "_MIN_BLOCK_ROWS", 1)
         result = sample_positivity_region(6, 0.2, seed=4, count=count)
         assert result.records == _sample_one_by_one(6, 0.2, 4, count)
 
     @pytest.mark.parametrize("n, lam", [(4, 0.0), (6, 1.5)])
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, 0), (1, 1)])
-    def test_rows_equal_whole_column_zip(self, n, lam, blocks, extra):
+    def test_blocks_and_records_follow_the_columns(self, n, lam, blocks, extra):
         # one draw, one sampler block, and one block plus one draw
-        count = blocks * (analysis._BLOCK_FLOATS // (n * n)) + extra
+        step = max(analysis._MIN_BLOCK_ROWS, analysis._BLOCK_FLOATS // (n * n))
+        count = blocks * step + extra
         result = sample_positivity_region(n, lam, seed=3, count=count)
+        parts = list(sample_blocks(n, lam, 3, count))
+        assert [part.count for part in parts] == [step] * blocks + [extra] * (extra > 0)
+        start = 0
+        for part in parts:
+            window = slice(start, start + part.count)
+            assert np.array_equal(part.alphas, result.alphas[window])
+            assert np.array_equal(part.minima, result.minima[window])
+            start += part.count
         absent = [None] * count
         verdicts = (result.closed_form_positive, result.weights_positive)
         expected = list(
@@ -337,9 +348,13 @@ class TestSampling:
                 result.near_boundary.tolist(),
             )
         )
-        rows = list(result.rows())
-        assert rows == expected
-        assert {type(row[2]) for row in rows} == {float}
+        records = [
+            (list(r.alpha), r.positive, r.min_eigenvalue, r.closed_form_positive,
+             r.weights_positive, r.near_boundary)
+            for r in result.records
+        ]
+        assert records == expected
+        assert {type(r.min_eigenvalue) for r in result.records} == {float}
 
     def test_records_view(self, monkeypatch):
         monkeypatch.setattr(analysis, "SAMPLE_MARGIN", 0.05)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -35,6 +36,56 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _expected_spectrum(n, grid, fmt):
+    """The `spectrum` output built from the collected `reality_scan`."""
+    reports = reality_scan(n, parse_grid(grid))
+    if fmt == "json":
+        payload = [
+            {
+                "lambda": r.lam,
+                "eigenvalues": [[v.real, v.imag] for v in r.eigenvalues],
+                "max_imag": r.max_imag,
+                "all_real": r.all_real,
+            }
+            for r in reports
+        ]
+        return json.dumps(payload) + "\n"
+    lines = [",".join(["lambda", *(f"re_e_{i}" for i in range(1, n + 1)), "max_imag", "all_real"])]
+    for r in reports:
+        cells = [f"{v:.17g}" for v in (r.lam, *(e.real for e in r.eigenvalues), r.max_imag)]
+        lines.append(",".join(cells + ["true" if r.all_real else "false"]))
+    return "\n".join(lines) + "\n"
+
+
+def _expected_sample(n, lam, seed, count):
+    """The `positivity --sample` CSV built from the collected sample's columns."""
+    result = sample_positivity_region(n, lam, seed, count)
+    cell = {True: "true", False: "false", None: ""}
+    absent = [None] * count
+    verdicts = (result.closed_form_positive, result.weights_positive)
+    draws = zip(
+        result.alphas.tolist(),
+        result.minima.tolist(),
+        result.positive.tolist(),
+        *(absent if column is None else column.tolist() for column in verdicts),
+        result.near_boundary.tolist(),
+    )
+    rows = [
+        ",".join(
+            [str(idx)]
+            + [f"{v:.17g}" for v in (*alpha, minimum)]
+            + [cell[positive], cell[cf], cell[weights], cell[near]]
+        )
+        for idx, (alpha, minimum, positive, cf, weights, near) in enumerate(draws)
+    ]
+    header = ",".join(
+        ["index", *(f"alpha_{i}" for i in range(1, n + 1)), "min_eigenvalue", "positive",
+         "closed_form_positive", "weights_positive", "near_boundary"]
+    )
+    footer = f"# fraction_positive = {result.fraction_positive:.17g}"
+    return "\n".join([header, *rows, footer]) + "\n"
 
 
 class TestParsing:
@@ -171,12 +222,8 @@ class TestSpectrumCommand:
         target = tmp_path / "spectrum.csv"
         code, _, _ = run_cli(capsys, *argv, "--output", str(target))
         assert code == 0
-        lines = ["lambda,re_e_1,re_e_2,max_imag,all_real"]
-        for r in reality_scan(2, parse_grid(f"-1.2:1.2:{count}")):
-            cells = [f"{v:.17g}" for v in (r.lam, *(e.real for e in r.eigenvalues), r.max_imag)]
-            lines.append(",".join(cells + ["true" if r.all_real else "false"]))
         assert out.encode() == target.read_bytes()
-        assert out == "\n".join(lines) + "\n"
+        assert out == _expected_spectrum(2, f"-1.2:1.2:{count}", "csv")
 
 
 class TestMetricBasisCommand:
@@ -312,11 +359,11 @@ class TestCommandSizeLimits:
                 "_chain_rows",
                 cli.MAX_HAMILTONIAN_SIZE,
             ),
-            (("spectrum", "--grid", "0:0:1"), analysis, "reality_scan", cli.MAX_SPECTRUM_SIZE),
+            (("spectrum", "--grid", "0:0:1"), analysis, "scan_blocks", cli.MAX_SPECTRUM_SIZE),
             (
                 ("positivity", "--lambda", "0.5", "--sample", "3"),
                 analysis,
-                "sample_positivity_region",
+                "sample_blocks",
                 cli.MAX_POSITIVITY_SIZE,
             ),
         ],
@@ -570,25 +617,9 @@ class TestPositivityCommand:
         target = tmp_path / "sample.csv"
         code, _, _ = run_cli(capsys, *argv, "--output", str(target))
         assert code == 0
-        result = sample_positivity_region(n, lam, seed, count)
-        cell = {True: "true", False: "false", None: ""}
-        rows = [
-            ",".join(
-                [str(idx)]
-                + [f"{v:.17g}" for v in (*alpha, minimum)]
-                + [cell[positive], cell[cf], cell[weights], cell[near]]
-            )
-            for idx, (alpha, positive, minimum, cf, weights, near) in enumerate(result.rows())
-        ]
-        header = (
-            "index,alpha_1,alpha_2,min_eigenvalue,positive,"
-            "closed_form_positive,weights_positive,near_boundary"
-        )
-        footer = f"# fraction_positive = {result.fraction_positive:.17g}"
-        expected = "\n".join([header, *rows, footer]) + "\n"
         assert len(out) > 4 * _WRITE_BYTES
         assert out.encode() == target.read_bytes()
-        assert out == expected
+        assert out == _expected_sample(n, lam, seed, count)
 
 
 class TestEmit:
@@ -616,6 +647,105 @@ class TestEmit:
         assert len(writes[-1]) < 1000
         longest = max(map(len, pieces), default=0)
         assert all(1000 <= len(text) < 1000 + longest for text in writes[:-1])
+
+
+_SWEEP_CASES = [
+    # points outside (-1, 1), in a count that fills no whole block
+    (("spectrum", "--n", "4", "--grid", "-3:3:101"), (4, "-3:3:101", "csv")),
+    (("spectrum", "--n", "4", "--grid", "-3:3:101", "--format", "json"), (4, "-3:3:101", "json")),
+    # the floor on rows per block sets the block at n = 40
+    (("spectrum", "--n", "40", "--grid", "-1.2:1.2:77"), (40, "-1.2:1.2:77", "csv")),
+    (
+        ("spectrum", "--n", "40", "--grid", "-1.2:1.2:77", "--format", "json"),
+        (40, "-1.2:1.2:77", "json"),
+    ),
+    (("spectrum", "--n", "6", "--grid", "1.5:1.5:1", "--format", "json"), (6, "1.5:1.5:1", "json")),
+    # every verdict column; the closed form alone; no weights column
+    (("positivity", "--n", "2", "--lambda", "0.3", "--sample", "1100", "--seed", "5"), (2, 0.3, 5, 1100)),
+    (("positivity", "--n", "4", "--lambda", "0", "--sample", "300", "--seed", "9"), (4, 0.0, 9, 300)),
+    (("positivity", "--n", "6", "--lambda", "1.5", "--sample", "250", "--seed", "3"), (6, 1.5, 3, 250)),
+]
+
+
+class TestStreamedSweeps:
+    """`spectrum` and `positivity --sample` format and write each solved
+    block before the next block is solved."""
+
+    @pytest.mark.parametrize("argv, reference", _SWEEP_CASES, ids=lambda v: " ".join(map(str, v)))
+    def test_output_does_not_depend_on_the_block(self, capsys, monkeypatch, argv, reference):
+        expected = (_expected_spectrum if argv[0] == "spectrum" else _expected_sample)(*reference)
+        default = (analysis._BLOCK_FLOATS, analysis._MIN_BLOCK_ROWS)
+        # the default blocks, the floor of rows alone, and three rows a block
+        for floats, rows in (default, (1, default[1]), (1, 3)):
+            monkeypatch.setattr(analysis, "_BLOCK_FLOATS", floats)
+            monkeypatch.setattr(analysis, "_MIN_BLOCK_ROWS", rows)
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == ""
+            assert out == expected
+
+    @pytest.mark.parametrize(
+        "argv, small, large",
+        [
+            (("positivity", "--n", "6", "--lambda", "0.3", "--sample"), "5000", "50000"),
+            (("spectrum", "--n", "40", "--grid"), "-1.2:1.2:500", "-1.2:1.2:5000"),
+            (("spectrum", "--n", "40", "--format", "json", "--grid"), "-1.2:1.2:500", "-1.2:1.2:5000"),
+        ],
+        ids=["positivity", "spectrum-csv", "spectrum-json"],
+    )
+    def test_memory_does_not_grow_with_the_count(self, argv, small, large):
+        # tracemalloc counts numpy's buffers as well as Python objects
+        def peak(last):
+            tracemalloc.start()
+            try:
+                assert main([*argv, last, "--output", os.devnull]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(small)  # imports and first-call set-up are not the sweep's
+        assert peak(large) <= 1.5 * peak(small)
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("spectrum", "--n", "4", "--grid", "-1.2:1.2:100"), "scan_blocks"),
+            (("positivity", "--n", "4", "--lambda", "0", "--sample", "100"), "sample_blocks"),
+        ],
+        ids=["spectrum", "positivity"],
+    )
+    @pytest.mark.parametrize(
+        "error", [FloatingPointError("overflow encountered"), DomainError("no such block")]
+    )
+    def test_error_in_a_later_block(self, capsys, monkeypatch, argv, name, error):
+        import numpy as np
+
+        blocks_of = getattr(analysis, name)
+        states = []
+
+        def failing(*args, **kwargs):
+            def blocks():
+                for index, block in enumerate(blocks_of(*args, **kwargs)):
+                    states.append(np.geterr())
+                    if index == 1:
+                        raise error
+                    yield block
+
+            return blocks()
+
+        monkeypatch.setattr(analysis, "_BLOCK_FLOATS", 1)
+        code, complete, _ = run_cli(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr(analysis, name, failing)
+        monkeypatch.setattr(cli, "_WRITE_BYTES", 1)  # every piece is written at once
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        # the header and the first block's rows stay written
+        lines = out.splitlines()
+        assert len(lines) == 1 + analysis._MIN_BLOCK_ROWS
+        assert complete.startswith(out)
+        assert [(s["over"], s["invalid"]) for s in states] == [("raise", "raise")] * 2
 
 
 class TestContinuumCommand:

@@ -158,9 +158,9 @@ def sizes_within_limits():
         _bounded(patch, closedform, "basis_family", MAX_BASIS_SIZE, "basis family")
         _bounded(patch, closedform, "basis_element", MAX_BASIS_SIZE, "basis element")
         _bounded(patch, cli, "_chain_rows", MAX_HAMILTONIAN_SIZE, "chain")
-        _bounded(patch, analysis, "reality_scan", MAX_SPECTRUM_SIZE, "spectrum")
+        _bounded(patch, analysis, "scan_blocks", MAX_SPECTRUM_SIZE, "spectrum")
         _bounded(patch, closedform, "assemble_theta", MAX_POSITIVITY_SIZE, "candidate")
-        _bounded(patch, analysis, "sample_positivity_region", MAX_POSITIVITY_SIZE, "sample")
+        _bounded(patch, analysis, "sample_blocks", MAX_POSITIVITY_SIZE, "sample")
         yield
 
 

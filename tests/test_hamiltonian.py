@@ -260,6 +260,7 @@ class TestRealityScan:
     def test_batched_scan_equals_per_point_solves(self, monkeypatch, n, block_points):
         if block_points is not None:
             monkeypatch.setattr(analysis, "_BLOCK_FLOATS", block_points * n * n)
+            monkeypatch.setattr(analysis, "_MIN_BLOCK_ROWS", 1)
         grid = [-3.0, -1.0, -0.999, -0.4, 0.0, 0.25, 0.999, 1.0, 1.0001, 1.2]
         reports = reality_scan(n, grid)
         assert [r.lam for r in reports] == grid
