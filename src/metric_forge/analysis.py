@@ -14,14 +14,19 @@ the conversion between coefficient coordinates and spectral weights, the
 explicit low-size positivity inequalities, a seeded sampler over
 coefficient space, and the two-parameter positive metric family of the
 uncoupled chain.
+
+Each float sweep has one result type, a NamedTuple of columns:
+`ScanBlock` for the reality scan and `RegionSample` for the sampler.
+`scan_blocks` and `sample_blocks` yield one per bounded block of points
+or draws, and `reality_scan` and `sample_positivity_region` join the
+blocks into one of the same type.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import repeat
-from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -29,7 +34,6 @@ from .errors import DegenerateSpectrumError, DimensionError, DomainError
 from .hamiltonian import HamiltonianSpec, _chain_bands, _check_size, build_hamiltonian
 
 __all__ = [
-    "SpectrumReport",
     "symmetric_similarity",
     "eigs_general",
     "ScanBlock",
@@ -38,7 +42,6 @@ __all__ = [
     "evaluate_basis_stack",
     "BiorthogonalSystem",
     "PositivityReport",
-    "SampleRecord",
     "RegionSample",
     "biorthogonal_system",
     "theta_from_weights",
@@ -61,16 +64,6 @@ POSITIVE_MARGIN = 1e-10
 SAMPLE_MARGIN = 1e-8
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Eigenvalues of one family member at one coupling."""
-
-    lam: float
-    eigenvalues: tuple[complex, ...]
-    max_imag: float
-    all_real: bool
-
-
 # Most matrix entries a stacked float solve holds at once, with a floor of
 # `_MIN_BLOCK_ROWS` matrices a block so that large sizes still batch.  It
 # bounds both a block's numpy temporaries and the Python objects of its
@@ -83,6 +76,17 @@ def _blocks(count: int, n: int) -> Iterator[slice]:
     """Consecutive slices that cover `count` n x n matrices, each within the budget."""
     step = max(_MIN_BLOCK_ROWS, _BLOCK_FLOATS // (n * n))
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
+
+
+_Block = TypeVar("_Block", bound=tuple)
+
+
+def _joined(blocks: Sequence[_Block]) -> _Block:
+    """The blocks of one sweep as one block of the same type: each column
+    concatenated in order, and a None column left None."""
+    return type(blocks[0])._make(
+        None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks)
+    )
 
 
 def _float_bands(n: int, lam: Any) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,22 +189,18 @@ def _scan_block(n: int, lams: np.ndarray, tol: float) -> ScanBlock:
     return ScanBlock(lams, values, max_imag, max_imag <= tol)
 
 
-def reality_scan(
-    n: int, lambdas: Iterable[float], *, tol: float = 1e-9
-) -> list[SpectrumReport]:
-    """One spectrum report per grid value, in input order.
+def reality_scan(n: int, lambdas: Iterable[float], *, tol: float = 1e-9) -> ScanBlock:
+    """The spectrum at every grid value, as one `ScanBlock` in input order.
 
     Inside (-1, 1) the eigenvalues come from the symmetric similarity and
     are real by construction; elsewhere from the general dense solver.
     The points are solved in the stacked blocks of `scan_blocks`, each
-    group of a block as one batch.  A point is flagged all-real when every
-    imaginary part stays within `tol`.
+    group of a block as one batch, and joined.  A point is flagged all-real
+    when every imaginary part stays within `tol`.  An empty grid gives
+    columns of length 0, with eigenvalues of shape (0, n).
     """
-    return [
-        SpectrumReport(lam=lam, eigenvalues=tuple(row), max_imag=imag, all_real=real)
-        for block in scan_blocks(n, lambdas, tol=tol)
-        for lam, row, imag, real in zip(*(column.tolist() for column in block))
-    ]
+    blocks = list(scan_blocks(n, lambdas, tol=tol))
+    return _joined(blocks) if blocks else _scan_block(n, np.zeros(0), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,30 +366,14 @@ def positivity_closed_form(n: int, lam: float, alpha: Sequence[float]) -> bool:
     return closed_form_margin(n, lam, alpha) > 0.0
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """One sampled coefficient vector with all available verdicts."""
-
-    alpha: tuple[float, ...]
-    positive: bool
-    min_eigenvalue: float
-    closed_form_positive: Optional[bool]
-    weights_positive: Optional[bool]
-    near_boundary: bool
-
-
-@dataclass(frozen=True, eq=False)
-class RegionSample:
-    """A seeded sweep over coefficient space, or one block of its draws,
-    one array entry per draw.
+class RegionSample(NamedTuple):
+    """A seeded sweep over coefficient space, or one block of its draws, as
+    columns in the order of the `positivity --sample` CSV.
 
     `alphas` has shape (count, n); the other columns have length count.
     A verdict column that does not apply at the size and coupling is None.
     """
 
-    n: int
-    lam: float
-    seed: int
     alphas: np.ndarray
     minima: np.ndarray
     positive: np.ndarray
@@ -404,22 +388,6 @@ class RegionSample:
     @property
     def fraction_positive(self) -> float:
         return int(np.count_nonzero(self.positive)) / self.count
-
-    @property
-    def records(self) -> tuple[SampleRecord, ...]:
-        """The draws as `SampleRecord`s, built on each read."""
-        columns = (
-            self.alphas,
-            self.positive,
-            self.minima,
-            self.closed_form_positive,
-            self.weights_positive,
-            self.near_boundary,
-        )
-        return tuple(
-            SampleRecord(tuple(alpha), *rest)
-            for alpha, *rest in zip(*(repeat(None) if c is None else c.tolist() for c in columns))
-        )
 
 
 def evaluate_basis_stack(n: int, lam: float) -> np.ndarray:
@@ -451,13 +419,13 @@ def sample_blocks(n: int, lam: float, seed: int, count: int) -> Iterator[RegionS
     right = biorthogonal_system(HamiltonianSpec(n, lam)).right if -1.0 < lam < 1.0 else None
     rng = np.random.default_rng(seed)
     return (
-        _sample_block(n, lam, seed, stack, right, rng.uniform(-1.0, 1.0, (part.stop - part.start, n)))
+        _sample_block(n, lam, stack, right, rng.uniform(-1.0, 1.0, (part.stop - part.start, n)))
         for part in _blocks(count, n)
     )
 
 
 def _sample_block(
-    n: int, lam: float, seed: int, stack: np.ndarray, right: Optional[np.ndarray], alphas: np.ndarray
+    n: int, lam: float, stack: np.ndarray, right: Optional[np.ndarray], alphas: np.ndarray
 ) -> RegionSample:
     lead = alphas[:, 0] > 0
     alphas[lead] /= alphas[lead, :1]
@@ -478,17 +446,8 @@ def _sample_block(
         weights = np.einsum("in,sij,jn->sn", right, thetas, right)
         weights_positive = np.min(weights, axis=1) > 0.0
         near |= np.min(np.abs(weights), axis=1) <= SAMPLE_MARGIN
-    return RegionSample(
-        n=n,
-        lam=lam,
-        seed=seed,
-        alphas=alphas,
-        minima=minima,
-        positive=minima > POSITIVE_MARGIN,
-        closed_form_positive=cf_positive,
-        weights_positive=weights_positive,
-        near_boundary=near,
-    )
+    positive = minima > POSITIVE_MARGIN
+    return RegionSample(alphas, minima, positive, cf_positive, weights_positive, near)
 
 
 def sample_positivity_region(n: int, lam: float, seed: int, count: int) -> RegionSample:
@@ -500,17 +459,10 @@ def sample_positivity_region(n: int, lam: float, seed: int, count: int) -> Regio
     apply at the given size/coupling are recorded as None.  Samples whose
     minimum eigenvalue, closed-form margin, or smallest weight lies within
     `SAMPLE_MARGIN` of zero are flagged near-boundary.  The draws are
-    solved in the stacked blocks of `sample_blocks` and collected into one
+    solved in the stacked blocks of `sample_blocks` and joined into one
     sample; each sample's arithmetic is that of a lone solve.
     """
-    blocks = list(sample_blocks(n, lam, seed, count))
-
-    def joined(name: str) -> Optional[np.ndarray]:
-        parts = [getattr(block, name) for block in blocks]
-        return None if parts[0] is None else np.concatenate(parts)
-
-    columns = ("alphas", "minima", "positive", "closed_form_positive", "weights_positive", "near_boundary")
-    return replace(blocks[0], **{name: joined(name) for name in columns})
+    return _joined(list(sample_blocks(n, lam, seed, count)))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .errors import ConstructionError, DegenerateSpectrumError, DimensionError, DomainError
-from .hamiltonian import HamiltonianSpec, _chain_rows, _float_coupling
+from .hamiltonian import HamiltonianSpec, _chain_rows, _check_size, _float_coupling
 
 
 class UsageError(ValueError):
@@ -57,10 +57,10 @@ MAX_VERIFY_SIZE = 40
 
 # Largest `metric basis --n`.  Each element comes straight from the
 # closed-form degrees, so the printed text sets the cost: at n = 120 the
-# subprocess takes 2.7 s, peaks at 151 MB of RSS and prints 36 MB with
-# --lambda 5/9, and 10 s, 816 MB and 267 MB of text with a coupling of
-# 49 digits over 50; at n = 160, 5/9 takes 7.0 s and 376 MB (2 cores,
-# the last with this cap lifted).
+# subprocess takes 1.1 s, peaks at 185 MB of RSS and prints 36 MB with
+# --lambda 5/9, and 5.4 s, 1071 MB and 267 MB of text with a coupling of
+# 49 digits over 50; at n = 160, 5/9 takes 2.8 s and 471 MB (one child
+# each of a small parent, 2 cores, the last with this cap lifted).
 MAX_BASIS_SIZE = 120
 
 # Largest `hamiltonian --n`.  The printed n^2 cells set the cost, and
@@ -314,6 +314,7 @@ def cmd_metric_basis(args: argparse.Namespace) -> int:
 
     _check_command_size(args.n, MAX_BASIS_SIZE)
     lam = parse_scalar(args.lam) if args.lam is not None else None
+    _check_size(args.n)  # before --j, whose range it sets
     if args.j is not None and not 1 <= args.j <= args.n:
         raise UsageError(f"--j must lie in 1..{args.n}")
     family = basis_family(args.n) if args.j is None else (basis_element(args.n, args.j),)
@@ -484,16 +485,8 @@ def cmd_positivity(args: argparse.Namespace) -> int:
         yield ",".join(header) + "\n"
         drawn = positives = 0
         for block in blocks:
-            columns = (
-                block.alphas,
-                block.positive,
-                block.minima,
-                block.closed_form_positive,
-                block.weights_positive,
-                block.near_boundary,
-            )
-            draws = zip(*(repeat(None) if c is None else c.tolist() for c in columns))
-            for index, (alpha, positive, minimum, cf, weights, near) in enumerate(draws, drawn):
+            draws = zip(*(repeat(None) if c is None else c.tolist() for c in block))
+            for index, (alpha, minimum, positive, cf, weights, near) in enumerate(draws, drawn):
                 yield row % (index, *alpha, minimum, cell[positive], cell[cf], cell[weights], cell[near])
             drawn += block.count
             positives += int(block.positive.sum())

@@ -1,4 +1,5 @@
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -6,14 +7,17 @@ import pytest
 from metric_forge import analysis
 from metric_forge.analysis import (
     POSITIVE_MARGIN,
-    SampleRecord,
+    RegionSample,
+    ScanBlock,
     biorthogonal_system,
     closed_form_margin,
     evaluate_basis_stack,
     positivity,
     positivity_closed_form,
+    reality_scan,
     sample_blocks,
     sample_positivity_region,
+    scan_blocks,
     theta_from_weights,
     weights_from_theta,
 )
@@ -26,12 +30,28 @@ from metric_forge.errors import (
 from metric_forge.hamiltonian import HamiltonianSpec, build_hamiltonian
 
 
+def _columns(block):
+    """The columns of a sweep's block as lists, with None for a None column."""
+    return [None if column is None else column.tolist() for column in block]
+
+
+def _concatenated(blocks):
+    """The columns of `blocks`, each joined as one list in block order; a
+    column is None only when it is None in every block."""
+    parts = zip(*map(_columns, blocks))
+    return [
+        None if all(p is None for p in part) else list(chain.from_iterable(part)) for part in parts
+    ]
+
+
 def _sample_one_by_one(n, lam, seed, count, margin=1e-8):
-    """The sampler one draw at a time, the reference for the batched one."""
+    """The sampler one draw at a time, the reference for the batched one:
+    the columns of `RegionSample` as lists, with None for a verdict that
+    does not apply at the size and coupling."""
     stack = evaluate_basis_stack(n, lam)
     right = biorthogonal_system(HamiltonianSpec(n, lam)).right if -1 < lam < 1 else None
     rng = np.random.default_rng(seed)
-    records = []
+    columns = [[] for _ in RegionSample._fields]
     for _ in range(count):
         alpha = rng.uniform(-1.0, 1.0, n)
         if alpha[0] > 0:
@@ -51,17 +71,17 @@ def _sample_one_by_one(n, lam, seed, count, margin=1e-8):
             weights = np.einsum("in,ij,jn->n", right, theta, right)
             weights_positive = bool(np.min(weights) > 0.0)
             near = near or float(np.min(np.abs(weights))) <= margin
-        records.append(
-            SampleRecord(
-                alpha=tuple(float(v) for v in alpha),
-                positive=minimum > POSITIVE_MARGIN,
-                min_eigenvalue=minimum,
-                closed_form_positive=cf_positive,
-                weights_positive=weights_positive,
-                near_boundary=near,
-            )
-        )
-    return tuple(records)
+        draw = (alpha.tolist(), minimum, minimum > POSITIVE_MARGIN, cf_positive, weights_positive, near)
+        for column, value in zip(columns, draw):
+            column.append(value)
+    return [None if None in column else column for column in columns]
+
+
+def _assert_verdicts_agree(result):
+    """Away from the boundary, every verdict column equals `positive`."""
+    far = ~result.near_boundary
+    for verdicts in (result.closed_form_positive, result.weights_positive):
+        assert np.array_equal(verdicts[far], result.positive[far])
 
 
 class TestBiorthogonalSystem:
@@ -266,37 +286,27 @@ class TestSampling:
         result = sample_positivity_region(2, 0.0, seed=42, count=2000)
         # positive iff alpha_1 > 0 and |alpha_2| < alpha_1: probability 1/4
         assert abs(result.fraction_positive - 0.25) < 0.05
-        for record in result.records:
-            if record.near_boundary:
-                continue
-            assert record.closed_form_positive == record.positive
-            assert record.weights_positive == record.positive
+        _assert_verdicts_agree(result)
 
     def test_size4_free_agreement(self):
-        result = sample_positivity_region(4, 0.0, seed=7, count=1500)
-        for record in result.records:
-            if record.near_boundary:
-                continue
-            assert record.closed_form_positive == record.positive
-            assert record.weights_positive == record.positive
+        _assert_verdicts_agree(sample_positivity_region(4, 0.0, seed=7, count=1500))
 
     def test_determinism(self):
         a = sample_positivity_region(4, 0.25, seed=3, count=64)
         b = sample_positivity_region(4, 0.25, seed=3, count=64)
-        assert a.records == b.records
+        assert _columns(a) == _columns(b)
 
     def test_leading_coefficient_rescale(self):
         result = sample_positivity_region(2, 0.0, seed=1, count=100)
-        for record in result.records:
-            if record.alpha[0] > 0:
-                assert record.alpha[0] == 1.0
+        lead = result.alphas[:, 0] > 0
+        assert lead.any() and np.all(result.alphas[lead, 0] == 1.0)
 
     @pytest.mark.parametrize("lam", [1.0, 1.5])
     def test_size2_outside_window_leaves_closed_form_empty(self, lam):
         # closed_form_margin covers size 2 only for |lam| < 1
         result = sample_positivity_region(2, lam, seed=5, count=20)
-        assert all(record.closed_form_positive is None for record in result.records)
-        assert all(record.weights_positive is None for record in result.records)
+        assert result.closed_form_positive is None
+        assert result.weights_positive is None
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_first_basis_vector_always_positive(self, n):
@@ -312,7 +322,7 @@ class TestSampling:
     def test_batched_equals_one_by_one(self, monkeypatch, n, lam):
         monkeypatch.setattr(analysis, "SAMPLE_MARGIN", 1e-3)
         result = sample_positivity_region(n, lam, seed=11, count=300)
-        assert result.records == _sample_one_by_one(n, lam, 11, 300, margin=1e-3)
+        assert _columns(result) == _sample_one_by_one(n, lam, 11, 300, margin=1e-3)
 
     @pytest.mark.parametrize("count", [1, 5, 23])
     def test_block_edges_equal_one_by_one(self, monkeypatch, count):
@@ -320,51 +330,66 @@ class TestSampling:
         monkeypatch.setattr(analysis, "_BLOCK_FLOATS", 5 * 36)
         monkeypatch.setattr(analysis, "_MIN_BLOCK_ROWS", 1)
         result = sample_positivity_region(6, 0.2, seed=4, count=count)
-        assert result.records == _sample_one_by_one(6, 0.2, 4, count)
+        assert _columns(result) == _sample_one_by_one(6, 0.2, 4, count)
 
     @pytest.mark.parametrize("n, lam", [(4, 0.0), (6, 1.5)])
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, 0), (1, 1)])
-    def test_blocks_and_records_follow_the_columns(self, n, lam, blocks, extra):
+    def test_blocks_follow_the_columns(self, n, lam, blocks, extra):
         # one draw, one sampler block, and one block plus one draw
         step = max(analysis._MIN_BLOCK_ROWS, analysis._BLOCK_FLOATS // (n * n))
         count = blocks * step + extra
         result = sample_positivity_region(n, lam, seed=3, count=count)
         parts = list(sample_blocks(n, lam, 3, count))
         assert [part.count for part in parts] == [step] * blocks + [extra] * (extra > 0)
+        assert result.count == count
         start = 0
         for part in parts:
             window = slice(start, start + part.count)
-            assert np.array_equal(part.alphas, result.alphas[window])
-            assert np.array_equal(part.minima, result.minima[window])
+            for column, whole in zip(part, result):
+                assert column is whole is None or np.array_equal(column, whole[window])
             start += part.count
-        absent = [None] * count
-        verdicts = (result.closed_form_positive, result.weights_positive)
-        expected = list(
-            zip(
-                result.alphas.tolist(),
-                result.positive.tolist(),
-                result.minima.tolist(),
-                *(absent if column is None else column.tolist() for column in verdicts),
-                result.near_boundary.tolist(),
-            )
-        )
-        records = [
-            (list(r.alpha), r.positive, r.min_eigenvalue, r.closed_form_positive,
-             r.weights_positive, r.near_boundary)
-            for r in result.records
-        ]
-        assert records == expected
-        assert {type(r.min_eigenvalue) for r in result.records} == {float}
-
-    def test_records_view(self, monkeypatch):
-        monkeypatch.setattr(analysis, "SAMPLE_MARGIN", 0.05)
-        result = sample_positivity_region(4, 0.0, seed=7, count=500)
-        records = result.records
-        assert len(records) == result.count == 500
-        assert all(isinstance(record, SampleRecord) for record in records)
-        near = sum(record.near_boundary for record in records)
-        assert near == np.count_nonzero(result.near_boundary) > 0
 
     def test_count_validation(self):
         with pytest.raises(DomainError):
             sample_positivity_region(2, 0.0, seed=0, count=0)
+
+
+class TestJoinedBlocks:
+    """`reality_scan` and `sample_positivity_region` return the columns of
+    their block generators joined in order, here three points or draws a
+    block."""
+
+    @pytest.fixture(autouse=True)
+    def three_rows_a_block(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_BLOCK_FLOATS", 1)
+        monkeypatch.setattr(analysis, "_MIN_BLOCK_ROWS", 3)
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_scan_inside_and_outside_the_window(self, n):
+        grid = [-1.5, -1.0, -0.5, 0.0, 0.5, 0.999, 1.0, 1.2]
+        assert [len(block.lams) for block in scan_blocks(n, grid)] == [3, 3, 2]
+        scan = reality_scan(n, grid)
+        assert type(scan) is ScanBlock
+        assert _columns(scan) == _concatenated(scan_blocks(n, grid))
+        # real inside the window and complex at -1.5 and 1.2; at the edges
+        # +/-1 the flag rests on the general solver's rounding, so it is left out
+        assert scan.all_real[2:6].all() and not scan.all_real[[0, -1]].any()
+
+    def test_scan_of_one_point(self):
+        assert _columns(reality_scan(4, [0.3])) == _concatenated(scan_blocks(4, [0.3]))
+
+    def test_scan_of_an_empty_grid(self):
+        scan = reality_scan(6, [])
+        assert list(scan_blocks(6, [])) == []
+        assert [(column.shape, column.dtype) for column in scan] == [
+            ((0,), float), ((0, 6), complex), ((0,), float), ((0,), bool)
+        ]
+
+    @pytest.mark.parametrize("n, lam, verdicts", [(6, 1.5, False), (2, 0.3, True)])
+    @pytest.mark.parametrize("count", [1, 8])
+    def test_sample(self, n, lam, verdicts, count):
+        result = sample_positivity_region(n, lam, seed=9, count=count)
+        assert type(result) is RegionSample and result.count == count
+        assert _columns(result) == _concatenated(sample_blocks(n, lam, 9, count))
+        present = [column is not None for column in result[3:5]]
+        assert present == [verdicts, verdicts]

@@ -40,22 +40,30 @@ def run_cli(capsys, *argv):
 
 def _expected_spectrum(n, grid, fmt):
     """The `spectrum` output built from the collected `reality_scan`."""
-    reports = reality_scan(n, parse_grid(grid))
+    scan = reality_scan(n, parse_grid(grid))
+    points = list(
+        zip(
+            scan.lams.tolist(),
+            scan.eigenvalues.tolist(),
+            scan.max_imag.tolist(),
+            scan.all_real.tolist(),
+        )
+    )
     if fmt == "json":
         payload = [
             {
-                "lambda": r.lam,
-                "eigenvalues": [[v.real, v.imag] for v in r.eigenvalues],
-                "max_imag": r.max_imag,
-                "all_real": r.all_real,
+                "lambda": lam,
+                "eigenvalues": [[v.real, v.imag] for v in values],
+                "max_imag": max_imag,
+                "all_real": all_real,
             }
-            for r in reports
+            for lam, values, max_imag, all_real in points
         ]
         return json.dumps(payload) + "\n"
     lines = [",".join(["lambda", *(f"re_e_{i}" for i in range(1, n + 1)), "max_imag", "all_real"])]
-    for r in reports:
-        cells = [f"{v:.17g}" for v in (r.lam, *(e.real for e in r.eigenvalues), r.max_imag)]
-        lines.append(",".join(cells + ["true" if r.all_real else "false"]))
+    for lam, values, max_imag, all_real in points:
+        cells = [f"{v:.17g}" for v in (lam, *(e.real for e in values), max_imag)]
+        lines.append(",".join(cells + ["true" if all_real else "false"]))
     return "\n".join(lines) + "\n"
 
 
@@ -64,14 +72,7 @@ def _expected_sample(n, lam, seed, count):
     result = sample_positivity_region(n, lam, seed, count)
     cell = {True: "true", False: "false", None: ""}
     absent = [None] * count
-    verdicts = (result.closed_form_positive, result.weights_positive)
-    draws = zip(
-        result.alphas.tolist(),
-        result.minima.tolist(),
-        result.positive.tolist(),
-        *(absent if column is None else column.tolist() for column in verdicts),
-        result.near_boundary.tolist(),
-    )
+    draws = zip(*(absent if column is None else column.tolist() for column in result))
     rows = [
         ",".join(
             [str(idx)]
@@ -311,6 +312,13 @@ class TestMetricBasisCommand:
         code, out, err = run_cli(capsys, "metric", "basis", "--n", "80", "--j", j)
         assert code == 2 and out == ""
         assert err.startswith("error: --j")
+
+    @pytest.mark.parametrize("n", ["-2", "0", "3"])
+    @pytest.mark.parametrize("j", ["1", "5"])
+    def test_size_checked_before_the_index(self, capsys, n, j):
+        code, out, err = run_cli(capsys, "metric", "basis", "--n", n, "--j", j)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: size must be an even integer >= 2"]
 
 
 class TestExactSizeLimits:

@@ -220,40 +220,38 @@ class TestClosedFormSpectrum:
 
 class TestRealityScan:
     def test_real_inside_unit_interval(self):
-        reports = reality_scan(4, [-0.9, 0.0, 0.9])
-        assert [r.all_real for r in reports] == [True, True, True]
-        assert [r.lam for r in reports] == [-0.9, 0.0, 0.9]
+        scan = reality_scan(4, [-0.9, 0.0, 0.9])
+        assert scan.all_real.tolist() == [True, True, True]
+        assert scan.lams.tolist() == [-0.9, 0.0, 0.9]
 
     def test_complex_beyond_unit_interval(self):
-        (report,) = reality_scan(4, [1.2])
-        assert not report.all_real
-        assert report.max_imag > 1e-3
+        scan = reality_scan(4, [1.2])
+        assert scan.all_real.tolist() == [False]
+        assert scan.max_imag[0] > 1e-3
 
     def test_free_size6_matches_chain_eigenvalues(self):
-        (report,) = reality_scan(6, [0.0])
+        scan = reality_scan(6, [0.0])
         golden = sorted(2 - 2 * math.cos(k * math.pi / 7) for k in range(1, 7))
-        assert np.allclose([v.real for v in report.eigenvalues], golden, atol=1e-12)
+        assert np.allclose(scan.eigenvalues[0].real, golden, atol=1e-12)
 
     def test_report_ordering_matches_input(self):
         grid = [0.5, -0.5, 0.0]
-        reports = reality_scan(4, grid)
-        assert [r.lam for r in reports] == grid
+        assert reality_scan(4, grid).lams.tolist() == grid
 
     def test_window_points_match_general_solver(self):
         grid = list(np.linspace(-0.999, 0.999, 41))
         for n in (2, 6, 40):
-            for report in reality_scan(n, grid):
-                general = eigs_general(build_hamiltonian(HamiltonianSpec(n, report.lam)))
-                assert report.max_imag == 0.0 and report.all_real
-                assert np.allclose(
-                    [v.real for v in report.eigenvalues], general.real, rtol=0, atol=1e-12
-                )
+            scan = reality_scan(n, grid)
+            assert np.all(scan.max_imag == 0.0) and np.all(scan.all_real)
+            for lam, values in zip(scan.lams.tolist(), scan.eigenvalues):
+                general = eigs_general(build_hamiltonian(HamiltonianSpec(n, lam)))
+                assert np.allclose(values.real, general.real, rtol=0, atol=1e-12)
 
     def test_window_edges_use_general_solver(self):
-        low, high = reality_scan(4, [-1.0, 1.0])
-        for report in (low, high):
-            general = eigs_general(build_hamiltonian(HamiltonianSpec(4, report.lam)))
-            assert report.eigenvalues == tuple(complex(v) for v in general)
+        scan = reality_scan(4, [-1.0, 1.0])
+        for lam, values in zip(scan.lams.tolist(), scan.eigenvalues):
+            general = eigs_general(build_hamiltonian(HamiltonianSpec(4, lam)))
+            assert np.array_equal(values, general)
 
     @pytest.mark.parametrize("n", [2, 6, 40])
     @pytest.mark.parametrize("block_points", [1, 3, None])
@@ -262,17 +260,17 @@ class TestRealityScan:
             monkeypatch.setattr(analysis, "_BLOCK_FLOATS", block_points * n * n)
             monkeypatch.setattr(analysis, "_MIN_BLOCK_ROWS", 1)
         grid = [-3.0, -1.0, -0.999, -0.4, 0.0, 0.25, 0.999, 1.0, 1.0001, 1.2]
-        reports = reality_scan(n, grid)
-        assert [r.lam for r in reports] == grid
-        for lam, report in zip(grid, reports):
+        scan = reality_scan(n, grid)
+        assert scan.lams.tolist() == grid
+        for lam, row, max_imag in zip(grid, scan.eigenvalues, scan.max_imag.tolist()):
             if -1.0 < lam < 1.0:
                 diag, off, _ = symmetric_similarity(n, lam)
                 s = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
                 values = np.linalg.eigvalsh(s)
             else:
                 values = eigs_general(build_hamiltonian(HamiltonianSpec(n, lam)))
-            assert report.eigenvalues == tuple(complex(v) for v in values)
-            assert report.max_imag == max(abs(v.imag) for v in values)
+            assert row.tolist() == [complex(v) for v in values]
+            assert max_imag == max(abs(v.imag) for v in values)
 
 
 class TestSymmetricSimilarity:
