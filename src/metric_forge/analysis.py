@@ -3,9 +3,10 @@ spectral representation.
 
 This module holds all of the package's numpy work; every other module
 imports only the standard library.  Here live the float
-chain and its symmetric similarity, the reality scans across coupling
-grids with the general dense eigensolver `eigs_general` outside the
-window, and the float basis stack.  A candidate metric is positive
+chain and its symmetric similarity, the general dense eigensolver
+`eigs_general`, the reality scans across coupling grids, which split
+each chain into two half-size problems by its reflection symmetry, and
+the float basis stack.  A candidate metric is positive
 definite iff all eigenvalues are positive; equivalently, writing
 Theta = sum_n t_n w_n w_n^T over the left eigenvectors w_n of the chain,
 iff all spectral weights t_n are positive.  This module provides both
@@ -173,18 +174,32 @@ def scan_blocks(n: int, lambdas: Iterable[float], *, tol: float = 1e-9) -> Itera
     time: a block is solved only when it is asked for.  The size is
     checked and the couplings are read when this is called."""
     HamiltonianSpec(n)  # rejects an odd or too small size
-    lams = np.array([float(lam) for lam in lambdas])
+    lams = np.fromiter(map(float, lambdas), dtype=float)
     return (_scan_block(n, lams[part], tol) for part in _blocks(len(lams), n))
 
 
 def _scan_block(n: int, lams: np.ndarray, tol: float) -> ScanBlock:
-    values = np.zeros((len(lams), n), dtype=complex)
-    inside = (-1.0 < lams) & (lams < 1.0)
+    # the two K x K factors A -/+ rE of `reality_scan`; lam^2 is never
+    # formed, being inexact near 1 and overflowing for huge couplings
+    half = n // 2
+    free = _tridiagonal(np.full(half, 2.0), -np.ones(half - 1), -np.ones(half - 1))
+    size = np.abs(lams)
+    inside = size <= 1.0
+    values = np.empty((len(lams), n), dtype=complex)
     if inside.any():
-        diag, off, _ = symmetric_similarity(n, lams[inside])
-        values[inside] = np.linalg.eigvalsh(_tridiagonal(diag, off, off))
+        r = np.sqrt(1.0 - size[inside]) * np.sqrt(1.0 + size[inside])
+        halves = np.tile(free, (2, len(r), 1, 1))
+        halves[0, :, -1, -1] -= r
+        halves[1, :, -1, -1] += r
+        values[inside] = np.concatenate(np.linalg.eigvalsh(halves), axis=-1)
     if not inside.all():
-        values[~inside] = eigs_general(_float_chain(n, lams[~inside]))
+        # r = i s, and A - i s E is the complex conjugate of A + i s E
+        s = np.sqrt(size[~inside] - 1.0) * np.sqrt(size[~inside] + 1.0)
+        halves = np.tile(free.astype(complex), (len(s), 1, 1))
+        halves[:, -1, -1] += 1j * s
+        w = np.linalg.eigvals(halves)
+        values[~inside] = np.concatenate((w, w.conj()), axis=-1)
+    values.sort(axis=-1)  # complex order is (real, imaginary), as in `eigs_general`
     max_imag = np.max(np.abs(values.imag), axis=1)
     return ScanBlock(lams, values, max_imag, max_imag <= tol)
 
@@ -192,12 +207,22 @@ def _scan_block(n: int, lams: np.ndarray, tol: float) -> ScanBlock:
 def reality_scan(n: int, lambdas: Iterable[float], *, tol: float = 1e-9) -> ScanBlock:
     """The spectrum at every grid value, as one `ScanBlock` in input order.
 
-    Inside (-1, 1) the eigenvalues come from the symmetric similarity and
-    are real by construction; elsewhere from the general dense solver.
-    The points are solved in the stacked blocks of `scan_blocks`, each
-    group of a block as one batch, and joined.  A point is flagged all-real
-    when every imaginary part stays within `tol`.  An empty grid gives
-    columns of length 0, with eigenvalues of shape (0, n).
+    The symmetric similarity S of the chain commutes with the reflection
+    of the sites, so its mirror-even and mirror-odd vectors split the
+    spectrum into those of two K x K matrices, K = n/2: A - rE and A + rE,
+    with A the free K-site chain, E = e_K e_K^T and r = sqrt(1 - lam^2)
+    (Cantoni and Butler, Linear Algebra Appl. 13, 1976).  On the closed
+    window |lam| <= 1 both are real symmetric and solved by `eigvalsh`, so
+    the spectrum is real by construction, and at lam = +/-1 it is the free
+    chain's, doubled.  Outside it r = i s, s = sqrt(lam^2 - 1), and the
+    spectrum is w and conj(w), w the eigenvalues of A + i s E.  r and s
+    are formed as sqrt(1 -/+ |lam|) sqrt(1 +/- |lam|), exact near 1 and
+    finite for every finite coupling.  Each point is sorted by (real,
+    imaginary), as `eigs_general` sorts.  The points are solved in the
+    stacked blocks of `scan_blocks`, each group of a block as one batch,
+    and joined.  A point is flagged all-real when every imaginary part
+    stays within `tol`.  An empty grid gives columns of length 0, with
+    eigenvalues of shape (0, n).
     """
     blocks = list(scan_blocks(n, lambdas, tol=tol))
     return _joined(blocks) if blocks else _scan_block(n, np.zeros(0), tol)

@@ -35,10 +35,11 @@ MAX_SAMPLES = 1_000_000
 
 # Largest `spectrum --grid` count, rejected before the grid is built.
 # Each block of points is solved, formatted and written before the next is
-# solved: at n = 40, 10000 points take 1.0 s as a subprocess for the CSV
-# and 1.3 s for JSON, and peak at 32 MB of RSS in either format (2 cores;
-# 61 and 138 MB when the whole result was held).  Only the grid itself,
-# about 32 bytes a point, grows with the count.
+# solved: at n = 40, 10000 points take 0.56 s as a subprocess for the CSV
+# and 0.74 s for JSON, and peak at 32 MB of RSS in either format (2 cores;
+# 61 and 138 MB when the whole result was held).  Only the couplings, an
+# array of 8 bytes a point once the parsed list is dropped, grow with the
+# count.
 MAX_GRID_POINTS = 10_000
 
 # Most digits in the numerator and in the denominator of an exact
@@ -70,12 +71,12 @@ MAX_BASIS_SIZE = 120
 # 1.1 s and 46 MB (2 cores, the last with this cap lifted).
 MAX_HAMILTONIAN_SIZE = 1000
 
-# Largest `spectrum --n`.  Each grid point is one dense eigensolve, and
-# one outside (-1, 1) runs the general solver: at n = 80 and the grid cap
-# of 10000 points all outside, the subprocess takes 17 s and peaks at
-# 34 MB of RSS for CSV and JSON alike; 1000 points across -1.2..1.2 take
-# 0.6 s at n = 80 and 2.3 s at n = 160 (2 cores, the last with this cap
-# lifted).
+# Largest `spectrum --n`.  Each grid point is two n/2 x n/2 symmetric
+# eigensolves, or one outside [-1, 1] that runs the complex general
+# solver: at n = 80 and the grid cap of 10000 points all outside, the
+# subprocess takes 5.1 s for the CSV and 5.7 s for JSON and peaks at
+# 32 MB of RSS; 1000 points across -1.2..1.2 take 0.27 s at n = 80 and
+# 1.2 s at n = 160 (2 cores, the last with this cap lifted).
 MAX_SPECTRUM_SIZE = 80
 
 # Largest `positivity --n`.  A sampled draw is one n x n eigensolve and
@@ -277,20 +278,24 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.reality_tol) and args.reality_tol >= 0):
         raise UsageError("--reality-tol must be finite and >= 0")
     # each block of points is solved, formatted and written before the
-    # next is solved
+    # next is solved; the couplings are read into an array here, so the
+    # list is dropped
     blocks = scan_blocks(args.n, grid, tol=args.reality_tol)
+    del grid
+    json_out = args.format == "json"
     points = (
         point
         for block in blocks
         for point in zip(
             block.lams.tolist(),
             block.eigenvalues.real.tolist(),
-            block.eigenvalues.imag.tolist(),
+            # only JSON prints the imaginary parts
+            block.eigenvalues.imag.tolist() if json_out else repeat(None),
             block.max_imag.tolist(),
             block.all_real.tolist(),
         )
     )
-    if args.format == "json":
+    if json_out:
         # the text of one dump of the list, written a point at a time
         dumps = (
             _json(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -210,6 +211,27 @@ class TestSpectrumCommand:
         values = [float(v) for v in row[1:7]]
         golden = sorted(2 - 2 * math.cos(k * math.pi / 7) for k in range(1, 7))
         assert max(abs(a - b) for a, b in zip(values, golden)) < 1e-12
+
+    @pytest.mark.parametrize("n", ["4", "40"])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "-8e307:8e307:5",
+            "1e308:1e308:1",
+            "-1e308:-1e308:1",
+            "1.7976931348623157e308:1.7976931348623157e308:1",
+            "1e200:1e300:3",
+        ],
+    )
+    def test_huge_couplings_print_finite_rows(self, capsys, n, grid):
+        # r^2 = 1 - lam^2 overflows here unless it is formed as a product
+        code, out, err = run_cli(capsys, "spectrum", "--n", n, "--grid", grid)
+        assert code == 0 and err == ""
+        for row in out.splitlines()[1:]:
+            cells = [float(c) for c in row.split(",")[:-1]]
+            assert all(math.isfinite(c) for c in cells)
+            # the real part of every eigenvalue lies in the free chain's band
+            assert all(0.0 <= c <= 4.0 for c in cells[1:-1])
 
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--n", "4", "--grid", "1:2:1")

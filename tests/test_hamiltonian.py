@@ -218,6 +218,10 @@ class TestClosedFormSpectrum:
             assert np.allclose(closed, np.sort(numeric.real), atol=1e-10)
 
 
+# Couplings inside, on the edges of and outside the window [-1, 1].
+SCAN_GRID = [-3.0, -1.0, -0.999, -0.4, 0.0, 0.25, 0.999, 1.0, 1.0001, 1.2]
+
+
 class TestRealityScan:
     def test_real_inside_unit_interval(self):
         scan = reality_scan(4, [-0.9, 0.0, 0.9])
@@ -247,30 +251,68 @@ class TestRealityScan:
                 general = eigs_general(build_hamiltonian(HamiltonianSpec(n, lam)))
                 assert np.allclose(values.real, general.real, rtol=0, atol=1e-12)
 
-    def test_window_edges_use_general_solver(self):
-        scan = reality_scan(4, [-1.0, 1.0])
-        for lam, values in zip(scan.lams.tolist(), scan.eigenvalues):
-            general = eigs_general(build_hamiltonian(HamiltonianSpec(4, lam)))
-            assert np.array_equal(values, general)
+    @pytest.mark.parametrize("n", [2, 4, 6, 40])
+    def test_window_edges_are_the_doubled_free_chain(self, n):
+        # at lam = +/-1 the chain is block triangular with two free K-chains
+        # on the diagonal, so every eigenvalue is real and double
+        half = n // 2
+        free = [2 - 2 * math.cos(j * math.pi / (half + 1)) for j in range(1, half + 1)]
+        scan = reality_scan(n, [-1.0, 1.0])
+        for values in scan.eigenvalues:
+            assert np.allclose(values.real, sorted(free + free), rtol=0, atol=1e-14)
+        assert scan.max_imag.tolist() == [0.0, 0.0]
+        assert scan.all_real.tolist() == [True, True]
 
     @pytest.mark.parametrize("n", [2, 6, 40])
     @pytest.mark.parametrize("block_points", [1, 3, None])
     def test_batched_scan_equals_per_point_solves(self, monkeypatch, n, block_points):
+        single = [analysis._scan_block(n, np.array([lam]), 1e-9) for lam in SCAN_GRID]
         if block_points is not None:
             monkeypatch.setattr(analysis, "_BLOCK_FLOATS", block_points * n * n)
             monkeypatch.setattr(analysis, "_MIN_BLOCK_ROWS", 1)
-        grid = [-3.0, -1.0, -0.999, -0.4, 0.0, 0.25, 0.999, 1.0, 1.0001, 1.2]
+        scan = reality_scan(n, SCAN_GRID)
+        assert scan.lams.tolist() == SCAN_GRID
+        for point, row, max_imag, real in zip(single, *scan[1:]):
+            assert row.tolist() == point.eigenvalues[0].tolist()
+            assert max_imag == point.max_imag[0] and real == point.all_real[0]
+
+    @pytest.mark.parametrize("n", [2, 6, 40])
+    def test_scan_matches_the_dense_solvers(self, n):
+        # the dense symmetric solve inside (-1, 1) and the general one
+        # outside; the general solver splits the double eigenvalues of
+        # lam = +/-1 by about sqrt(eps), so those points are left out
+        grid = [lam for lam in SCAN_GRID if abs(abs(lam) - 1.0) > 1e-6]
         scan = reality_scan(n, grid)
-        assert scan.lams.tolist() == grid
         for lam, row, max_imag in zip(grid, scan.eigenvalues, scan.max_imag.tolist()):
             if -1.0 < lam < 1.0:
                 diag, off, _ = symmetric_similarity(n, lam)
                 s = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-                values = np.linalg.eigvalsh(s)
+                dense = np.linalg.eigvalsh(s).astype(complex)
             else:
-                values = eigs_general(build_hamiltonian(HamiltonianSpec(n, lam)))
-            assert row.tolist() == [complex(v) for v in values]
-            assert max_imag == max(abs(v.imag) for v in values)
+                dense = eigs_general(build_hamiltonian(HamiltonianSpec(n, lam)))
+            assert np.max(np.abs(row.real - dense.real)) <= 1e-12
+            assert abs(max_imag - np.max(np.abs(dense.imag))) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 20).map(lambda k: 2 * k),
+        lam=st.one_of(
+            st.builds(
+                lambda edge, k: edge + k * 2.0**-52,
+                st.sampled_from([-1.0, 1.0]),
+                st.integers(-8, 8),
+            ),
+            st.floats(-3.0, 3.0),
+        ),
+    )
+    def test_verdict_is_the_window(self, n, lam):
+        # the spectrum is real exactly when |lam| <= 1; the float verdict
+        # must say so wherever max_imag is more than 10x away from tol
+        tol = 1e-9
+        scan = reality_scan(n, [lam], tol=tol)
+        if tol / 10 <= scan.max_imag[0] <= 10 * tol:
+            return
+        assert bool(scan.all_real[0]) == (abs(lam) <= 1.0)
 
 
 class TestSymmetricSimilarity:
