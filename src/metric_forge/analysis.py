@@ -26,7 +26,6 @@ blocks into one of the same type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -228,8 +227,7 @@ def reality_scan(n: int, lambdas: Iterable[float], *, tol: float = 1e-9) -> Scan
     return _joined(blocks) if blocks else _scan_block(n, np.zeros(0), tol)
 
 
-@dataclass(frozen=True, eq=False)
-class BiorthogonalSystem:
+class BiorthogonalSystem(NamedTuple):
     """Right/left eigenvector pairs of one chain member.
 
     Right vectors sit in the columns of `right`, unit norm with the first
@@ -310,8 +308,7 @@ def weights_from_theta(system: BiorthogonalSystem, theta: Any) -> np.ndarray:
     return np.einsum("in,ij,jn->n", system.right, arr, system.right)
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     """Eigenvalue-based positivity verdict for a symmetric candidate."""
 
     positive: bool
@@ -490,8 +487,7 @@ def sample_positivity_region(n: int, lam: float, seed: int, count: int) -> Regio
     return _joined(list(sample_blocks(n, lam, seed, count)))
 
 
-@dataclass(frozen=True)
-class FreeMetricParams:
+class FreeMetricParams(NamedTuple):
     """Parameters of the free-chain metric family
     exp(-f) (cosh(k) I - sinh(k) J), with J the lattice parity."""
 

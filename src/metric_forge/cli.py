@@ -10,16 +10,27 @@ of failed checks.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from itertools import chain, repeat
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TextIO,
+)
 
 from .errors import ConstructionError, DegenerateSpectrumError, DimensionError, DomainError
 from .hamiltonian import HamiltonianSpec, _chain_rows, _check_size, _float_coupling
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class UsageError(ValueError):
@@ -100,6 +111,8 @@ def parse_scalar(text: str) -> Fraction | float:
     numerator and in its denominator."""
     text = text.strip()
     if "/" in text:
+        from fractions import Fraction
+
         try:
             value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -130,6 +143,8 @@ def parse_exact_scalar(text: str) -> Fraction:
     value = parse_scalar(text)
     if isinstance(value, float):
         raise UsageError("this subcommand requires an exact coupling, e.g. 1/2 or 0")
+    from fractions import Fraction
+
     return Fraction(value)
 
 
@@ -187,12 +202,14 @@ def _exact_texts(values: Iterable[Fraction | int]) -> list[str]:
 
 def _scalar_json(value: Fraction | int | float) -> Any:
     """A float as itself, an exact value as its text."""
-    return _exact_texts([value])[0] if isinstance(value, (Fraction, int)) else value
+    return value if isinstance(value, float) else _exact_texts([value])[0]
 
 
 def _json(payload: Any) -> str:
     """The payload as JSON; NaN and infinities, which JSON cannot hold,
     are an error."""
+    import json
+
     try:
         return json.dumps(payload, allow_nan=False)
     except ValueError as exc:
@@ -238,6 +255,8 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
     # MAX_COUPLING_DIGITS + 1 digits, far below the 4300-digit print limit,
     # and a float entry, 2, -1 or -1 +/- lam, is finite for every finite lam
     if spec.is_exact:
+        from fractions import Fraction
+
         grid = cells = map(_exact_texts, _chain_rows(spec.n, Fraction(lam), Fraction(1), 0))
     else:
         grid = _chain_rows(spec.n, lam, 1.0, 0.0)

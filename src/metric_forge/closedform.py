@@ -34,11 +34,10 @@ solution space is larger than n (`oracle`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
-from typing import Any, Literal, Mapping, Optional, Sequence
+from typing import Any, Literal, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConstructionError, DimensionError, DomainError
 from .exact import IntPolynomial, Matrix
@@ -128,8 +127,7 @@ def _rule_degrees(n: int, j: int) -> dict[tuple[int, int], int]:
     return degrees
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+class IncidenceMatrix(NamedTuple):
     """Sparse (i, k) -> degree pattern for one basis element, as grown by
     `incidence_family`; positions absent from `degrees` are structural zeros."""
 
@@ -198,8 +196,7 @@ def incidence_family(n: int) -> tuple[IncidenceMatrix, ...]:
     return tuple(IncidenceMatrix(n, j, degrees) for j, degrees in enumerate(family, start=1))
 
 
-@dataclass(frozen=True)
-class MetricBasisElement:
+class MetricBasisElement(NamedTuple):
     """One polynomial matrix of the metric expansion basis, held as its
     occupied entries: 1-based (i, k) -> nonzero alphabet polynomial, in
     sorted position order.  Every other entry is zero."""

@@ -17,9 +17,8 @@ library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionError
 
@@ -40,27 +39,28 @@ def _as_poly(value: Any) -> "IntPolynomial":
     return NotImplemented
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class _Polynomial(NamedTuple):
+    coeffs: tuple[int, ...] = ()
+
+
+class IntPolynomial(_Polynomial):
     """Dense polynomial with integer coefficients; ``coeffs[d]`` multiplies
     the d-th power.  Trailing zeros are stripped, so the zero polynomial is
     the empty tuple.  Evaluation at int or Fraction arguments is exact."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        cleaned = tuple(int(v) for v in self.coeffs)
+    def __new__(cls, coeffs: Iterable[int] = ()) -> "IntPolynomial":
+        cleaned = tuple(int(v) for v in coeffs)
         while cleaned and cleaned[-1] == 0:
             cleaned = cleaned[:-1]
-        object.__setattr__(self, "coeffs", cleaned)
+        return super().__new__(cls, cleaned)
 
     @classmethod
     def _stripped(cls, coeffs: tuple[int, ...]) -> "IntPolynomial":
         """A polynomial from a tuple of ints whose last entry, if any, is
         nonzero; it skips the validation pass of the public constructor."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "coeffs", coeffs)
-        return poly
+        return tuple.__new__(cls, (coeffs,))
 
     @property
     def degree(self) -> int:
@@ -150,22 +150,26 @@ class IntPolynomial:
         )
 
 
-@dataclass(frozen=True)
-class Matrix:
+class _Matrix(NamedTuple):
+    entries: tuple[tuple[Any, ...], ...]
+
+
+class Matrix(_Matrix):
     """Immutable rectangular matrix stored as a tuple of row tuples.
 
     All entries are expected to share one scalar kind; arithmetic works
     for anything supporting +, -, * (Fraction, IntPolynomial, int).
     """
 
-    entries: tuple[tuple[Any, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
+    def __new__(cls, entries: tuple[tuple[Any, ...], ...]) -> "Matrix":
+        if not entries or not entries[0]:
             raise DimensionError("matrix needs at least one row and one column")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
+        width = len(entries[0])
+        if any(len(row) != width for row in entries):
             raise DimensionError("rows must all have the same length")
+        return super().__new__(cls, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Any]]) -> "Matrix":

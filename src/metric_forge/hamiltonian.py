@@ -17,15 +17,18 @@ similarity and the dense float eigensolves live in `analysis`.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import TYPE_CHECKING, Any, NamedTuple, Union
+import sys
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .errors import DimensionError, DomainError
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Union
+
     from .exact import Matrix
 
-ScalarLike = Union[int, float, Fraction]
+    ScalarLike = Union[int, float, Fraction]
 
 __all__ = [
     "HamiltonianSpec",
@@ -61,7 +64,12 @@ class HamiltonianSpec(_Spec):
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.lam, (int, Fraction))
+        # a Fraction exists only once `fractions` is loaded, which this
+        # module leaves to the exact paths
+        fractions = sys.modules.get("fractions")
+        return isinstance(self.lam, int) or (
+            fractions is not None and isinstance(self.lam, fractions.Fraction)
+        )
 
     @property
     def phi(self) -> float | None:
@@ -113,6 +121,8 @@ def build_hamiltonian(spec: HamiltonianSpec) -> Any:
     on the three bands and the int 0 off them, a float numpy array
     otherwise."""
     if spec.is_exact:
+        from fractions import Fraction
+
         from .exact import Matrix
 
         return Matrix.from_rows(_chain_rows(spec.n, Fraction(spec.lam), Fraction(1), 0))
@@ -126,7 +136,7 @@ def hamiltonian_polynomial(n: int) -> Matrix:
     from .exact import IntPolynomial, Matrix
 
     _check_size(n)
-    # the zero polynomial, not the int 0, which a dataclass never equals
+    # the zero polynomial, not the int 0, which an IntPolynomial never equals
     one, zero = IntPolynomial((1,)), IntPolynomial()
     return Matrix.from_rows(_chain_rows(n, IntPolynomial((0, 1)), one, zero))
 

@@ -18,7 +18,6 @@ Pacific J. Math. 9 (1959) 893-896).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, NamedTuple
 
@@ -37,16 +36,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SymmetricIndexer:
+class _Indexer(NamedTuple):
+    n: int
+
+
+class SymmetricIndexer(_Indexer):
     """Bijection between 0-based upper-triangle positions (i <= k) and flat
     unknown indices, ordered (0,0), (0,1), ..., (0,n-1), (1,1), ..."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int) -> SymmetricIndexer:
+        if n < 1:
             raise DimensionError("indexer needs a positive size")
+        return super().__new__(cls, n)
 
     @property
     def count(self) -> int:
@@ -65,8 +68,7 @@ class SymmetricIndexer:
         return [[self.flat(i, k) for k in span] for i in span]
 
 
-@dataclass(frozen=True)
-class MetricSolutionSpace:
+class MetricSolutionSpace(NamedTuple):
     """Complete space of real symmetric solutions at one exact coupling.
 
     Basis matrix t reads 1 at entry `free[t]` of `upper_triangle_vector`

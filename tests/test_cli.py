@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -572,7 +571,7 @@ class TestMetricVerifyCommand:
 
         def truncated(spec):
             space = solve(spec)
-            return dataclasses.replace(space, basis=space.basis[:keep])
+            return space._replace(basis=space.basis[:keep])
 
         monkeypatch.setattr(oracle, "solve_metric_space", truncated)
         checks = {c.name: c for c in cli.run_verification(8, lam)}
@@ -1072,6 +1071,27 @@ class TestStartup:
                 for lam in ("1/3", "0.3")
             ),
             (("spectrum", "--n", "4", "--grid", "0:1:3"), _CONSTRUCTIONS),
+            # the exact commands build their records without dataclasses
+            *(
+                (argv, ("dataclasses", "inspect", "numpy"))
+                for argv in (
+                    ("metric", "verify", "--n", "4", "--lambda", "1/3"),
+                    ("metric", "basis", "--n", "4"),
+                )
+            ),
+            # json loads only for JSON output, fractions only for exact couplings
+            *(
+                (argv, ("json", "fractions", "decimal"))
+                for argv in (
+                    ("continuum", "--lambda", "0.5", "--sizes", "12,16"),
+                    ("spectrum", "--n", "4", "--grid", "0:1:3"),
+                )
+            ),
+            *(
+                (("hamiltonian", "--n", "4", "--lambda", lam, "--format", "csv"), ("json",))
+                for lam in ("1/3", "0.3")
+            ),
+            (("positivity", "--n", "2", "--lambda", "0.5", "--sample", "10"), ("json",)),
         ],
     )
     def test_command_leaves_other_modules_unloaded(self, argv, unloaded):

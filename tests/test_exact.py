@@ -122,6 +122,45 @@ class TestMatrix:
         assert asymmetric != asymmetric.T
 
 
+# each record, an equal one built another way, its one field, and its repr
+_RECORDS = [
+    (IntPolynomial((1, -1)), IntPolynomial([1, -1, 0]), "coeffs", "IntPolynomial(coeffs=(1, -1))"),
+    (IntPolynomial(), IntPolynomial._stripped(()), "coeffs", "IntPolynomial(coeffs=())"),
+    (
+        Matrix.from_rows([[1, 2], [3, 4]]),
+        Matrix(((1, 2), (3, 4))).T.T,
+        "entries",
+        "Matrix(entries=((1, 2), (3, 4)))",
+    ),
+]
+
+
+@pytest.mark.parametrize("record, same, field, text", _RECORDS, ids=["poly", "zero", "matrix"])
+class TestValueSemantics:
+    def test_equal_by_value(self, record, same, field, text):
+        assert record == same and record is not same
+        assert not record != same
+
+    def test_hash_is_that_of_the_field_tuple(self, record, same, field, text):
+        # the set of polynomials that `MetricBasisElement.values` builds
+        # iterates in the order these hashes give
+        assert hash(record) == hash(same) == hash((getattr(record, field),))
+
+    def test_never_equal_to_int_zero(self, record, same, field, text):
+        # why `hamiltonian_polynomial` puts the zero polynomial, not 0, off the bands
+        assert record != 0 and 0 != record
+        assert not record == 0
+
+    def test_immutable(self, record, same, field, text):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(same, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_repr(self, record, same, field, text):
+        assert repr(record) == text
+
+
 class TestNullSpace:
     def test_full_rank_identity(self):
         assert null_space(rows_of(Matrix.identity(2).entries), 2) == []

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -82,6 +83,15 @@ class TestSpec:
 
     def test_middle_index(self):
         assert HamiltonianSpec(6, 0).k == 3
+
+    @pytest.mark.parametrize(
+        "lam",
+        [0, -3, True, 2**70, Fraction(1, 3), Fraction(2), 0.5, -0.0, math.inf]
+        + [Decimal("0.5"), np.int64(1), np.float64(0.5)],
+        ids=repr,
+    )
+    def test_exact_couplings_are_int_and_fraction(self, lam):
+        assert HamiltonianSpec(2, lam).is_exact == isinstance(lam, (int, Fraction))
 
 
 class TestBuild:
