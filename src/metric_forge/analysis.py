@@ -89,72 +89,59 @@ def _joined(blocks: Sequence[_Block]) -> _Block:
     )
 
 
-def _float_bands(n: int, lam: Any) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_chain_bands` at a float coupling, or at each coupling of a 1-D
-    array, with the batch axis first."""
-    lam = np.asarray(lam, dtype=float)
-    return tuple(
-        np.moveaxis(np.array(band), 0, -1) for band in _chain_bands(n, lam, np.ones_like(lam))
-    )
+def _float_bands(n: int, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_chain_bands` at a float coupling, as float arrays."""
+    return tuple(np.array(band) for band in _chain_bands(n, float(lam), 1.0))
 
 
 def _tridiagonal(diag: Any, upper: Any, lower: Any) -> np.ndarray:
-    """Dense float matrix with the given diagonal, super- and sub-diagonal,
-    or a stack of them when the bands carry a leading batch axis."""
-    diag = np.asarray(diag, dtype=float)
-    n = diag.shape[-1]
+    """Dense float matrix with the given diagonal, super- and sub-diagonal."""
+    n = len(diag)
     i = np.arange(n)
-    out = np.zeros(diag.shape + (n,))
-    out[..., i, i] = diag
-    out[..., i[:-1], i[1:]] = upper
-    out[..., i[1:], i[:-1]] = lower
+    out = np.zeros((n, n))
+    out[i, i] = diag
+    out[i[:-1], i[1:]] = upper
+    out[i[1:], i[:-1]] = lower
     return out
 
 
-def _float_chain(n: int, lam: Any) -> np.ndarray:
-    """Dense float chain at a float coupling, or a stack of them at each
-    coupling of a 1-D array."""
+def _float_chain(n: int, lam: float) -> np.ndarray:
+    """Dense float chain at a float coupling."""
     return _tridiagonal(*_float_bands(n, lam))
 
 
-def symmetric_similarity(n: int, lam: Any) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def symmetric_similarity(n: int, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of S and diagonal of D with H = D S D^{-1}.
 
     S is symmetric tridiagonal: the chain with middle bond
     -sqrt(1 - lam^2); D = diag(1, ..., 1, r, ..., r) with
     r = sqrt((1 - lam)/(1 + lam)) on the right half.  Eigenvectors map
-    back as right = D u and left = D^{-1} u.  `lam` is a float, or a 1-D
-    array of couplings that puts a leading batch axis on all three
-    results.  Defined only for couplings strictly inside (-1, 1), where
-    both middle-bond entries are negative.
+    back as right = D u and left = D^{-1} u.  Defined only for couplings
+    strictly inside (-1, 1), where both middle-bond entries are negative.
     """
-    lam = np.asarray(lam, dtype=float)
-    if not np.all((-1.0 < lam) & (lam < 1.0)):
+    lam = float(lam)
+    if not -1.0 < lam < 1.0:
         raise DomainError("the symmetric similarity requires |lam| < 1")
     diag, upper, lower = _float_bands(n, lam)
     # each bond of S is the geometric mean of the two entries of H, and D
     # grows across a bond by the square root of their ratio
     off = -np.sqrt(upper * lower)
-    growth = np.sqrt(lower / upper)
-    first = np.ones(growth.shape[:-1] + (1,))
-    scale = np.cumprod(np.concatenate((first, growth), axis=-1), axis=-1)
+    scale = np.cumprod(np.concatenate(([1.0], np.sqrt(lower / upper))))
     return diag, off, scale
 
 
 def eigs_general(m: Any) -> np.ndarray:
     """Eigenvalues of a real square float matrix, sorted by (real,
-    imaginary); given an (m, n, n) stack, those of each matrix, one row
-    per matrix.
+    imaginary).
 
     Complex eigenvalues of a real matrix come in exactly conjugate pairs
     (LAPACK guarantees the pairing); sorting keeps the multiset stable.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise DimensionError("expected a square matrix or a stack of them")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError("expected a square matrix")
     w = np.linalg.eigvals(a)
-    order = np.lexsort((w.imag, w.real), axis=-1)
-    return np.take_along_axis(w, order, axis=-1)
+    return w[np.lexsort((w.imag, w.real))]
 
 
 class ScanBlock(NamedTuple):

@@ -55,16 +55,18 @@ MAX_GRID_POINTS = 10_000
 
 # Most digits in the numerator and in the denominator of an exact
 # coupling.  The oracle and the symbolic checks carry numbers of that size
-# through every step: `metric verify --n 22` takes 0.13 / 0.22 / 0.26 /
-# 0.8 / 1.8 s at 11...1/33...3 with 2 / 20 / 50 / 100 / 200 digits below
-# the bar (one subprocess each, 2 cores; the last two with this cap lifted).
+# through every step: `metric verify --n 22` takes 0.073 / 0.075 / 0.080 /
+# 0.089 / 0.13 s at 11...1/33...3 with 2 / 20 / 50 / 100 / 200 digits
+# below the bar (best of 3 subprocesses, 2 cores; the last two with this
+# cap lifted).
 MAX_COUPLING_DIGITS = 50
 
-# Largest `metric verify --n`.  The oracle's Bareiss elimination sets the
-# time, and the digits of the coupling multiply it: at n = 40 the
-# subprocess takes 0.25 s and peaks at 19 MB of RSS with --lambda 5/9,
-# and 2.3 s and 29 MB with a coupling of 49 digits over 50; at n = 50 the
-# same two take 0.45 s and 7.5 s (2 cores, with this cap lifted).
+# Largest `metric verify --n`.  The exact checks set the time, and the
+# digits of the coupling raise it: at n = 40 the subprocess takes 0.22 s
+# and peaks at 18 MB of RSS with --lambda 5/9, and 0.28 s and 20 MB with a
+# coupling of 49 digits over 50; at n = 50 the same two take 0.38 s and
+# 0.55 s (best of 3, 2 cores, with this cap lifted).  The cap stays until
+# a benchmark workload times `metric verify` at such couplings.
 MAX_VERIFY_SIZE = 40
 
 # Largest `metric basis --n`.  Each element comes straight from the

@@ -4,12 +4,12 @@ Matrices are immutable rows over one scalar kind: `fractions.Fraction`
 for exact work or `IntPolynomial` for symbolic-in-the-coupling work.
 Float work does not pass through here: it uses numpy arrays in the
 modules that need them.  The kernel solver and the rank take sparse rows,
-mappings from column to int or Fraction, and eliminate them fraction-free
-(Bareiss), integerized: zero entries and rows are dropped, and a row whose
-leading column is not yet reached is not touched until it is used, so the
-work on the oracle's banded systems follows their nonzeros and fill-in.
-Intermediate entries are minors of the input, so they stay polynomially
-bounded in bit size, every division is exact, and every returned vector
+mappings from column to int or Fraction, integerize them and eliminate
+over the integers, keeping every row they make primitive: zero entries
+and rows are dropped, and a row whose leading column is not yet reached
+is not touched until it is used, so the work on the oracle's banded
+systems follows their nonzeros and fill-in.  Every division is exact, no
+row keeps a common factor of its entries, and every returned vector
 annihilates the input exactly.  The module imports only the standard
 library.
 """
@@ -277,58 +277,52 @@ def _bits(row: dict[int, int]) -> int:
 
 
 def _echelon(rows: Iterable[Mapping[int, Any]]) -> tuple[list[dict[int, int]], list[int], int]:
-    """Fraction-free (Bareiss) row echelon form of integerized sparse rows;
-    returns the pivot rows in pivot order, their pivot columns, and the
-    largest bit length of any entry the elimination produced.
+    """Row echelon form of integerized sparse rows, every row it makes
+    primitive; returns the pivot rows in pivot order, their pivot columns,
+    and the largest bit length of any entry of a row it kept.
 
     Columns are processed left to right, up to the last one an input row
     holds, so the pivot columns, and hence the kernel basis, are canonical.
-    Every row waits in the bucket of its leading column.  At step t the
-    first row waiting on column c becomes the pivot row; every other row
-    waiting there is eliminated against it, moves to the bucket of its new
-    leading column, or is dropped once it is zero.  A row waiting on a
-    later column has a zero factor at step t, and Bareiss's update would
-    only rescale it by pivot_t / pivot_(t-1), so it is left alone: it
-    records the step s it was last brought up to and is rescaled entrywise
-    by pivot_t / pivot_s when it is next used.  Both that rescaling and the
-    update divide exactly, because every Bareiss entry is a minor of the
-    integerized input (Bareiss 1968).
+    Every row waits in the bucket of its leading column.  The first row
+    waiting on column c becomes the pivot row; every other row waiting
+    there is eliminated against it, moves to the bucket of its new leading
+    column, or is dropped once it is zero.  Elimination takes the smallest
+    integer multiples that cancel column c, row * (piv/g) - pivot_row *
+    (f/g) with g = gcd(piv, f), and divides the result by its content, the
+    gcd of its entries (the primitive part of Collins 1967 and Brown 1971).
+    Both divisions are exact by construction.  Each row made is thus the
+    primitive integer multiple of the row that Fraction elimination with
+    the same pivots would hold, so its size is that row's and not that of
+    a minor of the input, and a waiting row needs no update until it is
+    used.
     """
-    buckets: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    buckets: dict[int, list[dict[int, int]]] = {}
     max_bits = 0
     integer_rows = _integer_rows(rows)
     for row in integer_rows:
-        buckets.setdefault(min(row), []).append((0, row))
+        buckets.setdefault(min(row), []).append(row)
         max_bits = max(max_bits, _bits(row))
-    pivot_values = [1]  # the pivot of step s; step 0 stands for the input
     pivot_rows: list[dict[int, int]] = []
     pivot_cols: list[int] = []
     for c in range(max(map(max, integer_rows), default=-1) + 1):
         waiting = buckets.pop(c, None)
         if waiting is None:
             continue
-        prev = pivot_values[-1]
-        current = len(pivot_values) - 1
-        lifted = []
-        for stamp, row in waiting:
-            if stamp != current:
-                last = pivot_values[stamp]
-                row = {k: v * prev // last for k, v in row.items()}
-                max_bits = max(max_bits, _bits(row))
-            lifted.append(row)
-        pivot_row = lifted[0]
+        pivot_row = waiting[0]
         piv = pivot_row[c]
-        for row in lifted[1:]:
-            factor = row[c]
-            merged = {k: piv * v for k, v in row.items() if k != c}
+        for row in waiting[1:]:
+            f = row[c]
+            g = math.gcd(piv, f)
+            a, b = piv // g, f // g
+            merged = {k: a * v for k, v in row.items() if k != c}
             for k, v in pivot_row.items():
                 if k != c:
-                    merged[k] = merged.get(k, 0) - factor * v
-            reduced = {k: v // prev for k, v in merged.items() if v}
-            if reduced:
-                buckets.setdefault(min(reduced), []).append((current + 1, reduced))
+                    merged[k] = merged.get(k, 0) - b * v
+            content = math.gcd(*merged.values())
+            if content:
+                reduced = {k: v // content for k, v in merged.items() if v}
+                buckets.setdefault(min(reduced), []).append(reduced)
                 max_bits = max(max_bits, _bits(reduced))
-        pivot_values.append(piv)
         pivot_rows.append(pivot_row)
         pivot_cols.append(c)
     return pivot_rows, pivot_cols, max_bits
@@ -337,7 +331,9 @@ def _echelon(rows: Iterable[Mapping[int, Any]]) -> tuple[list[dict[int, int]], l
 class KernelBasis(list):
     """Kernel basis vectors, their ascending free columns `free`, and the
     counters of the elimination that produced them: `pivots` (the rank) and
-    `max_bits`, the largest bit length of any intermediate integer entry."""
+    `max_bits`, the bit length of the largest entry of any row the
+    elimination kept: the integerized input rows and the primitive rows
+    it made."""
 
     def __init__(self, vectors: list, free: list[int], pivots: int, max_bits: int) -> None:
         super().__init__(vectors)
@@ -356,30 +352,37 @@ def null_space(rows: Iterable[Mapping[int, Any]], width: int) -> KernelBasis:
     pivot coordinates are solved exactly.  An empty list means the kernel
     is trivial.
 
-    Back-substitution stays in integers: scaled by the last pivot, which
-    is the determinant of the pivot minor, every kernel coordinate is an
-    integer (Cramer's rule), so each division in it is exact.
+    Back-substitution stays in integers, one free column at a time: the
+    vector of free column f is held as integers x over one denominator,
+    starting from x = e_f over 1.  Each pivot row, last first, solves its
+    pivot coordinate; where the pivot does not divide the row's sum, x
+    and the denominator are first multiplied by the smallest factor that
+    makes it divide.
     """
     pivot_rows, pivot_cols, max_bits = _echelon(rows)
     pivot_set = set(pivot_cols)
     free = [c for c in range(width) if c not in pivot_set]
-    det = pivot_rows[-1][pivot_cols[-1]] if pivot_rows else 1
-    scaled: dict[int, list[int]] = {}
-    for t, f in enumerate(free):
-        scaled[f] = [0] * len(free)
-        scaled[f][t] = det
-    for row, c in zip(reversed(pivot_rows), reversed(pivot_cols)):
-        acc = [0] * len(free)
-        for k, v in row.items():
-            if k != c:
-                acc = [x + v * y for x, y in zip(acc, scaled[k])]
-        piv = row[c]
-        scaled[c] = [-x // piv for x in acc]
     zero = Fraction(0)
-    basis = [
-        tuple(Fraction(scaled[k][t], det) if scaled[k][t] else zero for k in range(width))
-        for t in range(len(free))
-    ]
+    basis = []
+    for f in free:
+        x, den = {f: 1}, 1
+        get = x.get
+        for row, c in zip(reversed(pivot_rows), reversed(pivot_cols)):
+            total = 0
+            for k, v in row.items():
+                y = get(k)  # None at c, which is not solved yet
+                if y:
+                    total += v * y
+            if total:
+                piv = row[c]
+                if total % piv:
+                    scale = abs(piv) // math.gcd(total, piv)
+                    for k in x:
+                        x[k] *= scale
+                    den *= scale
+                    total *= scale
+                x[c] = -total // piv
+        basis.append(tuple(Fraction(x[k], den) if k in x else zero for k in range(width)))
     return KernelBasis(basis, free, len(pivot_cols), max_bits)
 
 

@@ -2,8 +2,8 @@
 
 The constraint Theta H = H^T Theta over real symmetric Theta is a
 homogeneous linear system in the n(n+1)/2 upper-triangle unknowns.  This
-module builds it as exact sparse rows, which the fraction-free kernel
-solver eliminates as sparse rows into the complete, canonical solution space.
+module builds it as exact sparse rows, which the exact kernel solver
+eliminates over the integers into the complete, canonical solution space.
 
 Its dimension is n at every coupling.  Row i of Theta H = H^T Theta reads
 Theta[i,:] H = sum_r H[r,i] Theta[r,:] over r = i-1, i, i+1, so for
@@ -74,8 +74,8 @@ class MetricSolutionSpace(NamedTuple):
     Basis matrix t reads 1 at entry `free[t]` of `upper_triangle_vector`
     and 0 at the other free columns (`exact.null_space`).
     `pivots` and `max_bits` are the counters of the kernel elimination:
-    its pivot count (the rank of the constraint system) and the largest
-    bit length of any intermediate integer entry."""
+    its pivot count (the rank of the constraint system) and the bit
+    length of the largest entry of any row the elimination kept."""
 
     n: int
     lam: Fraction

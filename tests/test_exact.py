@@ -225,18 +225,22 @@ def gauss_jordan_kernel(a):
 
 
 nonzero_fractions = small_fractions.filter(bool)
+# numerators and denominators up to 10^30, so that rows carry large contents
+huge_fractions = st.builds(
+    Fraction, st.integers(-(10**30), 10**30).filter(bool), st.integers(1, 10**30)
+)
 
 
 @st.composite
-def sparse_matrices(draw):
+def sparse_matrices(draw, values=nonzero_fractions):
     """Random sparse rational matrices with zero rows, negated duplicate
     rows, all-zero columns, and rows whose support starts late, so that
     they wait through many pivot steps before they are used."""
     n_cols = draw(st.integers(min_value=1, max_value=10))
     dead = draw(st.sets(st.integers(min_value=0, max_value=n_cols - 1), max_size=n_cols // 2))
     live = [c for c in range(n_cols) if c not in dead] or [0]
-    supports = st.dictionaries(st.sampled_from(live), nonzero_fractions, max_size=4)
-    late = st.dictionaries(st.sampled_from(live[-2:]), nonzero_fractions, min_size=1, max_size=2)
+    supports = st.dictionaries(st.sampled_from(live), values, max_size=4)
+    late = st.dictionaries(st.sampled_from(live[-2:]), values, min_size=1, max_size=2)
     entries = draw(st.lists(supports, min_size=1, max_size=9))
     entries += draw(st.lists(late, max_size=3))
     entries += [{} for _ in range(draw(st.integers(min_value=0, max_value=2)))]
@@ -260,6 +264,14 @@ class TestSparseElimination:
         assert basis == expected_basis
         assert rank(rows_of(a.entries)) == expected_rank
         assert basis.pivots == expected_rank
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices(huge_fractions))
+    def test_large_entries_match_gauss_jordan_reference(self, a):
+        basis = null_space(rows_of(a.entries), a.cols)
+        expected_basis, expected_rank = gauss_jordan_kernel(a)
+        assert basis == expected_basis
+        assert rank(rows_of(a.entries)) == basis.pivots == expected_rank
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_matrices())
@@ -301,9 +313,10 @@ class TestSparseElimination:
         assert basis.pivots == basis.max_bits == 0
 
     def test_waiting_row_is_rescaled_exactly(self):
-        # the fourth row is updated at step 2 (pivot 36), then waits on
-        # column 3 through step 3 (pivot -30); it is rescaled by -30/36,
-        # which is not an integer, before step 4 uses it
+        # regression input: the fourth row is eliminated at column 1, waits
+        # on column 3 while column 2 is pivoted, then becomes the pivot of
+        # column 3; an elimination that rescales waiting rows must do so
+        # exactly here
         a = Matrix.from_rows(
             [[6, 0, 1, 0, 0, -1], [5, 0, 0, -4, -3, 0], [0, 6, 0, 1, 0, -6], [0, 5, 0, 5, 0, -3]]
         )
@@ -404,6 +417,8 @@ class TestEigsGeneral:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             eigs_general(np.ones((2, 3)))
+        with pytest.raises(DimensionError):
+            eigs_general(np.ones((2, 3, 3)))
 
 
 def test_module_imports_only_stdlib_and_errors():
