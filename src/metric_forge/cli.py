@@ -62,11 +62,12 @@ MAX_GRID_POINTS = 10_000
 MAX_COUPLING_DIGITS = 50
 
 # Largest `metric verify --n`.  The exact checks set the time, and the
-# digits of the coupling raise it: at n = 40 the subprocess takes 0.22 s
-# and peaks at 18 MB of RSS with --lambda 5/9, and 0.28 s and 20 MB with a
-# coupling of 49 digits over 50; at n = 50 the same two take 0.38 s and
-# 0.55 s (best of 3, 2 cores, with this cap lifted).  The cap stays until
-# a benchmark workload times `metric verify` at such couplings.
+# digits of the coupling raise it: at n = 40 the subprocess takes 0.31 s
+# and peaks at 17 MB of RSS with --lambda 5/9, and 0.42 s and 19 MB with a
+# coupling of 49 digits over 50; at n = 50 the same two take 0.55 s and
+# 20 MB, and 0.75 s and 24 MB (best of 3, a loaded 2-core host, with this
+# cap lifted).  The cap stays until a benchmark workload times
+# `metric verify` at such couplings.
 MAX_VERIFY_SIZE = 40
 
 # Largest `metric basis --n`.  Each element comes straight from the
@@ -377,7 +378,7 @@ def run_verification(n: int, lam: Fraction) -> list[CheckResult]:
         reflection_symmetry_holds,
     )
     from .exact import _integer_rows, rank
-    from .oracle import SymmetricIndexer, solve_metric_space, upper_triangle_vector
+    from .oracle import SymmetricIndexer, solve_metric_space
 
     checks: list[CheckResult] = []
     # the paper's recurrence, checked step by step against the closed-form
@@ -391,14 +392,14 @@ def run_verification(n: int, lam: Fraction) -> list[CheckResult]:
     space = solve_metric_space(HamiltonianSpec(n, lam))
     checks.append(CheckResult("oracle_dimension", space.dimension == n, space.dimension))
 
-    # Span equivalence in the coordinates of the oracle's reduced-echelon
-    # basis b_t (`exact.null_space`): member u has coordinates u[f_t] and
-    # residual u - sum_t u[f_t] b_t, which is 0 at every f_t, so the rank of
-    # the basis stacked on the members, the detail, is the basis size plus
-    # the rank of the residuals.  In integers, with row t scaled to `scale`
-    # at f_t; a zero member has no integer row.
-    basis = (dict(enumerate(upper_triangle_vector(b))) for b in space.basis)
-    basis = list(zip(space.free, _integer_rows(basis)))
+    # Span equivalence in the coordinates of the reduced-echelon basis
+    # b_t = x_t / x_t[f_t] of the oracle's integer vectors x_t
+    # (`exact.null_space`): member u has coordinates u[f_t] and residual
+    # u - sum_t u[f_t] b_t, which is 0 at every f_t, so the rank of the
+    # basis stacked on the members, the detail, is the basis size plus the
+    # rank of the residuals.  In integers, with each x_t rescaled to read
+    # `scale` at f_t and u times `scale`; a zero member has no integer row.
+    basis = list(zip(space.free, space.basis))
     scale = math.lcm(*(row[f] for f, row in basis))
     basis = [(f, {k: v * (scale // row[f]) for k, v in row.items()}) for f, row in basis]
     flat = SymmetricIndexer(n).table()

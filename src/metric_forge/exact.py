@@ -9,9 +9,9 @@ over the integers, keeping every row they make primitive: zero entries
 and rows are dropped, and a row whose leading column is not yet reached
 is not touched until it is used, so the work on the oracle's banded
 systems follows their nonzeros and fill-in.  Every division is exact, no
-row keeps a common factor of its entries, and every returned vector
-annihilates the input exactly.  The module imports only the standard
-library.
+row keeps a common factor of its entries, and every kernel vector is
+returned as such a primitive row, one that annihilates the input
+exactly.  The module imports only the standard library.
 """
 
 from __future__ import annotations
@@ -329,11 +329,10 @@ def _echelon(rows: Iterable[Mapping[int, Any]]) -> tuple[list[dict[int, int]], l
 
 
 class KernelBasis(list):
-    """Kernel basis vectors, their ascending free columns `free`, and the
-    counters of the elimination that produced them: `pivots` (the rank) and
-    `max_bits`, the bit length of the largest entry of any row the
-    elimination kept: the integerized input rows and the primitive rows
-    it made."""
+    """Kernel vectors as {column: int} maps, their ascending free columns
+    `free`, and the counters of the elimination that produced them:
+    `pivots` (the rank) and `max_bits`, the bit length of the largest
+    entry of any row the elimination kept, input or made."""
 
     def __init__(self, vectors: list, free: list[int], pivots: int, max_bits: int) -> None:
         super().__init__(vectors)
@@ -346,26 +345,23 @@ def null_space(rows: Iterable[Mapping[int, Any]], width: int) -> KernelBasis:
     """Exact basis of the right kernel of the rational sparse rows, read as
     a matrix of `width` columns, 0..width-1; a column no row holds is free.
 
-    Each basis vector is the reduced-echelon one attached to a free
-    column: vector t carries a 1 at `free[t]` and 0 at the other free
-    columns, so a kernel vector u is sum_t u[free[t]] times vector t; the
-    pivot coordinates are solved exactly.  An empty list means the kernel
-    is trivial.
+    Vector x_t is a primitive integer {column: int} map without zero
+    entries: positive at f = `free[t]` and absent at the other free
+    columns.  x_t / x_t[f] is the reduced-echelon vector of f, so a kernel
+    vector u is sum_t u[free[t]] x_t / x_t[free[t]].  An empty list means
+    the kernel is trivial.
 
-    Back-substitution stays in integers, one free column at a time: the
-    vector of free column f is held as integers x over one denominator,
-    starting from x = e_f over 1.  Each pivot row, last first, solves its
-    pivot coordinate; where the pivot does not divide the row's sum, x
-    and the denominator are first multiplied by the smallest factor that
-    makes it divide.
+    Back-substitution starts from x = e_f; each pivot row, last first,
+    solves its pivot coordinate, after x is multiplied by the smallest
+    factor that lets the pivot divide the row's sum.  x[f] thus stays the
+    lcm of the denominators of x / x[f], and x primitive.
     """
     pivot_rows, pivot_cols, max_bits = _echelon(rows)
     pivot_set = set(pivot_cols)
     free = [c for c in range(width) if c not in pivot_set]
-    zero = Fraction(0)
     basis = []
     for f in free:
-        x, den = {f: 1}, 1
+        x = {f: 1}
         get = x.get
         for row, c in zip(reversed(pivot_rows), reversed(pivot_cols)):
             total = 0
@@ -379,10 +375,9 @@ def null_space(rows: Iterable[Mapping[int, Any]], width: int) -> KernelBasis:
                     scale = abs(piv) // math.gcd(total, piv)
                     for k in x:
                         x[k] *= scale
-                    den *= scale
                     total *= scale
                 x[c] = -total // piv
-        basis.append(tuple(Fraction(x[k], den) if k in x else zero for k in range(width)))
+        basis.append(x)
     return KernelBasis(basis, free, len(pivot_cols), max_bits)
 
 

@@ -71,15 +71,15 @@ class SymmetricIndexer(_Indexer):
 class MetricSolutionSpace(NamedTuple):
     """Complete space of real symmetric solutions at one exact coupling.
 
-    Basis matrix t reads 1 at entry `free[t]` of `upper_triangle_vector`
-    and 0 at the other free columns (`exact.null_space`).
+    Basis vector t is the primitive integer kernel vector of free column
+    `free[t]` (`exact.null_space`), indexed by `SymmetricIndexer`.
     `pivots` and `max_bits` are the counters of the kernel elimination:
     its pivot count (the rank of the constraint system) and the bit
     length of the largest entry of any row the elimination kept."""
 
     n: int
     lam: Fraction
-    basis: tuple[Matrix, ...]
+    basis: tuple[dict[int, int], ...]
     free: tuple[int, ...]
     dimension: int
     pivots: int
@@ -122,21 +122,19 @@ def intertwining_system(h: Matrix) -> list[dict[int, Fraction]]:
 def solve_metric_space(spec: HamiltonianSpec) -> MetricSolutionSpace:
     """All real symmetric solutions of the quasi-Hermiticity constraint.
 
-    The basis is the reduced-echelon kernel basis, so it is deterministic
+    The basis is the canonical integer kernel basis, so it is deterministic
     across runs; every element satisfies the constraint exactly.
     """
     if not spec.is_exact:
         raise DomainError("the exact oracle requires an exact coupling")
-    indexer = SymmetricIndexer(spec.n)
-    kernel = null_space(intertwining_system(build_hamiltonian(spec)), indexer.count)
-    flat = indexer.table()
-    basis = tuple(Matrix.from_rows([[vec[f] for f in row] for row in flat]) for vec in kernel)
+    width = SymmetricIndexer(spec.n).count
+    kernel = null_space(intertwining_system(build_hamiltonian(spec)), width)
     return MetricSolutionSpace(
         n=spec.n,
         lam=Fraction(spec.lam),
-        basis=basis,
+        basis=tuple(kernel),
         free=tuple(kernel.free),
-        dimension=len(basis),
+        dimension=len(kernel),
         pivots=kernel.pivots,
         max_bits=kernel.max_bits,
     )

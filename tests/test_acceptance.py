@@ -88,9 +88,9 @@ def test_criterion_03_span_equivalence():
     for n in (2, 4, 6, 8, 10):
         for lam in ORACLE_COUPLINGS:
             space = solve_metric_space(HamiltonianSpec(n, lam))
-            family = [upper_triangle_vector(el.evaluate(lam)) for el in basis_family(n)]
-            stacked = [upper_triangle_vector(b) for b in space.basis] + family
-            if rank(rows_of(family)) != n or rank(rows_of(stacked)) != n:
+            family = rows_of(upper_triangle_vector(el.evaluate(lam)) for el in basis_family(n))
+            stacked = list(space.basis) + family
+            if rank(family) != n or rank(stacked) != n:
                 ok = False
     _criterion(
         3, "closed-form family independent and spanning the oracle's space, n <= 10", ok

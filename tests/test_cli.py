@@ -553,11 +553,10 @@ class TestMetricVerifyCommand:
             tuple(MetricBasisElement(n, el.j, {}) for el in family),
         ]
         space = oracle.solve_metric_space(HamiltonianSpec(n, lam))
-        basis_rows = [upper_triangle_vector(b) for b in space.basis]
         for variant in variants:
-            members = [upper_triangle_vector(el.evaluate(lam)) for el in variant]
-            stacked = exact.rank(rows_of(basis_rows + members))
-            passed = stacked == n and exact.rank(rows_of(members)) == n
+            members = rows_of(upper_triangle_vector(el.evaluate(lam)) for el in variant)
+            stacked = exact.rank(list(space.basis) + members)
+            passed = stacked == n and exact.rank(members) == n
             monkeypatch.setattr(closedform, "basis_family", lambda size: variant)
             checks = {c.name: c for c in cli.run_verification(n, lam)}
             assert checks["span_equivalence"][1:] == (passed, stacked)

@@ -359,9 +359,9 @@ class TestBasisElement:
     def test_span_matches_oracle(self, n):
         lam = Fraction(1, 3)
         space = solve_metric_space(HamiltonianSpec(n, lam))
-        stacked = [upper_triangle_vector(b) for b in space.basis]
-        stacked += [upper_triangle_vector(el.evaluate(lam)) for el in basis_family(n)]
-        assert rank(rows_of(stacked)) == n
+        stacked = list(space.basis)
+        stacked += rows_of(upper_triangle_vector(el.evaluate(lam)) for el in basis_family(n))
+        assert rank(stacked) == n
 
 
 def dense_defect_cells(element: MetricBasisElement) -> dict:

@@ -13,7 +13,7 @@ from metric_forge import exact
 from metric_forge.analysis import eigs_general, eigs_symmetric
 from metric_forge.errors import DimensionError
 from metric_forge.exact import IntPolynomial, Matrix, null_space, rank
-from sparse_rows import rows_of
+from sparse_rows import reduced_basis, rows_of
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 small_ints = st.integers(min_value=-5, max_value=5)
@@ -167,7 +167,7 @@ class TestNullSpace:
 
     def test_single_equation(self):
         a = Matrix.from_rows([[Fraction(1), Fraction(-1)]])
-        assert null_space(rows_of(a.entries), 2) == [(Fraction(1), Fraction(1))]
+        assert null_space(rows_of(a.entries), 2) == [{0: 1, 1: 1}]
 
     def test_intertwining_n4_kernel_size(self):
         # the vectorized constraint system at size 4 has a 4-dimensional kernel
@@ -185,7 +185,7 @@ class TestNullSpace:
         basis = null_space(rows_of(a.entries), a.cols)
         zero = tuple(Fraction(0) for _ in range(a.rows))
         for vec in basis:
-            assert a @ vec == zero
+            assert a @ [vec.get(c, 0) for c in range(a.cols)] == zero
         assert rank(rows_of(a.entries)) + len(basis) == a.cols
 
     @settings(max_examples=40, deadline=None)
@@ -193,7 +193,7 @@ class TestNullSpace:
     def test_basis_vectors_linearly_independent(self, a):
         basis = null_space(rows_of(a.entries), a.cols)
         if basis:
-            assert rank(rows_of(basis)) == len(basis)
+            assert rank(basis) == len(basis)
 
 
 def gauss_jordan_kernel(a):
@@ -252,6 +252,17 @@ def sparse_matrices(draw, values=nonzero_fractions):
     )
 
 
+def _assert_primitive(basis):
+    """Every kernel vector is an int map with content 1 and no zero entry,
+    positive at its own free column and without the other free columns."""
+    for vec, f in zip(basis, basis.free):
+        assert all(type(v) is int for v in vec.values())
+        assert math.gcd(*vec.values()) == 1
+        assert 0 not in vec.values()
+        assert vec[f] > 0
+        assert not set(basis.free).intersection(vec).difference({f})
+
+
 class TestSparseElimination:
     @settings(max_examples=200, deadline=None)
     @given(sparse_matrices())
@@ -260,8 +271,8 @@ class TestSparseElimination:
         expected_basis, expected_rank = gauss_jordan_kernel(a)
         zero = tuple(Fraction(0) for _ in range(a.rows))
         for vec in basis:
-            assert a @ vec == zero
-        assert basis == expected_basis
+            assert a @ [vec.get(c, 0) for c in range(a.cols)] == zero
+        assert reduced_basis(basis, basis.free, a.cols) == expected_basis
         assert rank(rows_of(a.entries)) == expected_rank
         assert basis.pivots == expected_rank
 
@@ -270,22 +281,33 @@ class TestSparseElimination:
     def test_large_entries_match_gauss_jordan_reference(self, a):
         basis = null_space(rows_of(a.entries), a.cols)
         expected_basis, expected_rank = gauss_jordan_kernel(a)
-        assert basis == expected_basis
+        assert reduced_basis(basis, basis.free, a.cols) == expected_basis
         assert rank(rows_of(a.entries)) == basis.pivots == expected_rank
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_matrices())
     def test_free_columns_read_the_identity(self, a):
         # a free column is one that does not raise the rank of the columns
-        # before it; basis vector t reads 1 at free[t] and 0 at the others
+        # before it; reduced-echelon vector t reads 1 at free[t] and 0 at
+        # the others
         basis = null_space(rows_of(a.entries), a.cols)
         ranks = [0] + [
             gauss_jordan_kernel(Matrix.from_rows([row[: c + 1] for row in a.entries]))[1]
             for c in range(a.cols)
         ]
         assert basis.free == [c for c in range(a.cols) if ranks[c + 1] == ranks[c]]
-        for t, vec in enumerate(basis):
+        for t, vec in enumerate(reduced_basis(basis, basis.free, a.cols)):
             assert [vec[f] for f in basis.free] == [int(s == t) for s in range(len(basis))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices())
+    def test_vectors_are_primitive_integer_vectors(self, a):
+        _assert_primitive(null_space(rows_of(a.entries), a.cols))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices(huge_fractions))
+    def test_large_entry_vectors_are_primitive_integer_vectors(self, a):
+        _assert_primitive(null_space(rows_of(a.entries), a.cols))
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_matrices())
@@ -299,17 +321,17 @@ class TestSparseElimination:
         rows = [{0: 1, 1: Fraction(0), 2: -1}, {}, {3: 0}, {1: Fraction(1, 2), 3: Fraction(0)}]
         basis = null_space(rows, 4)
         assert basis.free == [2, 3] and basis.pivots == rank(rows) == 2
-        assert basis == [(1, 0, 1, 0), (0, 0, 0, 1)]
+        assert basis == [{0: 1, 2: 1}, {3: 1}]
 
     def test_trailing_zero_columns_are_free(self):
         basis = null_space([{0: 2, 1: -2}], 4)
         assert basis.free == [1, 2, 3]
-        assert basis == [(1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        assert basis == [{0: 1, 1: 1}, {2: 1}, {3: 1}]
 
     def test_no_rows(self):
         assert rank([]) == rank([{}, {1: 0}]) == 0
         basis = null_space([], 2)
-        assert basis == [(1, 0), (0, 1)] and basis.free == [0, 1]
+        assert basis == [{0: 1}, {1: 1}] and basis.free == [0, 1]
         assert basis.pivots == basis.max_bits == 0
 
     def test_waiting_row_is_rescaled_exactly(self):
@@ -322,7 +344,7 @@ class TestSparseElimination:
         )
         basis = null_space(rows_of(a.entries), a.cols)
         expected_basis, expected_rank = gauss_jordan_kernel(a)
-        assert basis == expected_basis
+        assert reduced_basis(basis, basis.free, a.cols) == expected_basis
         assert rank(rows_of(a.entries)) == expected_rank == 4
 
 

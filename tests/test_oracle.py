@@ -14,7 +14,7 @@ from metric_forge.oracle import (
     upper_triangle_vector,
     verify_membership,
 )
-from sparse_rows import rows_of
+from sparse_rows import reduced_basis, rows_of, symmetric_matrix
 
 
 def _rebuild_from_one_row(theta, h, order):
@@ -64,7 +64,7 @@ class TestIntertwiningSystem:
         # the one constraint is theta_11 = theta_22
         indexer = SymmetricIndexer(2)
         for vec in kernel:
-            assert vec[indexer.flat(0, 0)] == vec[indexer.flat(1, 1)]
+            assert vec.get(indexer.flat(0, 0), 0) == vec.get(indexer.flat(1, 1), 0)
 
     def test_identity_hamiltonian_gives_zero_system(self):
         system = intertwining_system(Matrix.identity(3))
@@ -134,7 +134,7 @@ def exchange(n: int) -> Matrix:
 
 
 def _span_contains(space, candidate: Matrix) -> bool:
-    rows = rows_of(upper_triangle_vector(b) for b in space.basis)
+    rows = list(space.basis)
     ambient = rank(rows)
     rows += rows_of([upper_triangle_vector(candidate)])
     return rank(rows) == ambient
@@ -178,9 +178,9 @@ class TestSolveMetricSpace:
         space = solve_metric_space(HamiltonianSpec(n, Fraction(5, 9)))
         assert space.pivots == n * (n + 1) // 2 - n
 
-    def test_builds_no_matrix_larger_than_the_chain(self, monkeypatch):
-        # the constraint system stays sparse rows: every Matrix built is the
-        # chain, its transpose or one n x n basis matrix
+    def test_builds_only_the_chain_and_its_transpose(self, monkeypatch):
+        # the constraint system and the basis stay sparse rows: the only
+        # Matrix objects built are the chain and its transpose
         shapes = []
         new = Matrix.__new__
 
@@ -191,7 +191,7 @@ class TestSolveMetricSpace:
 
         monkeypatch.setattr(Matrix, "__new__", recording)
         solve_metric_space(HamiltonianSpec(12, Fraction(5, 9)))
-        assert shapes and max(rows for rows, _ in shapes) <= 12
+        assert shapes == [(12, 12), (12, 12)]
 
     def test_intermediate_bit_length_grows_linearly(self):
         # measured 4, 7, 7, 11, 11, 14, 14, 17, 17, 20, 20 bits at this
@@ -210,7 +210,8 @@ class TestSolveMetricSpace:
     def test_basis_members_are_exact_symmetric_solutions(self):
         spec = HamiltonianSpec(6, Fraction(-1, 3))
         space = solve_metric_space(spec)
-        for basis_matrix in space.basis:
+        for vector in space.basis:
+            basis_matrix = symmetric_matrix(6, vector)
             assert basis_matrix == basis_matrix.T
             ok, residual = verify_membership(basis_matrix, spec)
             assert ok and residual == 0
@@ -219,13 +220,13 @@ class TestSolveMetricSpace:
     def test_basis_reads_the_identity_at_its_free_columns(self, lam):
         space = solve_metric_space(HamiltonianSpec(6, lam))
         assert len(space.free) == space.dimension == 6
-        for t, basis_matrix in enumerate(space.basis):
-            vector = upper_triangle_vector(basis_matrix)
+        reduced = reduced_basis(space.basis, space.free, SymmetricIndexer(6).count)
+        for t, vector in enumerate(reduced):
             assert [vector[f] for f in space.free] == [int(s == t) for s in range(6)]
 
     def test_basis_linearly_independent(self):
         space = solve_metric_space(HamiltonianSpec(8, Fraction(2, 3)))
-        stacked = rows_of(upper_triangle_vector(b) for b in space.basis)
+        stacked = list(space.basis)
         assert rank(stacked) == space.dimension
 
     @pytest.mark.parametrize("lam", [Fraction(5, 9), -1, 2, 0, 1], ids=str)
@@ -238,7 +239,8 @@ class TestSolveMetricSpace:
         order = list(range(n - 1, -1, -1)) if lam == 1 else list(range(n))
         space = solve_metric_space(spec)
         assert space.dimension == n
-        for theta in space.basis:
+        for vector in space.basis:
+            theta = symmetric_matrix(n, vector)
             rebuilt = _rebuild_from_one_row(theta, build_hamiltonian(spec), order)
             assert rebuilt == [list(row) for row in theta.entries]
 
@@ -251,16 +253,16 @@ class TestSolveMetricSpace:
         space = solve_metric_space(HamiltonianSpec(6, lam))
         j = exchange(6)
         flipped_spec = HamiltonianSpec(6, -lam)
-        for basis_matrix in space.basis:
-            mapped = j @ basis_matrix @ j
+        for vector in space.basis:
+            mapped = j @ symmetric_matrix(6, vector) @ j
             ok, residual = verify_membership(mapped, flipped_spec)
             assert ok and residual == 0
 
     def test_exceptional_coupling_is_reported_as_is(self):
         space = solve_metric_space(HamiltonianSpec(2, 1))
         assert space.dimension >= 1
-        for basis_matrix in space.basis:
-            ok, _ = verify_membership(basis_matrix, HamiltonianSpec(2, 1))
+        for vector in space.basis:
+            ok, _ = verify_membership(symmetric_matrix(2, vector), HamiltonianSpec(2, 1))
             assert ok
 
     def test_rejects_float_coupling(self):
@@ -336,9 +338,9 @@ class TestSimilarityAnchor:
         ok, residual = verify_membership(theta, spec)
         assert ok and residual == 0
         space = solve_metric_space(spec)
-        rows = [upper_triangle_vector(b) for b in space.basis]
-        rows.append(upper_triangle_vector(theta))
-        assert rank(rows_of(rows)) == n
+        rows = list(space.basis)
+        rows += rows_of([upper_triangle_vector(theta)])
+        assert rank(rows) == n
         # diagonal with positive diagonal entries: positive definite exactly
         assert all(theta[i, i] > 0 for i in range(n))
         # the float similarity scales by the square roots of the same entries
