@@ -178,7 +178,7 @@ def parse_grid(text: str) -> list[float]:
 
 def parse_float_list(text: str) -> list[float]:
     try:
-        values = [float(p) for p in text.split(",") if p.strip() != ""]
+        values = [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"invalid list {text!r}") from exc
     if not all(math.isfinite(v) for v in values):
@@ -188,7 +188,7 @@ def parse_float_list(text: str) -> list[float]:
 
 def parse_int_list(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
+        return [int(p) for p in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"invalid list {text!r}") from exc
 

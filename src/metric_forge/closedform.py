@@ -50,7 +50,6 @@ __all__ = [
     "MetricBasisElement",
     "entry_polynomial",
     "occupancy_positions",
-    "occupancy_matrix",
     "incidence_family",
     "basis_element",
     "basis_family",
@@ -95,18 +94,6 @@ def occupancy_positions(n: int, j: int) -> frozenset[tuple[int, int]]:
         ((n + 1 + d - t) // 2, (n + 1 - d - t) // 2)
         for d in range(1 - j, j, 2)
         for t in range(j - n, n - j + 1, 2)
-    )
-
-
-def occupancy_matrix(n: int, j: int) -> Matrix:
-    """0/1 matrix of the occupied positions; equals the j-th basis matrix
-    evaluated at coupling zero."""
-    occupied = occupancy_positions(n, j)
-    return Matrix.from_rows(
-        [
-            [1 if (i, k) in occupied else 0 for k in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
     )
 
 
@@ -205,27 +192,11 @@ class MetricBasisElement(NamedTuple):
     j: int
     entries: Mapping[tuple[int, int], IntPolynomial]
 
-    @property
-    def matrix(self) -> Matrix:
-        """Dense view, with zero polynomials at the unoccupied positions."""
-        zero = IntPolynomial()
-        span = range(1, self.n + 1)
-        return Matrix.from_rows(
-            [[self.entries.get((i, k), zero) for k in span] for i in span]
-        )
-
     def values(self, lam: Any) -> dict[tuple[int, int], Any]:
         """Value of each occupied entry at one coupling, in position order,
         exact for int/Fraction input; each distinct polynomial is evaluated once."""
         memo = {p: p(lam) for p in set(self.entries.values())}
         return {position: memo[p] for position, p in self.entries.items()}
-
-    def evaluate(self, lam: Any) -> Matrix:
-        """Numeric matrix at one coupling, the int 0 at unoccupied positions."""
-        rows = [[0] * self.n for _ in range(self.n)]
-        for (i, k), value in self.values(lam).items():
-            rows[i - 1][k - 1] = value
-        return Matrix.from_rows(rows)
 
 
 def basis_element(n: int, j: int) -> MetricBasisElement:

@@ -32,7 +32,6 @@ __all__ = [
     "intertwining_system",
     "solve_metric_space",
     "verify_membership",
-    "upper_triangle_vector",
 ]
 
 
@@ -140,29 +139,19 @@ def solve_metric_space(spec: HamiltonianSpec) -> MetricSolutionSpace:
     )
 
 
-def upper_triangle_vector(m: Matrix) -> tuple:
-    """Canonically ordered upper-triangle entries of a square matrix."""
-    if not m.is_square:
-        raise DimensionError("square matrix required")
-    n = m.rows
-    return tuple(m[i, k] for i in range(n) for k in range(i, n))
-
-
-def _is_exact_matrix(m: Matrix) -> bool:
-    return all(
-        isinstance(e, (int, Fraction)) for row in m.entries for e in row
-    )
-
-
 def verify_membership(theta: Any, spec: HamiltonianSpec) -> MembershipResult:
     """Check Theta H = H^T Theta for a candidate matrix.
 
-    With an exact candidate and an exact coupling the defect is computed
-    exactly and membership means a residual of exactly zero; otherwise
-    the float defect of the candidate (a float array, or a `Matrix` read
-    as floats) must stay within 1e-9 in the max norm.
+    An exact `Matrix` at an exact coupling has its defect computed exactly,
+    and membership means a residual of exactly zero.  A float array has
+    its float defect checked: it must stay within 1e-9 in the max norm.
+    Any other `Matrix`, at a float coupling or holding a non-exact entry,
+    raises DomainError: a `Matrix` is never read as floats.
     """
-    if isinstance(theta, Matrix) and _is_exact_matrix(theta) and spec.is_exact:
+    if isinstance(theta, Matrix):
+        entries = (e for row in theta.entries for e in row)
+        if not (spec.is_exact and all(isinstance(e, (int, Fraction)) for e in entries)):
+            raise DomainError("a Matrix candidate needs exact entries and an exact coupling")
         if theta.shape != (spec.n, spec.n):
             raise DimensionError("candidate size differs from the Hamiltonian")
         h = build_hamiltonian(spec)
@@ -171,7 +160,7 @@ def verify_membership(theta: Any, spec: HamiltonianSpec) -> MembershipResult:
         return MembershipResult(residual == 0, residual)
     import numpy as np
 
-    arr = np.asarray(theta.entries if isinstance(theta, Matrix) else theta, dtype=float)
+    arr = np.asarray(theta, dtype=float)
     if arr.shape != (spec.n, spec.n):
         raise DimensionError("candidate size differs from the Hamiltonian")
     h_float = build_hamiltonian(HamiltonianSpec(spec.n, _float_coupling(spec.lam)))

@@ -1,7 +1,8 @@
-"""Conversions between the dense test matrices and the sparse integer
-format of `exact`: the {column: entry} rows that `exact.null_space` and
-`exact.rank` take, and the primitive {column: int} kernel vectors that
-`null_space` and `oracle.solve_metric_space` return."""
+"""Conversions between the dense test matrices and the sparse formats of
+the package: the {column: entry} rows that `exact.null_space` and
+`exact.rank` take, the primitive {column: int} kernel vectors that
+`null_space` and `oracle.solve_metric_space` return, and the 1-based
+{(i, k): entry} maps of `closedform.MetricBasisElement`."""
 
 from fractions import Fraction
 
@@ -29,3 +30,18 @@ def symmetric_matrix(n, vector):
     `vector` in `SymmetricIndexer` order, its other entries 0."""
     flat = SymmetricIndexer(n).table()
     return Matrix.from_rows([[vector.get(f, 0) for f in row] for row in flat])
+
+
+def dense(entries, n, zero):
+    """The n x n Matrix of a 1-based {(i, k): entry} map, `zero` at every
+    absent position."""
+    span = range(1, n + 1)
+    return Matrix.from_rows([[entries.get((i, k), zero) for k in span] for i in span])
+
+
+def upper_triangle(entries, n):
+    """The {column: entry} row of a 1-based {(i, k): entry} map in the
+    oracle's column order: its positions i <= k counted row-major, (1, 1),
+    (1, 2), ..., (1, n), (2, 2), ...; an absent position has no entry."""
+    positions = [(i, k) for i in range(1, n + 1) for k in range(i, n + 1)]
+    return {t: entries[p] for t, p in enumerate(positions) if p in entries}

@@ -17,7 +17,6 @@ from metric_forge.closedform import MetricBasisElement
 from metric_forge.errors import DomainError
 from metric_forge.exact import IntPolynomial
 from metric_forge.hamiltonian import HamiltonianSpec, build_hamiltonian
-from metric_forge.oracle import upper_triangle_vector
 from metric_forge.cli import (
     _WRITE_BYTES,
     MAX_COUPLING_DIGITS,
@@ -29,7 +28,7 @@ from metric_forge.cli import (
     parse_grid,
     parse_scalar,
 )
-from sparse_rows import rows_of
+from sparse_rows import upper_triangle
 
 
 def run_cli(capsys, *argv):
@@ -554,7 +553,7 @@ class TestMetricVerifyCommand:
         ]
         space = oracle.solve_metric_space(HamiltonianSpec(n, lam))
         for variant in variants:
-            members = rows_of(upper_triangle_vector(el.evaluate(lam)) for el in variant)
+            members = [upper_triangle(el.values(lam), n) for el in variant]
             stacked = exact.rank(list(space.basis) + members)
             passed = stacked == n and exact.rank(members) == n
             monkeypatch.setattr(closedform, "basis_family", lambda size: variant)
@@ -946,6 +945,21 @@ class TestUsageErrors:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # an empty item would shift every later value one place left
+            ("positivity", "--n", "4", "--lambda", "0.3", "--alpha", "1,,2,3,4"),
+            ("positivity", "--n", "2", "--lambda", "0.3", "--alpha", "1,0.5,"),
+            ("continuum", "--lambda", "0.5", "--sizes", "40,,80"),
+        ],
+    )
+    def test_empty_list_item_is_an_invalid_list(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: invalid list {argv[-1]!r}"]
+
     @pytest.mark.parametrize("target", ["missing/x.json", "."])
     @pytest.mark.parametrize(
         "argv",
@@ -1036,6 +1050,24 @@ class TestStartup:
         assert code == "0"
         assert numpy == str(numpy_loaded)
         assert scipy == "False"
+
+    def test_rejected_matrix_candidate_loads_no_numpy(self):
+        # `verify_membership` never reads a Matrix as floats: it rejects a
+        # float entry or a float coupling before it imports numpy
+        probe = (
+            "import sys\n"
+            "from metric_forge.errors import DomainError\n"
+            "from metric_forge.exact import Matrix\n"
+            "from metric_forge.hamiltonian import HamiltonianSpec\n"
+            "from metric_forge.oracle import verify_membership\n"
+            "half = Matrix.from_rows([[0.5, 0], [0, 0.5]])\n"
+            "for theta, lam in ((half, 0), (Matrix.identity(2), 0.5)):\n"
+            "    try:\n"
+            "        verify_membership(theta, HamiltonianSpec(2, lam))\n"
+            "    except DomainError:\n"
+            "        print('numpy' in sys.modules, file=sys.stderr)\n"
+        )
+        assert _fresh_python(probe).split() == ["False", "False"]
 
     def test_package_import_loads_no_submodule(self):
         probe = (

@@ -14,7 +14,6 @@ from metric_forge.closedform import (
     entry_polynomial,
     incidence_family,
     intertwining_defect,
-    occupancy_matrix,
     occupancy_positions,
     reflection_symmetry_holds,
 )
@@ -22,8 +21,8 @@ from metric_forge.analysis import evaluate_basis_stack
 from metric_forge.errors import ConstructionError, DimensionError, DomainError
 from metric_forge.exact import IntPolynomial, Matrix, rank
 from metric_forge.hamiltonian import HamiltonianSpec, hamiltonian_polynomial
-from metric_forge.oracle import solve_metric_space, upper_triangle_vector
-from sparse_rows import rows_of
+from metric_forge.oracle import solve_metric_space
+from sparse_rows import dense, upper_triangle
 
 # incidence patterns exactly as printed for sizes 4 and 6
 PRINTED_S4 = {
@@ -138,10 +137,6 @@ class TestOccupancy:
     def test_size6_last_member_is_antidiagonal(self):
         assert set(occupancy_positions(6, 6)) == {(i, 7 - i) for i in range(1, 7)}
 
-    def test_occupancy_matrix_is_binary(self):
-        m = occupancy_matrix(4, 2)
-        assert m[0, 1] == 1 and m[0, 0] == 0
-
     def test_out_of_range_index(self):
         with pytest.raises(DomainError):
             occupancy_positions(4, 5)
@@ -222,7 +217,7 @@ class TestBasisElement:
         element = basis_family(4)[0]
         minus, plus = poly(1, -1), poly(1, 1)
         zero = poly()
-        assert element.matrix.entries == (
+        assert dense(element.entries, 4, zero).entries == (
             (minus, zero, zero, zero),
             (zero, minus, zero, zero),
             (zero, zero, plus, zero),
@@ -232,12 +227,12 @@ class TestBasisElement:
     def test_last_element_size4_is_antidiagonal_ones(self):
         element = basis_family(4)[3]
         one, zero = poly(1), poly()
-        assert element.matrix == exchange(4, one=one, zero=zero)
+        assert dense(element.entries, 4, zero) == exchange(4, one=one, zero=zero)
 
     def test_printed_entries_of_size8_central(self):
         element = basis_family(8)[3]
-        assert element.matrix[0, 3] == poly(1, -1)  # 1-based (1, 4)
-        assert element.matrix[3, 4] == poly(1, 0, -2, 0, 1)  # (4, 5): (1 - x^2)^2
+        assert element.entries[1, 4] == poly(1, -1)
+        assert element.entries[4, 5] == poly(1, 0, -2, 0, 1)  # (1 - x^2)^2
 
     def test_full_printed_size4_family(self):
         minus, plus = poly(1, -1), poly(1, 1)
@@ -259,8 +254,8 @@ class TestBasisElement:
             ]
         )
         family = basis_family(4)
-        assert family[1].matrix == printed_m2
-        assert family[2].matrix == printed_m3
+        assert dense(family[1].entries, 4, zero) == printed_m2
+        assert dense(family[2].entries, 4, zero) == printed_m3
 
     @pytest.mark.parametrize("n", [2, 6, 10])
     @pytest.mark.parametrize("lam", [Fraction(-2, 7), 0, 3, 0.37])
@@ -302,7 +297,8 @@ class TestBasisElement:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14, 16])
     def test_zero_coupling_reduction(self, n):
         for element in basis_family(n):
-            assert element.evaluate(0) == occupancy_matrix(n, element.j)
+            nonzero = {p: v for p, v in element.values(0).items() if v}
+            assert nonzero == dict.fromkeys(occupancy_positions(n, element.j), 1)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_reflection_symmetry(self, n):
@@ -325,22 +321,22 @@ class TestBasisElement:
 
     def test_elements_are_symmetric_polynomials(self):
         for element in basis_family(10):
-            m = element.matrix
-            assert m == m.T
+            assert element.entries == {(k, i): p for (i, k), p in element.entries.items()}
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     @pytest.mark.parametrize("lam", [0.0, 0.37, -0.8, 1.3])
     def test_stack_matches_dense_view(self, n, lam):
         stack = evaluate_basis_stack(n, lam)
         for element, plane in zip(basis_family(n), stack):
-            for i, row in enumerate(element.matrix.entries):
-                for k, p in enumerate(row):
+            for i in range(n):
+                for k in range(n):
+                    p = element.entries.get((i + 1, k + 1), poly())
                     assert plane[i, k] == float(p(lam))
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_linear_independence_at_sample_coupling(self, n):
         lam = Fraction(2, 5)
-        stacked = rows_of(upper_triangle_vector(el.evaluate(lam)) for el in basis_family(n))
+        stacked = [upper_triangle(el.values(lam), n) for el in basis_family(n)]
         assert rank(stacked) == n
 
     @pytest.mark.parametrize("lam", [Fraction(5, 9), -1, 1, 0, 2], ids=str)
@@ -360,18 +356,18 @@ class TestBasisElement:
         lam = Fraction(1, 3)
         space = solve_metric_space(HamiltonianSpec(n, lam))
         stacked = list(space.basis)
-        stacked += rows_of(upper_triangle_vector(el.evaluate(lam)) for el in basis_family(n))
+        stacked += [upper_triangle(el.values(lam), n) for el in basis_family(n)]
         assert rank(stacked) == n
 
 
 def dense_defect_cells(element: MetricBasisElement) -> dict:
     """The nonzero cells, 1-based, of the dense product M H - H^T M."""
     h = hamiltonian_polynomial(element.n)
-    m = element.matrix
-    dense = m @ h - h.T @ m
+    m = dense(element.entries, element.n, IntPolynomial())
+    product = m @ h - h.T @ m
     return {
         (a + 1, b + 1): p
-        for a, row in enumerate(dense.entries)
+        for a, row in enumerate(product.entries)
         for b, p in enumerate(row)
         if p
     }

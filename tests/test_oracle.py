@@ -11,10 +11,9 @@ from metric_forge.oracle import (
     SymmetricIndexer,
     intertwining_system,
     solve_metric_space,
-    upper_triangle_vector,
     verify_membership,
 )
-from sparse_rows import reduced_basis, rows_of, symmetric_matrix
+from sparse_rows import reduced_basis, rows_of, symmetric_matrix, upper_triangle
 
 
 def _rebuild_from_one_row(theta, h, order):
@@ -136,7 +135,10 @@ def exchange(n: int) -> Matrix:
 def _span_contains(space, candidate: Matrix) -> bool:
     rows = list(space.basis)
     ambient = rank(rows)
-    rows += rows_of([upper_triangle_vector(candidate)])
+    entries = {
+        (i + 1, k + 1): v for i, row in enumerate(candidate.entries) for k, v in enumerate(row)
+    }
+    rows.append(upper_triangle(entries, candidate.rows))
     return rank(rows) == ambient
 
 
@@ -304,13 +306,15 @@ class TestVerifyMembership:
         assert not ok and residual > 0.1
 
     def test_matrix_candidate_at_float_coupling(self):
-        # an exact Matrix with a float coupling takes the float branch
-        ok, residual = verify_membership(Matrix.identity(4), HamiltonianSpec(4, 0.0))
-        assert ok and residual == 0.0
-        ok, residual = verify_membership(Matrix.identity(4), HamiltonianSpec(4, 0.5))
-        assert not ok and residual == 1.0
-        with pytest.raises(DimensionError):
-            verify_membership(Matrix.identity(3), HamiltonianSpec(4, 0.5))
+        # a Matrix is never read as floats, whatever its size
+        for n, lam in ((4, 0.0), (4, 0.5), (3, 0.5)):
+            with pytest.raises(DomainError, match="exact coupling"):
+                verify_membership(Matrix.identity(n), HamiltonianSpec(4, lam))
+
+    def test_matrix_holding_a_float_at_exact_coupling(self):
+        theta = Matrix.from_rows([[0.5, 0], [0, 0.5]])
+        with pytest.raises(DomainError, match="exact entries"):
+            verify_membership(theta, HamiltonianSpec(2, 0))
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -339,7 +343,7 @@ class TestSimilarityAnchor:
         assert ok and residual == 0
         space = solve_metric_space(spec)
         rows = list(space.basis)
-        rows += rows_of([upper_triangle_vector(theta)])
+        rows.append(upper_triangle({(i + 1, i + 1): w for i, w in enumerate(weights)}, n))
         assert rank(rows) == n
         # diagonal with positive diagonal entries: positive definite exactly
         assert all(theta[i, i] > 0 for i in range(n))
