@@ -3,7 +3,9 @@
 
 For each coupling and low-lying state, prints the relative matching
 residual per lattice size and the fitted log-log slope (expected near 2),
-followed by the normalized central amplitude of the ground state.
+followed by the normalized central amplitude of the ground state.  A row
+whose residuals the fit refuses, such as one of exactly 1 where the state
+is not resolved on that lattice, prints `unresolved` for its slope.
 """
 
 import argparse
@@ -13,6 +15,7 @@ from metric_forge.continuum import (
     matching_residual,
     opaque_wall_check,
 )
+from metric_forge.errors import DomainError
 from metric_forge.hamiltonian import HamiltonianSpec
 
 
@@ -23,9 +26,12 @@ def run(couplings: list[float], sizes: list[int], states: int) -> None:
             residuals = [
                 matching_residual(HamiltonianSpec(n, lam), state) for n in sizes
             ]
-            slope = fit_loglog_slope(sizes, residuals)
+            try:
+                slope = f"{fit_loglog_slope(sizes, residuals):.3f}"
+            except DomainError:
+                slope = "unresolved"
             cells = ",".join(f"{r:.3e}" for r in residuals)
-            print(f"{lam},{state},{cells},{slope:.3f}")
+            print(f"{lam},{state},{cells},{slope}")
     for lam in couplings:
         wall = opaque_wall_check(lam, sizes)
         amps = ",".join(f"{a:.4f}" for a in wall.amplitudes)

@@ -2,11 +2,10 @@
 spectral representation.
 
 This module holds all of the package's numpy work; every other module
-imports only the standard library.  Here live the float
-chain and its symmetric similarity, the general dense eigensolver
-`eigs_general`, the reality scans across coupling grids, which split
-each chain into two half-size problems by its reflection symmetry, and
-the float basis stack.  A candidate metric is positive
+imports only the standard library.  Here live the float chain and its
+symmetric similarity, the reality scans across coupling grids, which
+split each chain into two half-size problems by its reflection symmetry,
+and the float basis stack.  A candidate metric is positive
 definite iff all eigenvalues are positive; equivalently, writing
 Theta = sum_n t_n w_n w_n^T over the left eigenvectors w_n of the chain,
 iff all spectral weights t_n are positive.  This module provides both
@@ -35,7 +34,6 @@ from .hamiltonian import HamiltonianSpec, _chain_bands, _check_size, build_hamil
 
 __all__ = [
     "symmetric_similarity",
-    "eigs_general",
     "ScanBlock",
     "scan_blocks",
     "reality_scan",
@@ -130,20 +128,6 @@ def symmetric_similarity(n: int, lam: float) -> tuple[np.ndarray, np.ndarray, np
     return diag, off, scale
 
 
-def eigs_general(m: Any) -> np.ndarray:
-    """Eigenvalues of a real square float matrix, sorted by (real,
-    imaginary).
-
-    Complex eigenvalues of a real matrix come in exactly conjugate pairs
-    (LAPACK guarantees the pairing); sorting keeps the multiset stable.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError("expected a square matrix")
-    w = np.linalg.eigvals(a)
-    return w[np.lexsort((w.imag, w.real))]
-
-
 class ScanBlock(NamedTuple):
     """Consecutive points of a reality scan, as columns: the couplings (m,),
     the eigenvalues (m, n) as complex, and each point's largest imaginary
@@ -185,7 +169,7 @@ def _scan_block(n: int, lams: np.ndarray, tol: float) -> ScanBlock:
         halves[:, -1, -1] += 1j * s
         w = np.linalg.eigvals(halves)
         values[~inside] = np.concatenate((w, w.conj()), axis=-1)
-    values.sort(axis=-1)  # complex order is (real, imaginary), as in `eigs_general`
+    values.sort(axis=-1)  # complex order: by real part, then by imaginary part
     max_imag = np.max(np.abs(values.imag), axis=1)
     return ScanBlock(lams, values, max_imag, max_imag <= tol)
 
@@ -203,8 +187,8 @@ def reality_scan(n: int, lambdas: Iterable[float], *, tol: float = 1e-9) -> Scan
     chain's, doubled.  Outside it r = i s, s = sqrt(lam^2 - 1), and the
     spectrum is w and conj(w), w the eigenvalues of A + i s E.  r and s
     are formed as sqrt(1 -/+ |lam|) sqrt(1 +/- |lam|), exact near 1 and
-    finite for every finite coupling.  Each point is sorted by (real,
-    imaginary), as `eigs_general` sorts.  The points are solved in the
+    finite for every finite coupling.  Each point is sorted by real
+    part, then by imaginary part.  The points are solved in the
     stacked blocks of `scan_blocks`, each group of a block as one batch,
     and joined.  A point is flagged all-real when every imaginary part
     stays within `tol`.  An empty grid gives columns of length 0, with

@@ -374,65 +374,25 @@ def run_verification(n: int, lam: Fraction) -> list[CheckResult]:
         basis_family,
         incidence_family,
         intertwining_defect,
-        occupancy_positions,
         reflection_symmetry_holds,
+        zero_coupling_reduction_holds,
     )
-    from .exact import _integer_rows, rank
-    from .oracle import SymmetricIndexer, solve_metric_space
+    from .oracle import solve_metric_space, span_equivalence
 
-    checks: list[CheckResult] = []
     # the paper's recurrence, checked step by step against the closed-form
     # degrees the family is built from; a mismatch raises ConstructionError
     incidence_family(n)
     family = basis_family(n)
-
     identity_ok = not any(intertwining_defect(el) for el in family)
-    checks.append(CheckResult("closed_form_intertwining", identity_ok))
-
     space = solve_metric_space(HamiltonianSpec(n, lam))
-    checks.append(CheckResult("oracle_dimension", space.dimension == n, space.dimension))
-
-    # Span equivalence in the coordinates of the reduced-echelon basis
-    # b_t = x_t / x_t[f_t] of the oracle's integer vectors x_t
-    # (`exact.null_space`): member u has coordinates u[f_t] and residual
-    # u - sum_t u[f_t] b_t, which is 0 at every f_t, so the rank of the
-    # basis stacked on the members, the detail, is the basis size plus the
-    # rank of the residuals.  In integers, with each x_t rescaled to read
-    # `scale` at f_t and u times `scale`; a zero member has no integer row.
-    basis = list(zip(space.free, space.basis))
-    scale = math.lcm(*(row[f] for f, row in basis))
-    basis = [(f, {k: v * (scale // row[f]) for k, v in row.items()}) for f, row in basis]
-    flat = SymmetricIndexer(n).table()
-    members = (
-        {flat[i - 1][k - 1]: v for (i, k), v in el.values(lam).items() if i <= k} for el in family
-    )
-    coordinates, residuals = [], []
-    for u in _integer_rows(members):
-        coordinates.append({t: u[f] for t, (f, _) in enumerate(basis) if f in u})
-        residual = {k: scale * v for k, v in u.items()}
-        for f, row in basis:
-            if f in u:
-                for k, v in row.items():
-                    residual[k] = residual.get(k, 0) - u[f] * v
-        if any(residual.values()):
-            residuals.append(residual)
-    detail = len(basis) + (rank(residuals) if residuals else 0)
-    # inside the span, n members are independent exactly when their n x n
-    # coordinate matrix has rank n
-    spans = detail == n == len(basis) == len(coordinates)
-    span_ok = spans and rank(coordinates) == n
-    checks.append(CheckResult("span_equivalence", span_ok, detail))
-
-    reduction_ok = all(
-        {p: v for p, v in el.values(0).items() if v}
-        == dict.fromkeys(occupancy_positions(n, el.j), 1)
-        for el in family
-    )
-    checks.append(CheckResult("lambda0_reduction", reduction_ok))
-
-    symmetry_ok = all(reflection_symmetry_holds(el) for el in family)
-    checks.append(CheckResult("reflection_symmetry", symmetry_ok))
-    return checks
+    span_ok, span_detail = span_equivalence(space, (el.values(lam) for el in family))
+    return [
+        CheckResult("closed_form_intertwining", identity_ok),
+        CheckResult("oracle_dimension", space.dimension == n, space.dimension),
+        CheckResult("span_equivalence", span_ok, span_detail),
+        CheckResult("lambda0_reduction", all(map(zero_coupling_reduction_holds, family))),
+        CheckResult("reflection_symmetry", all(map(reflection_symmetry_holds, family))),
+    ]
 
 
 def cmd_metric_verify(args: argparse.Namespace) -> int:
@@ -524,21 +484,17 @@ def cmd_positivity(args: argparse.Namespace) -> int:
 
 
 def cmd_continuum(args: argparse.Namespace) -> int:
-    from .continuum import LatticeGrid, _sweep, fit_loglog_slope
+    from .continuum import LatticeGrid, fit_loglog_slope, sweep
 
-    # plain floats, bounded for |lam| < 1: the one value that can be zero
-    # or non-finite is a residual, which the fit refuses with a DomainError
+    # plain floats, bounded for |lam| < 1: the one value that can be zero,
+    # non-finite or unresolved is a residual, which the fit refuses
     lam_float = _float_coupling(parse_scalar(args.lam))
-    residuals, wall = _sweep(lam_float, parse_int_list(args.sizes), args.state)
-    for n, residual in zip(wall.sizes, residuals):
-        # a relative gap |a - b| / (|a| + |b|) reads exactly 1 when the two
-        # sides have opposite signs: a point that carries no information
-        if residual == 1.0:
-            raise DomainError(
-                f"state {args.state} is not resolved at size {n}: the two sides "
-                "of a matching relation have opposite signs (residual 1)"
-            )
-    slope = fit_loglog_slope(wall.sizes, residuals)
+    residuals, wall = sweep(lam_float, parse_int_list(args.sizes), args.state)
+    try:
+        slope = fit_loglog_slope(wall.sizes, residuals)
+    except DomainError as exc:
+        # the fit names the size; the state is the command's
+        raise DomainError(f"state {args.state} has {exc}") from exc
     lines = (
         f"{n},{_fmt(LatticeGrid(n).h)},{_fmt(residual)},{_fmt(amplitude)}\n"
         for n, residual, amplitude in zip(wall.sizes, residuals, wall.amplitudes)

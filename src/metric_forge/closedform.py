@@ -55,6 +55,7 @@ __all__ = [
     "basis_family",
     "assemble_theta",
     "reflection_symmetry_holds",
+    "zero_coupling_reduction_holds",
     "intertwining_defect",
 ]
 
@@ -253,6 +254,14 @@ def reflection_symmetry_holds(element: MetricBasisElement) -> bool:
         entries.get((n + 1 - k, n + 1 - i)) == p.negate_variable()
         for (i, k), p in entries.items()
     )
+
+
+def zero_coupling_reduction_holds(element: MetricBasisElement) -> bool:
+    """Check the reduction at lam = 0, where every alphabet polynomial
+    reads 1: the nonzero values of M_j(0) are 1, at exactly the positions
+    `occupancy_positions` gives."""
+    nonzero = {p: v for p, v in element.values(0).items() if v}
+    return nonzero == dict.fromkeys(occupancy_positions(element.n, element.j), 1)
 
 
 @cache

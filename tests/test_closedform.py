@@ -20,8 +20,9 @@ from metric_forge.closedform import (
 from metric_forge.analysis import evaluate_basis_stack
 from metric_forge.errors import ConstructionError, DimensionError, DomainError
 from metric_forge.exact import IntPolynomial, Matrix, rank
-from metric_forge.hamiltonian import HamiltonianSpec, hamiltonian_polynomial
+from metric_forge.hamiltonian import HamiltonianSpec
 from metric_forge.oracle import solve_metric_space
+from referees import hamiltonian_polynomial
 from sparse_rows import dense, upper_triangle
 
 # incidence patterns exactly as printed for sizes 4 and 6

@@ -12,12 +12,12 @@ from metric_forge.continuum import (
     LatticeGrid,
     _matching_sides,
     _real_eigenpair,
-    _sweep,
     check_sweep,
     fit_loglog_slope,
     matching_data,
     matching_residual,
     opaque_wall_check,
+    sweep,
 )
 from metric_forge.errors import DimensionError, DomainError
 from metric_forge.hamiltonian import HamiltonianSpec, _chain_bands
@@ -178,7 +178,7 @@ class TestMatchingResiduals:
     @pytest.mark.parametrize("state", [1, 2])
     def test_sweep_is_matching_and_wall(self, state):
         sizes = [20, 40, 80]
-        residuals, wall = _sweep(-0.4, sizes, state)
+        residuals, wall = sweep(-0.4, sizes, state)
         assert residuals == [matching_residual(HamiltonianSpec(n, -0.4), state) for n in sizes]
         assert wall == opaque_wall_check(-0.4, sizes)
 
@@ -252,6 +252,12 @@ class TestSlopeFit:
     def test_residual_without_a_logarithm(self, bad):
         with pytest.raises(DomainError):
             fit_loglog_slope([40, 80], [1e-3, bad])
+
+    @pytest.mark.parametrize("residuals, size", [([1.0, 0.5], 40), ([0.5, 1.0], 80)])
+    def test_unresolved_residual_names_its_size(self, residuals, size):
+        # a relative gap of exactly 1: the two sides have opposite signs
+        with pytest.raises(DomainError, match=f"size {size}:"):
+            fit_loglog_slope([40, 80], residuals)
 
     def test_matches_numpy_polyfit(self):
         sizes = [20, 40, 80, 160, 320]

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metric_forge import exact
-from metric_forge.analysis import eigs_general, eigs_symmetric
+from metric_forge.analysis import eigs_symmetric
 from metric_forge.errors import DimensionError
 from metric_forge.exact import IntPolynomial, Matrix, null_space, rank
+from referees import eigs_general
 from sparse_rows import reduced_basis, rows_of
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from metric_forge import analysis
 from metric_forge.analysis import (
     FreeMetricParams,
-    eigs_general,
     evaluate_basis_stack,
     free_lattice_metric,
     reality_scan,
@@ -25,8 +24,8 @@ from metric_forge.hamiltonian import (
     _chain_rows,
     build_hamiltonian,
     closed_form_spectrum,
-    hamiltonian_polynomial,
 )
+from referees import eigs_general, hamiltonian_polynomial
 
 exact_couplings = st.fractions(min_value=-2, max_value=2, max_denominator=7)
 

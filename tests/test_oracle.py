@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from metric_forge.analysis import symmetric_similarity
+from metric_forge.closedform import MetricBasisElement, basis_family
 from metric_forge.errors import DimensionError, DomainError
-from metric_forge.exact import Matrix, null_space, rank
+from metric_forge.exact import IntPolynomial, Matrix, null_space, rank
 from metric_forge.hamiltonian import HamiltonianSpec, build_hamiltonian
 from metric_forge.oracle import (
     SymmetricIndexer,
     intertwining_system,
     solve_metric_space,
+    span_equivalence,
     verify_membership,
 )
 from sparse_rows import reduced_basis, rows_of, symmetric_matrix, upper_triangle
@@ -270,6 +272,79 @@ class TestSolveMetricSpace:
     def test_rejects_float_coupling(self):
         with pytest.raises(DomainError):
             solve_metric_space(HamiltonianSpec(4, 0.5))
+
+
+def _family_variants(n):
+    """The closed-form family and eight changes of it: reversed, one member
+    scaled, one moved out of the span by x or by 1 in one entry, one zero
+    member, a duplicated member, one member the sum of two, all zero."""
+    family = basis_family(n)
+    x = IntPolynomial((0, 1))
+
+    def changed(index, change):
+        element = family[index]
+        entries = {p: change(p, v) for p, v in element.entries.items()}
+        entries = {p: v for p, v in entries.items() if v}
+        replaced = MetricBasisElement(n, element.j, entries)
+        return family[:index] + (replaced,) + family[index + 1 :]
+
+    first = next(iter(family[-1].entries))
+    return [
+        family,
+        family[::-1],
+        changed(0, lambda p, v: v * 3),
+        changed(n - 1, lambda p, v: v + x if p == first else v),
+        changed(n - 1, lambda p, v: v + 1 if p == first else v),
+        changed(0, lambda p, v: IntPolynomial()),
+        family[:-1] + family[-2:-1],
+        family[:-1] + (MetricBasisElement(n, n, {**family[0].entries, **family[1].entries}),),
+        tuple(MetricBasisElement(n, el.j, {}) for el in family),
+    ]
+
+
+class TestSpanEquivalence:
+    @pytest.mark.parametrize(
+        "lam", [Fraction(0), Fraction(1), Fraction(-1), Fraction(5, 9), Fraction(7, 3)], ids=str
+    )
+    @pytest.mark.parametrize("n", [2, 4, 6, 10])
+    def test_is_the_stacked_rank_definition(self, n, lam):
+        # (passed, detail) against the definition: the basis stacked on the
+        # members has rank n and the members alone rank n, and the detail
+        # is the stacked rank
+        space = solve_metric_space(HamiltonianSpec(n, lam))
+        for variant in _family_variants(n):
+            members = [el.values(lam) for el in variant]
+            rows = [upper_triangle(u, n) for u in members]
+            stacked = rank(list(space.basis) + rows)
+            passed = stacked == n and rank(rows) == n
+            assert span_equivalence(space, members) == (passed, stacked)
+
+    @pytest.mark.parametrize("lam", [Fraction(5, 9), Fraction(1), Fraction(-1)], ids=str)
+    def test_reads_only_the_upper_triangle(self, lam):
+        space = solve_metric_space(HamiltonianSpec(8, lam))
+        members = [el.values(lam) for el in basis_family(8)]
+        upper = [{(i, k): v for (i, k), v in u.items() if i <= k} for u in members]
+        skewed = [{**u, (8, 1): 99} for u in members]
+        assert span_equivalence(space, upper) == span_equivalence(space, skewed) == (True, 8)
+
+    @pytest.mark.parametrize("keep", [7, 0])
+    @pytest.mark.parametrize("lam", [Fraction(5, 9), Fraction(1), Fraction(-1)], ids=str)
+    def test_truncated_basis_fails(self, lam, keep):
+        # fewer than n basis vectors cannot span the n members, although
+        # the basis stacked on the members still has rank n
+        space = solve_metric_space(HamiltonianSpec(8, lam))
+        truncated = space._replace(basis=space.basis[:keep])
+        members = [el.values(lam) for el in basis_family(8)]
+        assert span_equivalence(truncated, members) == (False, 8)
+
+    @pytest.mark.parametrize("lam", [Fraction(5, 9), Fraction(1), Fraction(-1)], ids=str)
+    def test_duplicated_or_zero_member_fails(self, lam):
+        # a copy and a member whose values are all 0 lie inside the span, so
+        # the stacked rank stays n; only the coordinate rank catches them
+        space = solve_metric_space(HamiltonianSpec(8, lam))
+        members = [el.values(lam) for el in basis_family(8)]
+        for last in (members[-2], dict.fromkeys(members[-1], 0)):
+            assert span_equivalence(space, members[:-1] + [last]) == (False, 8)
 
 
 class TestVerifyMembership:

@@ -41,6 +41,19 @@ def test_continuum_convergence(capsys):
     assert len(lines) == 3
 
 
+def test_continuum_convergence_unresolved_state(capsys):
+    # at lambda = 0.3 the state-3 residual at size 40 reads exactly 1
+    _load("continuum_convergence").run([0.3], [40, 80], 3)
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split(",") for line in lines[1:4]]
+    assert [row[:2] for row in rows] == [["0.3", "1"], ["0.3", "2"], ["0.3", "3"]]
+    assert float(rows[0][-1]) == pytest.approx(2.0, abs=0.3)
+    assert float(rows[1][-1]) == pytest.approx(2.0, abs=0.3)
+    assert rows[2][2] == "1.000e+00" and rows[2][-1] == "unresolved"
+    assert lines[4].startswith("# wall lambda=0.3: amplitudes ")
+    assert len(lines) == 5
+
+
 def test_spectrum_figures(tmp_path, capsys):
     _load("spectrum_figures").run(tmp_path)
     assert len(capsys.readouterr().out.splitlines()) == 2
