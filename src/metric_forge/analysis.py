@@ -1,19 +1,19 @@
 """Float analysis of the chain: spectra, positivity and the biorthogonal
 spectral representation.
 
-This module holds all of the package's numpy work; every other module
-imports only the standard library.  Here live the float chain and its
-symmetric similarity, the reality scans across coupling grids, which
-split each chain into two half-size problems by its reflection symmetry,
-and the float basis stack.  A candidate metric is positive
-definite iff all eigenvalues are positive; equivalently, writing
-Theta = sum_n t_n w_n w_n^T over the left eigenvectors w_n of the chain,
-iff all spectral weights t_n are positive.  This module provides both
-verdicts (the first through the symmetric eigensolver `eigs_symmetric`),
-the conversion between coefficient coordinates and spectral weights, the
-explicit low-size positivity inequalities, a seeded sampler over
-coefficient space, and the two-parameter positive metric family of the
-uncoupled chain.
+This module holds the package's float linear algebra.  It lays out no
+chain itself: it reads the bands of `hamiltonian._chain_bands` and the
+rows of `_chain_rows`.  Here live the chain's symmetric similarity, the
+reality scans across coupling grids, which split each chain into two
+half-size problems by its reflection symmetry, and the float basis
+stack.  A candidate metric is positive definite iff all eigenvalues are
+positive; equivalently, writing Theta = sum_n t_n w_n w_n^T over the
+left eigenvectors w_n of the chain, iff all spectral weights t_n are
+positive.  This module provides both verdicts (the first through the
+symmetric eigensolver `eigs_symmetric`), the conversion between
+coefficient coordinates and spectral weights, the explicit low-size
+positivity inequalities, a seeded sampler over coefficient space, and
+the two-parameter positive metric family of the uncoupled chain.
 
 Each float sweep has one result type, a NamedTuple of columns:
 `ScanBlock` for the reality scan and `RegionSample` for the sampler.
@@ -30,7 +30,13 @@ from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence, Type
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionError, DomainError
-from .hamiltonian import HamiltonianSpec, _chain_bands, _check_size, build_hamiltonian
+from .hamiltonian import (
+    HamiltonianSpec,
+    _chain_bands,
+    _chain_rows,
+    _check_size,
+    build_hamiltonian,
+)
 
 __all__ = [
     "symmetric_similarity",
@@ -87,27 +93,6 @@ def _joined(blocks: Sequence[_Block]) -> _Block:
     )
 
 
-def _float_bands(n: int, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_chain_bands` at a float coupling, as float arrays."""
-    return tuple(np.array(band) for band in _chain_bands(n, float(lam), 1.0))
-
-
-def _tridiagonal(diag: Any, upper: Any, lower: Any) -> np.ndarray:
-    """Dense float matrix with the given diagonal, super- and sub-diagonal."""
-    n = len(diag)
-    i = np.arange(n)
-    out = np.zeros((n, n))
-    out[i, i] = diag
-    out[i[:-1], i[1:]] = upper
-    out[i[1:], i[:-1]] = lower
-    return out
-
-
-def _float_chain(n: int, lam: float) -> np.ndarray:
-    """Dense float chain at a float coupling."""
-    return _tridiagonal(*_float_bands(n, lam))
-
-
 def symmetric_similarity(n: int, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of S and diagonal of D with H = D S D^{-1}.
 
@@ -120,7 +105,7 @@ def symmetric_similarity(n: int, lam: float) -> tuple[np.ndarray, np.ndarray, np
     lam = float(lam)
     if not -1.0 < lam < 1.0:
         raise DomainError("the symmetric similarity requires |lam| < 1")
-    diag, upper, lower = _float_bands(n, lam)
+    diag, upper, lower = map(np.array, _chain_bands(n, lam, 1.0))
     # each bond of S is the geometric mean of the two entries of H, and D
     # grows across a bond by the square root of their ratio
     off = -np.sqrt(upper * lower)
@@ -143,16 +128,22 @@ def scan_blocks(n: int, lambdas: Iterable[float], *, tol: float = 1e-9) -> Itera
     """The points of `reality_scan` in input order, one solved block at a
     time: a block is solved only when it is asked for.  The size is
     checked and the couplings are read when this is called."""
-    HamiltonianSpec(n)  # rejects an odd or too small size
+    free = _free_half(n)
     lams = np.fromiter(map(float, lambdas), dtype=float)
-    return (_scan_block(n, lams[part], tol) for part in _blocks(len(lams), n))
+    return (_scan_block(free, lams[part], tol) for part in _blocks(len(lams), n))
 
 
-def _scan_block(n: int, lams: np.ndarray, tol: float) -> ScanBlock:
-    # the two K x K factors A -/+ rE of `reality_scan`; lam^2 is never
-    # formed, being inexact near 1 and overflowing for huge couplings
-    half = n // 2
-    free = _tridiagonal(np.full(half, 2.0), -np.ones(half - 1), -np.ones(half - 1))
+def _free_half(n: int) -> np.ndarray:
+    """A of `reality_scan`: the upper-left K x K block of the chain, which
+    the middle bond misses at every coupling.  A bad size is rejected."""
+    half = HamiltonianSpec(n).k
+    return np.array(_chain_rows(n, 0.0, 1.0, 0.0))[:half, :half]
+
+
+def _scan_block(free: np.ndarray, lams: np.ndarray, tol: float) -> ScanBlock:
+    # the two K x K factors A -/+ rE of `reality_scan`, A = `free`; lam^2
+    # is never formed, being inexact near 1 and overflowing for huge couplings
+    n = 2 * len(free)
     size = np.abs(lams)
     inside = size <= 1.0
     values = np.empty((len(lams), n), dtype=complex)
@@ -195,7 +186,7 @@ def reality_scan(n: int, lambdas: Iterable[float], *, tol: float = 1e-9) -> Scan
     eigenvalues of shape (0, n).
     """
     blocks = list(scan_blocks(n, lambdas, tol=tol))
-    return _joined(blocks) if blocks else _scan_block(n, np.zeros(0), tol)
+    return _joined(blocks) if blocks else _scan_block(_free_half(n), np.zeros(0), tol)
 
 
 class BiorthogonalSystem(NamedTuple):
@@ -230,7 +221,7 @@ def biorthogonal_system(spec: HamiltonianSpec) -> BiorthogonalSystem:
             "spectral representation requires a coupling inside (-1, 1)"
         )
     diag, off, scale = symmetric_similarity(spec.n, lam)
-    values, vectors = np.linalg.eigh(_tridiagonal(diag, off, off))
+    values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     bound = max(1.0, float(np.max(np.abs(values))))
     if np.min(np.diff(values)) <= 1e-9 * bound:
         raise DegenerateSpectrumError("spectrum is (nearly) degenerate")

@@ -211,9 +211,8 @@ def basis_element(n: int, j: int) -> MetricBasisElement:
     return MetricBasisElement(n=n, j=j, entries=entries)
 
 
-@cache
 def basis_family(n: int) -> tuple[MetricBasisElement, ...]:
-    """The n assembled polynomial basis matrices."""
+    """The n assembled polynomial basis matrices, built anew by each call."""
     _check_size(n)
     return tuple(basis_element(n, j) for j in range(1, n + 1))
 

@@ -9,9 +9,11 @@ middle-bond entries multiply to 1 - lam^2 > 0, so a diagonal similarity
 maps the chain onto a symmetric tridiagonal matrix (Parlett, The
 Symmetric Eigenvalue Problem).  There every eigenvalue is also explicit,
 one root of the chain's secular equation each (`closed_form_spectrum`).
-`_chain_rows` alone lays the bands out as rows of Python scalars.  This
-module imports only the standard library; the float chain, that
-similarity and the dense float eigensolves live in `analysis`.
+`_chain_rows` alone lays the bands out, as rows of Python scalars, for
+every chain of the package: exact, symbolic and float.  This module
+imports only the standard library, and numpy only inside the float branch
+of `build_hamiltonian`; that similarity and the dense float eigensolves
+live in `analysis`.
 """
 
 from __future__ import annotations
@@ -123,9 +125,9 @@ def build_hamiltonian(spec: HamiltonianSpec) -> Any:
         from .exact import Matrix
 
         return Matrix.from_rows(_chain_rows(spec.n, Fraction(spec.lam), Fraction(1), 0))
-    from .analysis import _float_chain
+    import numpy as np
 
-    return _float_chain(spec.n, spec.lam)
+    return np.array(_chain_rows(spec.n, float(spec.lam), 1.0, 0.0))
 
 
 def _secular_root(n: int, lam: float, state: int) -> float:

@@ -2,11 +2,13 @@
 the package: the {column: entry} rows that `exact.null_space` and
 `exact.rank` take, the primitive {column: int} kernel vectors that
 `null_space` and `oracle.solve_metric_space` return, and the 1-based
-{(i, k): entry} maps of `closedform.MetricBasisElement`."""
+{(i, k): entry} maps of `closedform.MetricBasisElement`, and changes of
+the basis family made on those maps."""
 
 from fractions import Fraction
 
-from metric_forge.exact import Matrix
+from metric_forge.closedform import MetricBasisElement, basis_family
+from metric_forge.exact import IntPolynomial, Matrix
 from metric_forge.oracle import SymmetricIndexer
 
 
@@ -45,3 +47,31 @@ def upper_triangle(entries, n):
     (1, 2), ..., (1, n), (2, 2), ...; an absent position has no entry."""
     positions = [(i, k) for i in range(1, n + 1) for k in range(i, n + 1)]
     return {t: entries[p] for t, p in enumerate(positions) if p in entries}
+
+
+def family_variants(n):
+    """The closed-form family and eight changes of it: reversed, one member
+    scaled, one moved out of the span by x or by 1 in one entry, one zero
+    member, a duplicated member, one member the sum of two, all zero."""
+    family = basis_family(n)
+    x = IntPolynomial((0, 1))
+
+    def changed(index, change):
+        element = family[index]
+        entries = {p: change(p, v) for p, v in element.entries.items()}
+        entries = {p: v for p, v in entries.items() if v}
+        replaced = MetricBasisElement(n, element.j, entries)
+        return family[:index] + (replaced,) + family[index + 1 :]
+
+    first = next(iter(family[-1].entries))
+    return [
+        family,
+        family[::-1],
+        changed(0, lambda p, v: v * 3),
+        changed(n - 1, lambda p, v: v + x if p == first else v),
+        changed(n - 1, lambda p, v: v + 1 if p == first else v),
+        changed(0, lambda p, v: IntPolynomial()),
+        family[:-1] + family[-2:-1],
+        family[:-1] + (MetricBasisElement(n, n, {**family[0].entries, **family[1].entries}),),
+        tuple(MetricBasisElement(n, el.j, {}) for el in family),
+    ]

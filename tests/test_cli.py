@@ -28,7 +28,7 @@ from metric_forge.cli import (
     parse_grid,
     parse_scalar,
 )
-from sparse_rows import upper_triangle
+from sparse_rows import family_variants, upper_triangle
 
 
 def run_cli(capsys, *argv):
@@ -465,6 +465,24 @@ class TestMetricVerifyCommand:
         assert [name for name, c in checks.items() if not c.passed] == ["span_equivalence"]
         assert checks["span_equivalence"].detail == 8
 
+    def test_alphabet_fault_after_a_warm_call_is_caught(self, monkeypatch):
+        # x added to every degree-2 entry breaks the identity, the span and
+        # the mirror; an earlier family built before the fault hides none
+        closedform.basis_family(8)
+        original, x = closedform.entry_polynomial, IntPolynomial((0, 1))
+
+        def faulty(degree, sign=None):
+            polynomial = original(degree, sign)
+            return polynomial + x if degree == 2 else polynomial
+
+        monkeypatch.setattr(closedform, "entry_polynomial", faulty)
+        checks = cli.run_verification(8, Fraction(5, 9))
+        assert [c.name for c in checks if not c.passed] == [
+            "closed_form_intertwining",
+            "span_equivalence",
+            "reflection_symmetry",
+        ]
+
     @pytest.mark.parametrize("lam", ["5/9", "1", "-1", "0"])
     def test_perturbed_member_fails_the_identity(self, capsys, monkeypatch, lam):
         # x added to the first entry of M_3 breaks M H = H^T M as a
@@ -529,30 +547,8 @@ class TestMetricVerifyCommand:
         # on the members has rank n and the members alone rank n, and the
         # detail is the stacked rank; over in-span, out-of-span, dependent
         # and zero members
-        family = closedform.basis_family(n)
-        x = IntPolynomial((0, 1))
-
-        def changed(index, change):
-            element = family[index]
-            entries = {p: change(p, v) for p, v in element.entries.items()}
-            entries = {p: v for p, v in entries.items() if v}
-            replaced = MetricBasisElement(n, element.j, entries)
-            return family[:index] + (replaced,) + family[index + 1 :]
-
-        first = next(iter(family[-1].entries))
-        variants = [
-            family,
-            family[::-1],
-            changed(0, lambda p, v: v * 3),
-            changed(n - 1, lambda p, v: v + x if p == first else v),
-            changed(n - 1, lambda p, v: v + 1 if p == first else v),
-            changed(0, lambda p, v: IntPolynomial()),
-            family[:-1] + family[-2:-1],
-            family[:-1] + (MetricBasisElement(n, n, {**family[0].entries, **family[1].entries}),),
-            tuple(MetricBasisElement(n, el.j, {}) for el in family),
-        ]
         space = oracle.solve_metric_space(HamiltonianSpec(n, lam))
-        for variant in variants:
+        for variant in family_variants(n):
             members = [upper_triangle(el.values(lam), n) for el in variant]
             stacked = exact.rank(list(space.basis) + members)
             passed = stacked == n and exact.rank(members) == n

@@ -230,6 +230,11 @@ class TestBasisElement:
         one, zero = poly(1), poly()
         assert dense(element.entries, 4, zero) == exchange(4, one=one, zero=zero)
 
+    def test_each_call_builds_a_new_family(self):
+        # a change to a returned element does not reach the next call
+        basis_family(8)[0].entries[1, 1] = poly(5)
+        assert basis_family(8)[0].entries[1, 1] == poly(1, -1)
+
     def test_printed_entries_of_size8_central(self):
         element = basis_family(8)[3]
         assert element.entries[1, 4] == poly(1, -1)

@@ -34,9 +34,11 @@ SPECIAL_FLOATS = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, -5e-324, 1e-310, 
 
 
 def _float_rows_match_numpy(n, lam):
-    """Whether the Python-float rows equal the numpy chain, the reference,
-    in `float.hex` of every cell, so that the sign of zero counts."""
-    rows, reference = _chain_rows(n, lam, 1.0, 0.0), analysis._float_chain(n, lam).tolist()
+    """Whether the Python-float rows equal the numpy chain of
+    `build_hamiltonian` in `float.hex` of every cell, so that the sign of
+    zero counts: the float chain has no layout of its own."""
+    rows = _chain_rows(n, lam, 1.0, 0.0)
+    reference = build_hamiltonian(HamiltonianSpec(n, lam)).tolist()
     return [list(map(float.hex, r)) for r in rows] == [list(map(float.hex, r)) for r in reference]
 
 
@@ -275,7 +277,7 @@ class TestRealityScan:
     @pytest.mark.parametrize("n", [2, 6, 40])
     @pytest.mark.parametrize("block_points", [1, 3, None])
     def test_batched_scan_equals_per_point_solves(self, monkeypatch, n, block_points):
-        single = [analysis._scan_block(n, np.array([lam]), 1e-9) for lam in SCAN_GRID]
+        single = [reality_scan(n, [lam]) for lam in SCAN_GRID]
         if block_points is not None:
             monkeypatch.setattr(analysis, "_BLOCK_FLOATS", block_points * n * n)
             monkeypatch.setattr(analysis, "_MIN_BLOCK_ROWS", 1)

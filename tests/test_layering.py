@@ -5,7 +5,7 @@ module that owns its data."""
 import ast
 from pathlib import Path
 
-from metric_forge import cli, oracle
+from metric_forge import cli, hamiltonian, oracle
 
 # the modules whose private names the CLI never imports; `hamiltonian` is
 # not one of them, because the band, size and coupling rules live there
@@ -40,3 +40,9 @@ def test_cli_imports_no_private_name_of_a_rule_owner():
 def test_oracle_imports_nothing_from_closedform():
     # the oracle is the closed form's independent referee
     assert [name for source, name in _package_imports(oracle) if source == "closedform"] == []
+
+
+def test_hamiltonian_imports_nothing_from_analysis():
+    # `hamiltonian` lays out every chain, the float one too, and
+    # `analysis` reads its bands and rows: the import runs one way only
+    assert [name for source, name in _package_imports(hamiltonian) if source == "analysis"] == []

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from metric_forge.analysis import symmetric_similarity
-from metric_forge.closedform import MetricBasisElement, basis_family
+from metric_forge.closedform import basis_family
 from metric_forge.errors import DimensionError, DomainError
-from metric_forge.exact import IntPolynomial, Matrix, null_space, rank
+from metric_forge.exact import Matrix, null_space, rank
 from metric_forge.hamiltonian import HamiltonianSpec, build_hamiltonian
 from metric_forge.oracle import (
     SymmetricIndexer,
@@ -15,7 +15,13 @@ from metric_forge.oracle import (
     span_equivalence,
     verify_membership,
 )
-from sparse_rows import reduced_basis, rows_of, symmetric_matrix, upper_triangle
+from sparse_rows import (
+    family_variants,
+    reduced_basis,
+    rows_of,
+    symmetric_matrix,
+    upper_triangle,
+)
 
 
 def _rebuild_from_one_row(theta, h, order):
@@ -274,34 +280,6 @@ class TestSolveMetricSpace:
             solve_metric_space(HamiltonianSpec(4, 0.5))
 
 
-def _family_variants(n):
-    """The closed-form family and eight changes of it: reversed, one member
-    scaled, one moved out of the span by x or by 1 in one entry, one zero
-    member, a duplicated member, one member the sum of two, all zero."""
-    family = basis_family(n)
-    x = IntPolynomial((0, 1))
-
-    def changed(index, change):
-        element = family[index]
-        entries = {p: change(p, v) for p, v in element.entries.items()}
-        entries = {p: v for p, v in entries.items() if v}
-        replaced = MetricBasisElement(n, element.j, entries)
-        return family[:index] + (replaced,) + family[index + 1 :]
-
-    first = next(iter(family[-1].entries))
-    return [
-        family,
-        family[::-1],
-        changed(0, lambda p, v: v * 3),
-        changed(n - 1, lambda p, v: v + x if p == first else v),
-        changed(n - 1, lambda p, v: v + 1 if p == first else v),
-        changed(0, lambda p, v: IntPolynomial()),
-        family[:-1] + family[-2:-1],
-        family[:-1] + (MetricBasisElement(n, n, {**family[0].entries, **family[1].entries}),),
-        tuple(MetricBasisElement(n, el.j, {}) for el in family),
-    ]
-
-
 class TestSpanEquivalence:
     @pytest.mark.parametrize(
         "lam", [Fraction(0), Fraction(1), Fraction(-1), Fraction(5, 9), Fraction(7, 3)], ids=str
@@ -312,7 +290,7 @@ class TestSpanEquivalence:
         # members has rank n and the members alone rank n, and the detail
         # is the stacked rank
         space = solve_metric_space(HamiltonianSpec(n, lam))
-        for variant in _family_variants(n):
+        for variant in family_variants(n):
             members = [el.values(lam) for el in variant]
             rows = [upper_triangle(u, n) for u in members]
             stacked = rank(list(space.basis) + rows)
