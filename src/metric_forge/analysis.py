@@ -102,6 +102,7 @@ def symmetric_similarity(n: int, lam: float) -> tuple[np.ndarray, np.ndarray, np
     back as right = D u and left = D^{-1} u.  Defined only for couplings
     strictly inside (-1, 1), where both middle-bond entries are negative.
     """
+    _check_size(n)
     lam = float(lam)
     if not -1.0 < lam < 1.0:
         raise DomainError("the symmetric similarity requires |lam| < 1")

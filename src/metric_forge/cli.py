@@ -71,11 +71,13 @@ MAX_COUPLING_DIGITS = 50
 MAX_VERIFY_SIZE = 40
 
 # Largest `metric basis --n`.  Each element comes straight from the
-# closed-form degrees, so the printed text sets the cost: at n = 120 the
-# subprocess takes 1.1 s, peaks at 185 MB of RSS and prints 36 MB with
-# --lambda 5/9, and 5.4 s, 1071 MB and 267 MB of text with a coupling of
-# 49 digits over 50; at n = 160, 5/9 takes 2.8 s and 471 MB (one child
-# each of a small parent, 2 cores, the last with this cap lifted).
+# closed-form degrees, each distinct polynomial is encoded once, and the
+# text is written an element at a time: at n = 120 the subprocess takes
+# 0.69 s, peaks at 48 MB of RSS and prints 36 MB with --lambda 5/9, and
+# 1.4 s, 77 MB and 267 MB of text with a coupling of 49 digits over 50;
+# at n = 160, 5/9 takes 1.4 s, 93 MB and 100 MB of text (best of 3, one
+# child each of a small parent writing to a file, 2 cores, the last with
+# this cap lifted).
 MAX_BASIS_SIZE = 120
 
 # Largest `hamiltonian --n`.  The printed n^2 cells set the cost, and
@@ -258,9 +260,12 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
     # MAX_COUPLING_DIGITS + 1 digits, far below the 4300-digit print limit,
     # and a float entry, 2, -1 or -1 +/- lam, is finite for every finite lam
     if spec.is_exact:
-        from fractions import Fraction
-
-        grid = cells = map(_exact_texts, _chain_rows(spec.n, Fraction(lam), Fraction(1), 0))
+        # the parsed int or Fraction on the bands and the text "0" off
+        # them, so only the at most three band cells of a row are converted
+        grid = cells = _chain_rows(spec.n, lam, 1, "0")
+        for i, row in enumerate(grid):
+            band = slice(max(i - 1, 0), i + 2)
+            row[band] = _exact_texts(row[band])
     else:
         grid = _chain_rows(spec.n, lam, 1.0, 0.0)
         cells = ([_fmt(e) for e in row] for row in grid)
@@ -345,20 +350,33 @@ def cmd_metric_basis(args: argparse.Namespace) -> int:
     if args.j is not None and not 1 <= args.j <= args.n:
         raise UsageError(f"--j must lie in 1..{args.n}")
     family = basis_family(args.n) if args.j is None else (basis_element(args.n, args.j),)
-    # each element is encoded as soon as it is built, so that only one
-    # element's entries are held as objects; the text is that of one dump
-    elements = []
-    for element in family:
-        entries = [
-            {"i": i, "k": k, "degree": p.degree, "coefficients": list(p.coeffs)}
-            for (i, k), p in element.entries.items()
-        ]
+    # the entries take a few dozen distinct alphabet polynomials: each is
+    # encoded once, as the dump of its entry after "i" and "k", and all of
+    # them before the first write, so a value that overflows a float or has
+    # too many digits to print leaves the output empty
+    tails = {}
+    for p in set().union(*(element.entries.values() for element in family)):
+        fields = {"degree": p.degree, "coefficients": list(p.coeffs)}
         if lam is not None:
-            for entry, value in zip(entries, element.values(lam).values()):
-                entry["value"] = _scalar_json(value)
-        elements.append(_json({"j": element.j, "entries": entries}))
+            fields["value"] = _scalar_json(p(lam))
+        tails[p] = _json(fields)[1:]
+
     head = _json({"n": args.n, "lambda": None if lam is None else _scalar_json(lam)})
-    _emit([head[:-1], ', "elements": [', ", ".join(elements), "]}\n"], args.output)
+
+    def pieces() -> Iterator[str]:
+        # the text of one dump, written an element at a time: one element's
+        # entries are the only text held, joined from a list that is
+        # dropped as soon as the join returns
+        yield head[:-1] + ', "elements": ['
+        for index, element in enumerate(family):
+            yield '%s{"j": %d, "entries": [' % (", " if index else "", element.j)
+            yield ", ".join(
+                ['{"i": %d, "k": %d, %s' % (*ik, tails[p]) for ik, p in element.entries.items()]
+            )
+            yield "]}"
+        yield "]}\n"
+
+    _emit(pieces(), args.output)
     return 0
 
 

@@ -16,7 +16,7 @@ from metric_forge.analysis import reality_scan, sample_positivity_region
 from metric_forge.closedform import MetricBasisElement
 from metric_forge.errors import DomainError
 from metric_forge.exact import IntPolynomial
-from metric_forge.hamiltonian import HamiltonianSpec, build_hamiltonian
+from metric_forge.hamiltonian import HamiltonianSpec, _chain_rows, build_hamiltonian
 from metric_forge.cli import (
     _WRITE_BYTES,
     MAX_COUPLING_DIGITS,
@@ -88,6 +88,38 @@ def _expected_sample(n, lam, seed, count):
     return "\n".join([header, *rows, footer]) + "\n"
 
 
+def _expected_basis(n, lam, j=None):
+    """The `metric basis` output as one dump of a dict per entry; the
+    coupling is read without the CLI's parser, a float if it has a point."""
+    value = None if lam is None else float(lam) if "." in lam else Fraction(lam)
+
+    def as_json(v):
+        return v if isinstance(v, float) else str(v)
+
+    elements = []
+    for element in closedform.basis_family(n) if j is None else [closedform.basis_element(n, j)]:
+        entries = [
+            {"i": i, "k": k, "degree": p.degree, "coefficients": list(p.coeffs)}
+            for (i, k), p in element.entries.items()
+        ]
+        if value is not None:
+            for entry, v in zip(entries, element.values(value).values()):
+                entry["value"] = as_json(v)
+        elements.append({"j": element.j, "entries": entries})
+    head = {"n": n, "lambda": None if value is None else as_json(value)}
+    return json.dumps({**head, "elements": elements}) + "\n"
+
+
+def _expected_hamiltonian(n, lam, fmt):
+    """The exact `hamiltonian` output, `str` of every cell of the chain of Fractions."""
+    rows = [list(map(str, row)) for row in _chain_rows(n, Fraction(lam), Fraction(1), 0)]
+    if fmt == "json":
+        return json.dumps({"n": n, "lambda": str(Fraction(lam)), "matrix": rows}) + "\n"
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in rows)
+    return "".join("  ".join(f"{c:>10}" for c in row) + "\n" for row in rows)
+
+
 class TestParsing:
     def test_scalar_forms(self):
         from fractions import Fraction
@@ -128,6 +160,34 @@ class TestParsing:
         assert len(parse_grid(f"0:1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
         with pytest.raises(UsageError, match="at most"):
             parse_grid(f"0:1:{MAX_GRID_POINTS + 1}")
+
+
+# 49 digits over 50, within `MAX_COUPLING_DIGITS`
+_LONG_COUPLING = "1" * 49 + "/" + "3" * 50
+# integers, p/q, a p/q that reduces to an integer, and 50 digits over 49
+_EXACT_COUPLINGS = [
+    *("0", "1", "-1", "3", "1/3", "-2/7", "4/2"),
+    *(_LONG_COUPLING, "-" + "7" * 50 + "/" + "9" * 49),
+]
+
+
+def _cells(text):
+    """`text` cut at each ", ", which joins back to it: a mismatch then
+    reports its first differing cell instead of diffing one long line."""
+    return text.split(", ")
+
+
+def _converted(monkeypatch):
+    """The exact values the CLI converts to text from now on, in order."""
+    converted = []
+
+    def texts(values):
+        values = list(values)
+        converted.extend(values)
+        return _exact_texts(values)
+
+    monkeypatch.setattr(cli, "_exact_texts", texts)
+    return converted
 
 
 class TestHamiltonianCommand:
@@ -171,6 +231,23 @@ class TestHamiltonianCommand:
             payload = {"n": 6, "lambda": lam, "matrix": rows}
         assert "".join(pieces) == json.dumps(payload) + "\n"
         assert len(pieces) == 6 + 2
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 40])
+    @pytest.mark.parametrize("lam", _EXACT_COUPLINGS)
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_exact_output_is_str_of_every_cell(self, capsys, n, lam, fmt):
+        argv = ("hamiltonian", "--n", str(n), "--lambda", lam, "--format", fmt)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert _cells(out) == _cells(_expected_hamiltonian(n, lam, fmt))
+
+    @pytest.mark.parametrize("lam", ["3", "-2/7"])
+    def test_only_the_band_cells_are_converted(self, monkeypatch, lam):
+        converted = _converted(monkeypatch)
+        assert main(["hamiltonian", "--n", "400", "--lambda", lam, "--output", os.devnull]) == 0
+        # the coupling, then the three bands
+        assert len(converted) == 1 + 3 * 400 - 2
+        assert 0 not in converted[1:]
 
     def test_json_roundtrip_exactness(self, capsys):
         from fractions import Fraction
@@ -321,6 +398,74 @@ class TestMetricBasisCommand:
         assert code == 0
         assert one["elements"] == [full["elements"][j - 1]]
         assert {**one, "elements": None} == {**full, "elements": None}
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 12, 40])
+    @pytest.mark.parametrize(
+        "lam", [None, "0", "1", "-1", "5/9", "-7/3", "3", "0.3", _LONG_COUPLING]
+    )
+    @pytest.mark.parametrize("j", [None, "first", "middle", "last"])
+    def test_output_is_one_dump_of_the_entries(self, capsys, n, lam, j):
+        j = {None: None, "first": 1, "middle": n // 2, "last": n}[j]
+        argv = ["metric", "basis", "--n", str(n)]
+        argv += [] if lam is None else ["--lambda", lam]
+        argv += [] if j is None else ["--j", str(j)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert _cells(out) == _cells(_expected_basis(n, lam, j))
+
+    @pytest.mark.parametrize("lam", ["5/9", "3", _LONG_COUPLING])
+    def test_each_distinct_value_is_converted_once(self, monkeypatch, lam):
+        converted = _converted(monkeypatch)
+        assert main(["metric", "basis", "--n", "40", "--lambda", lam, "--output", os.devnull]) == 0
+        alphabet = {p for element in closedform.basis_family(40) for p in element.entries.values()}
+        # the coupling, then one value a polynomial of the family
+        assert len(converted) == 1 + len(alphabet) == 1 + 31
+
+    def test_memory_is_a_small_part_of_the_text(self, monkeypatch):
+        # each element is written before the next is joined, so the peak is
+        # the family and one element's text, not the whole output
+        argv = ["metric", "basis", "--n", "80", "--lambda", _LONG_COUPLING]
+
+        class Counter:
+            written = 0
+
+            def write(self, text):
+                self.written += len(text)
+
+        counter = Counter()
+        with monkeypatch.context() as patch:
+            patch.setattr("sys.stdout", counter)
+            assert main(argv) == 0
+        written = counter.written
+        assert main(["metric", "basis", "--n", "2", "--lambda", "1/3", "--output", os.devnull]) == 0
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--output", os.devnull]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written > 50_000_000
+        assert peak < written / 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a float overflow, at a small and at the largest size
+            ("--n", "8", "--lambda", "1e200"),
+            ("--n", "120", "--lambda", "1e10"),
+            # an exact value with more digits than Python prints
+            ("--n", "6", "--lambda", "1" + "0" * 2000),
+        ],
+    )
+    def test_error_leaves_no_output(self, capsys, tmp_path, argv):
+        # every value is encoded before the first write, so an error leaves
+        # stdout empty and creates no --output file
+        target = tmp_path / "basis.json"
+        for output in ((), ("--output", str(target))):
+            code, out, err = run_cli(capsys, "metric", "basis", *argv, *output)
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not target.exists()
 
     @pytest.mark.parametrize("j", ["0", "81"])
     def test_index_checked_before_the_family_grows(self, capsys, monkeypatch, j):
@@ -1119,6 +1264,11 @@ class TestStartup:
                 for lam in ("1/3", "0.3")
             ),
             (("positivity", "--n", "2", "--lambda", "0.5", "--sample", "10"), ("json",)),
+            # an integer coupling is exact without a Fraction
+            *(
+                (("hamiltonian", "--n", "4", "--lambda", lam), ("fractions", "decimal"))
+                for lam in ("0", "3")
+            ),
         ],
     )
     def test_command_leaves_other_modules_unloaded(self, argv, unloaded):

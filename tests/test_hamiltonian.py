@@ -53,6 +53,7 @@ SIZED_CALLS = {
     "free_lattice_metric": lambda n: free_lattice_metric(n, FreeMetricParams()),
     "reality_scan": lambda n: reality_scan(n, [0.0]),
     "evaluate_basis_stack": lambda n: evaluate_basis_stack(n, 0.0),
+    "symmetric_similarity": lambda n: symmetric_similarity(n, 0.5),
 }
 
 
