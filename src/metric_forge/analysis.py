@@ -30,13 +30,7 @@ from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence, Type
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionError, DomainError
-from .hamiltonian import (
-    HamiltonianSpec,
-    _chain_bands,
-    _chain_rows,
-    _check_size,
-    build_hamiltonian,
-)
+from .hamiltonian import HamiltonianSpec, _chain_bands, _chain_rows, _check_size
 
 __all__ = [
     "symmetric_similarity",
@@ -44,6 +38,7 @@ __all__ = [
     "scan_blocks",
     "reality_scan",
     "evaluate_basis_stack",
+    "superpose",
     "BiorthogonalSystem",
     "PositivityReport",
     "RegionSample",
@@ -59,6 +54,9 @@ __all__ = [
     "FreeMetricParams",
     "free_lattice_metric",
 ]
+
+# Largest imaginary part of an eigenvalue that a reality scan reads as real.
+REALITY_TOL = 1e-9
 
 # Smallest eigenvalue a candidate needs to count as positive definite.
 POSITIVE_MARGIN = 1e-10
@@ -125,7 +123,7 @@ class ScanBlock(NamedTuple):
     all_real: np.ndarray
 
 
-def scan_blocks(n: int, lambdas: Iterable[float], *, tol: float = 1e-9) -> Iterator[ScanBlock]:
+def scan_blocks(n: int, lambdas: Iterable[float], *, tol: float = REALITY_TOL) -> Iterator[ScanBlock]:
     """The points of `reality_scan` in input order, one solved block at a
     time: a block is solved only when it is asked for.  The size is
     checked and the couplings are read when this is called."""
@@ -166,7 +164,7 @@ def _scan_block(free: np.ndarray, lams: np.ndarray, tol: float) -> ScanBlock:
     return ScanBlock(lams, values, max_imag, max_imag <= tol)
 
 
-def reality_scan(n: int, lambdas: Iterable[float], *, tol: float = 1e-9) -> ScanBlock:
+def reality_scan(n: int, lambdas: Iterable[float], *, tol: float = REALITY_TOL) -> ScanBlock:
     """The spectrum at every grid value, as one `ScanBlock` in input order.
 
     The symmetric similarity S of the chain commutes with the reflection
@@ -255,19 +253,15 @@ def weights_from_theta(system: BiorthogonalSystem, theta: Any) -> np.ndarray:
     """Project a constraint-satisfying float matrix onto its spectral
     weights.
 
-    Candidates whose intertwining defect exceeds 1e-8 times the
-    candidate's magnitude (at least 1) are rejected, since the projection
-    would be meaningless for them.
+    Candidates that `oracle.verify_membership` rejects are rejected, since
+    the projection would be meaningless for them.
     """
+    from .oracle import verify_membership
+
     arr = np.asarray(theta, dtype=float)
-    if arr.shape != (system.n, system.n):
-        raise DimensionError("candidate size differs from the system")
-    h = build_hamiltonian(HamiltonianSpec(system.n, system.lam))
-    defect = float(np.max(np.abs(arr @ h - h.T @ arr)))
-    if defect > 1e-8 * max(1.0, float(np.max(np.abs(arr)))):
-        raise DomainError(
-            f"matrix violates the intertwining relation (defect {defect:.3e})"
-        )
+    member, defect = verify_membership(arr, HamiltonianSpec(system.n, system.lam))
+    if not member:
+        raise DomainError(f"matrix violates the intertwining relation (defect {defect:.3e})")
     return np.einsum("in,ij,jn->n", system.right, arr, system.right)
 
 
@@ -283,15 +277,17 @@ class PositivityReport(NamedTuple):
 def eigs_symmetric(m: Any) -> np.ndarray:
     """Ascending eigenvalues of a real symmetric float matrix.
 
-    Input with asymmetry beyond 1e-12 (absolute, max-norm) is rejected;
-    within it the matrix is symmetrized before the solve.
+    Input whose asymmetry (max-norm) exceeds 1e-12 times its largest
+    entry magnitude (at least 1) is rejected; within it the matrix is
+    symmetrized before the solve.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("expected a square matrix")
     asym = float(np.max(np.abs(a - a.T)))
-    if asym > 1e-12:
-        raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e} > 1.000e-12)")
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(a))))
+    if asym > bound:
+        raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e} > {bound:.3e})")
     return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
@@ -391,6 +387,15 @@ def evaluate_basis_stack(n: int, lam: float) -> np.ndarray:
     return stack
 
 
+def superpose(stack: np.ndarray, alphas: Any) -> np.ndarray:
+    """Theta = sum_j alpha_j M_j over a basis stack (n, n, n) for each row
+    of `alphas` (count, n), as (count, n, n).  The batched matmul gives a
+    row the bits it gets alone, which a 2-D product of the rows does not."""
+    n = len(stack)
+    rows = np.asarray(alphas, dtype=float)[:, None, :]
+    return np.matmul(rows, stack.reshape(n, n * n)).reshape(-1, n, n)
+
+
 def sample_blocks(n: int, lam: float, seed: int, count: int) -> Iterator[RegionSample]:
     """The draws of `sample_positivity_region` in draw order, one solved
     block at a time, each a `RegionSample` of its own draws: a block is
@@ -400,7 +405,7 @@ def sample_blocks(n: int, lam: float, seed: int, count: int) -> Iterator[RegionS
     if count < 1:
         raise DomainError("need at least one sample")
     lam = float(lam)
-    stack = evaluate_basis_stack(n, lam).reshape(n, n * n)
+    stack = evaluate_basis_stack(n, lam)
     right = biorthogonal_system(HamiltonianSpec(n, lam)).right if -1.0 < lam < 1.0 else None
     rng = np.random.default_rng(seed)
     return (
@@ -414,9 +419,7 @@ def _sample_block(
 ) -> RegionSample:
     lead = alphas[:, 0] > 0
     alphas[lead] /= alphas[lead, :1]
-    # a batched matmul keeps each theta bit-identical to a lone tensordot;
-    # a 2-D product of the whole block does not
-    thetas = np.matmul(alphas[:, None, :], stack).reshape(-1, n, n)
+    thetas = superpose(stack, alphas)
     minima = np.linalg.eigvalsh(thetas)[:, 0]
     near = np.abs(minima) <= SAMPLE_MARGIN
     try:

@@ -102,10 +102,6 @@ MAX_SPECTRUM_SIZE = 80
 # two with this cap lifted).
 MAX_POSITIVITY_SIZE = 12
 
-# Characters of output joined per write; bounds the formatted text held at once.
-_WRITE_BYTES = 1 << 16
-
-
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
@@ -236,15 +232,10 @@ def _output(output: Optional[str]) -> Iterator[TextIO]:
 
 
 def _emit(pieces: Iterable[str], output: Optional[str]) -> None:
-    """Write the text pieces in order, joined until a write holds `_WRITE_BYTES` characters."""
-    chunk, size = [], 0
+    """Write the text pieces in order, each as it is made."""
     with _output(output) as stream:
         for piece in pieces:
-            chunk.append(piece)
-            if (size := size + len(piece)) >= _WRITE_BYTES:
-                stream.write("".join(chunk))
-                chunk, size = [], 0
-        stream.write("".join(chunk))
+            stream.write(piece)
 
 
 def _check_command_size(n: int, limit: int) -> None:
@@ -337,7 +328,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     cells = ",".join(["%.17g"] * (args.n + 2))
     row = {True: cells + ",true\n", False: cells + ",false\n"}
     lines = (row[real] % (lam, *re, imag) for lam, re, _, imag, real in points)
-    _emit(chain([",".join(header) + "\n"], lines), args.output)
+    # the header waits for the first block, so an error there writes nothing
+    _emit(chain([",".join(header) + "\n", next(lines)], lines), args.output)
     return 0
 
 
@@ -485,14 +477,18 @@ def cmd_positivity(args: argparse.Namespace) -> int:
     row = ",".join(["%d"] + ["%.17g"] * (args.n + 1) + ["%s"] * 4) + "\n"
 
     def lines() -> Iterator[str]:
-        # each block of draws is solved, formatted and written before the
-        # next is drawn
-        yield ",".join(header) + "\n"
+        # each block of draws is solved, formatted and written as one piece
+        # before the next is drawn; the header waits for the first block, so
+        # an error there writes nothing
         drawn = positives = 0
         for block in blocks:
+            if not drawn:
+                yield ",".join(header) + "\n"
             draws = zip(*(repeat(None) if c is None else c.tolist() for c in block))
-            for index, (alpha, minimum, positive, cf, weights, near) in enumerate(draws, drawn):
-                yield row % (index, *alpha, minimum, cell[positive], cell[cf], cell[weights], cell[near])
+            yield "".join(
+                row % (index, *alpha, minimum, cell[positive], cell[cf], cell[weights], cell[near])
+                for index, (alpha, minimum, positive, cf, weights, near) in enumerate(draws, drawn)
+            )
             drawn += block.count
             positives += int(block.positive.sum())
         yield f"# fraction_positive = {_fmt(positives / drawn)}\n"

@@ -218,9 +218,9 @@ def basis_family(n: int) -> tuple[MetricBasisElement, ...]:
 
 
 def assemble_theta(n: int, lam: Any, alpha: Sequence[Any]) -> Any:
-    """Superposition sum_j alpha_j M_j(lam), summed left to right: a
-    `Matrix` when the coupling and all coefficients are exact, a float
-    array otherwise."""
+    """Superposition sum_j alpha_j M_j(lam): a `Matrix`, summed left to
+    right, when the coupling and all coefficients are exact, and otherwise
+    the float array of `analysis.superpose`."""
     coefficients = tuple(alpha)
     if len(coefficients) != n:
         raise DimensionError(f"need exactly {n} coefficients")
@@ -234,13 +234,9 @@ def assemble_theta(n: int, lam: Any, alpha: Sequence[Any]) -> Any:
             for (i, k), value in element.values(Fraction(lam)).items():
                 cells[i - 1][k - 1] += value * weight
         return Matrix.from_rows(cells)
-    from .analysis import evaluate_basis_stack
+    from .analysis import evaluate_basis_stack, superpose
 
-    terms = [float(a) * m for a, m in zip(coefficients, evaluate_basis_stack(n, lam))]
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total
+    return superpose(evaluate_basis_stack(n, lam), [coefficients])[0]
 
 
 def reflection_symmetry_holds(element: MetricBasisElement) -> bool:

@@ -187,7 +187,8 @@ def verify_membership(theta: Any, spec: HamiltonianSpec) -> MembershipResult:
 
     An exact `Matrix` at an exact coupling has its defect computed exactly,
     and membership means a residual of exactly zero.  A float array has
-    its float defect checked: it must stay within 1e-9 in the max norm.
+    its float defect checked: in the max norm, it must stay within 1e-9
+    times the candidate's largest entry magnitude (at least 1).
     Any other `Matrix`, at a float coupling or holding a non-exact entry,
     raises DomainError: a `Matrix` is never read as floats.
     """
@@ -208,4 +209,4 @@ def verify_membership(theta: Any, spec: HamiltonianSpec) -> MembershipResult:
         raise DimensionError("candidate size differs from the Hamiltonian")
     h_float = build_hamiltonian(HamiltonianSpec(spec.n, _float_coupling(spec.lam)))
     residual = float(np.max(np.abs(arr @ h_float - h_float.T @ arr)))
-    return MembershipResult(residual <= 1e-9, residual)
+    return MembershipResult(residual <= 1e-9 * max(1.0, float(np.max(np.abs(arr)))), residual)

@@ -28,6 +28,7 @@ from metric_forge.errors import (
     DomainError,
 )
 from metric_forge.hamiltonian import HamiltonianSpec, build_hamiltonian
+from metric_forge.oracle import verify_membership
 
 
 def _columns(block):
@@ -209,7 +210,61 @@ class TestWeightsFromTheta:
             assert np.max(np.abs(theta - rebuilt)) <= 1e-9
 
 
+class TestOneMembershipRule:
+    """`weights_from_theta` accepts a float candidate exactly when
+    `verify_membership` does, at every scale."""
+
+    n, lam = 12, 0.7
+
+    def _members(self):
+        system = biorthogonal_system(HamiltonianSpec(self.n, self.lam))
+        coefficients = np.arange(1.0, self.n + 1)
+        return system, [
+            assemble_theta(self.n, self.lam, coefficients),
+            theta_from_weights(system, coefficients),
+        ]
+
+    @staticmethod
+    def _verdicts(system, theta):
+        member = verify_membership(theta, HamiltonianSpec(system.n, system.lam)).member
+        try:
+            weights_from_theta(system, theta)
+        except DomainError:
+            return member, False
+        return member, True
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_scaled_members_are_accepted(self, k):
+        system, members = self._members()
+        for theta in members:
+            assert self._verdicts(system, 10.0**k * theta) == (True, True)
+
+    @pytest.mark.parametrize("k", range(9))
+    @pytest.mark.parametrize("size", [5e-9, 1e-6])
+    def test_perturbed_candidates_are_rejected(self, k, size):
+        # a symmetric bump of `size` times the largest entry
+        system, members = self._members()
+        for theta in members:
+            theta = 10.0**k * theta
+            bump = np.zeros((self.n, self.n))
+            bump[0, 1] = bump[1, 0] = size * np.max(np.abs(theta))
+            assert self._verdicts(system, theta + bump) == (False, False)
+
+    def test_identity_is_rejected(self):
+        system = biorthogonal_system(HamiltonianSpec(4, 0.5))
+        assert self._verdicts(system, np.eye(4)) == (False, False)
+
+
 class TestPositivity:
+    @pytest.mark.parametrize("n, lam", [(4, 0.3), (12, 0.9)])
+    @pytest.mark.parametrize("k", range(9))
+    def test_scaled_built_metric_is_solved(self, n, lam, k):
+        # the symmetry cut scales with the matrix, so a metric the package
+        # built is never refused for its rounding
+        system = biorthogonal_system(HamiltonianSpec(n, lam))
+        report = positivity(theta_from_weights(system, 10.0**k * np.arange(1, n + 1)))
+        assert report.positive
+
     def test_size2_inequality_examples(self):
         lam = 0.6
         positive = positivity(assemble_theta(2, lam, [1.0, 0.5]))

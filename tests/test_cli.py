@@ -18,11 +18,9 @@ from metric_forge.errors import DomainError
 from metric_forge.exact import IntPolynomial
 from metric_forge.hamiltonian import HamiltonianSpec, _chain_rows, build_hamiltonian
 from metric_forge.cli import (
-    _WRITE_BYTES,
     MAX_COUPLING_DIGITS,
     MAX_GRID_POINTS,
     UsageError,
-    _emit,
     _exact_texts,
     main,
     parse_grid,
@@ -737,6 +735,30 @@ class TestPositivityCommand:
         assert payload["positive"] is False
         assert payload["closed_form_positive"] is False
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 12])
+    @pytest.mark.parametrize("lam", ["0.3", "-0.7", "1.5"])
+    def test_alpha_reproduces_each_sampled_row(self, capsys, n, lam):
+        # one theta product serves both modes, so the alpha a row prints
+        # gives back its eigenvalue text and verdicts exactly
+        code, out, _ = run_cli(
+            capsys, "positivity", "--n", str(n), "--lambda", lam, "--sample", "100", "--seed", "4"
+        )
+        assert code == 0
+        cell = {True: "true", False: "false", None: ""}
+        for cells in (line.split(",") for line in out.splitlines()[1:-1]):
+            alpha = ",".join(cells[1 : n + 1])
+            code, single, _ = run_cli(
+                capsys, "positivity", "--n", str(n), "--lambda", lam, "--alpha", alpha
+            )
+            assert code == 0
+            report = json.loads(single)
+            printed = [
+                f"{report['min_eigenvalue']:.17g}",
+                cell[report["positive"]],
+                cell[report["closed_form_positive"]],
+            ]
+            assert printed == cells[n + 1 : n + 4], cells[0]
+
     def test_alpha_length_mismatch(self, capsys):
         code, _, err = run_cli(
             capsys, "positivity", "--n", "4", "--lambda", "0", "--alpha", "1,2"
@@ -785,36 +807,9 @@ class TestPositivityCommand:
         target = tmp_path / "sample.csv"
         code, _, _ = run_cli(capsys, *argv, "--output", str(target))
         assert code == 0
-        assert len(out) > 4 * _WRITE_BYTES
+        assert len(out) > 4 * 2**16
         assert out.encode() == target.read_bytes()
         assert out == _expected_sample(n, lam, seed, count)
-
-
-class TestEmit:
-    @pytest.mark.parametrize(
-        "pieces",
-        [
-            ["x" * (i % 37) + "\n" for i in range(3000)],
-            ["a" * 2500, "b", "c" * 999, "d", "e" * 1000, ""],
-            [],
-        ],
-    )
-    def test_pieces_are_joined_to_a_byte_budget(self, monkeypatch, pieces):
-        # every write but the last reaches the budget, and stops at the
-        # piece that reached it
-        writes = []
-
-        class Recorder:
-            def write(self, text):
-                writes.append(text)
-
-        monkeypatch.setattr("sys.stdout", Recorder())
-        monkeypatch.setattr(cli, "_WRITE_BYTES", 1000)
-        _emit(iter(pieces), None)
-        assert "".join(writes) == "".join(pieces)
-        assert len(writes[-1]) < 1000
-        longest = max(map(len, pieces), default=0)
-        assert all(1000 <= len(text) < 1000 + longest for text in writes[:-1])
 
 
 _SWEEP_CASES = [
@@ -904,7 +899,6 @@ class TestStreamedSweeps:
         code, complete, _ = run_cli(capsys, *argv)
         assert code == 0
         monkeypatch.setattr(analysis, name, failing)
-        monkeypatch.setattr(cli, "_WRITE_BYTES", 1)  # every piece is written at once
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -914,6 +908,14 @@ class TestStreamedSweeps:
         assert len(lines) == 1 + analysis._MIN_BLOCK_ROWS
         assert complete.startswith(out)
         assert [(s["over"], s["invalid"]) for s in states] == [("raise", "raise")] * 2
+
+
+def test_reality_tol_default_is_the_library_default():
+    # the parser states the value itself, so that it need not load numpy
+    args = cli.build_parser().parse_args(["spectrum", "--n", "4", "--grid", "0:1:2"])
+    assert args.reality_tol == analysis.REALITY_TOL
+    for scan in (analysis.scan_blocks, analysis.reality_scan):
+        assert scan.__kwdefaults__["tol"] == analysis.REALITY_TOL
 
 
 class TestContinuumCommand:

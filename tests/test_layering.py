@@ -3,13 +3,29 @@ prints, and each derivation rule stays behind the public names of the
 module that owns its data."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
-from metric_forge import cli, hamiltonian, oracle
+import pytest
 
-# the modules whose private names the CLI never imports; `hamiltonian` is
-# not one of them, because the band, size and coupling rules live there
-RULE_OWNERS = {"exact", "oracle", "closedform", "continuum", "analysis"}
+import metric_forge
+from metric_forge import hamiltonian, oracle
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(metric_forge.__path__))
+
+# the private names that may cross a module boundary, as (importer,
+# source, name): the band, size, coupling and secular rules of
+# `hamiltonian`, which every module may read, and the integer rows of
+# `exact`, which the oracle's span check reads
+CROSSINGS = {
+    *(
+        (importer, "hamiltonian", name)
+        for importer in MODULES
+        for name in ("_chain_bands", "_chain_rows", "_check_size", "_float_coupling", "_secular_root")
+    ),
+    ("oracle", "exact", "_integer_rows"),
+}
 
 
 def _package_imports(module):
@@ -28,13 +44,15 @@ def _package_imports(module):
             yield source, alias.name
 
 
-def test_cli_imports_no_private_name_of_a_rule_owner():
-    private = [
+@pytest.mark.parametrize("importer", MODULES)
+def test_private_names_cross_only_on_the_allowlist(importer):
+    module = importlib.import_module(f"metric_forge.{importer}")
+    crossing = [
         (source, name)
-        for source, name in _package_imports(cli)
-        if source in RULE_OWNERS and name.startswith("_")
+        for source, name in _package_imports(module)
+        if name.startswith("_") and source != importer
     ]
-    assert private == []
+    assert [c for c in crossing if (importer, *c) not in CROSSINGS] == []
 
 
 def test_oracle_imports_nothing_from_closedform():
