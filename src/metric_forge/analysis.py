@@ -30,7 +30,7 @@ from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence, Type
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionError, DomainError
-from .hamiltonian import HamiltonianSpec, _chain_bands, _chain_rows, _check_size
+from .hamiltonian import HamiltonianSpec, _chain_bands, _chain_rows, _check_size, _float_coupling
 
 __all__ = [
     "symmetric_similarity",
@@ -101,7 +101,7 @@ def symmetric_similarity(n: int, lam: float) -> tuple[np.ndarray, np.ndarray, np
     strictly inside (-1, 1), where both middle-bond entries are negative.
     """
     _check_size(n)
-    lam = float(lam)
+    lam = _float_coupling(lam)
     if not -1.0 < lam < 1.0:
         raise DomainError("the symmetric similarity requires |lam| < 1")
     diag, upper, lower = map(np.array, _chain_bands(n, lam, 1.0))
@@ -128,7 +128,7 @@ def scan_blocks(n: int, lambdas: Iterable[float], *, tol: float = REALITY_TOL) -
     time: a block is solved only when it is asked for.  The size is
     checked and the couplings are read when this is called."""
     free = _free_half(n)
-    lams = np.fromiter(map(float, lambdas), dtype=float)
+    lams = np.fromiter(map(_float_coupling, lambdas), dtype=float)
     return (_scan_block(free, lams[part], tol) for part in _blocks(len(lams), n))
 
 
@@ -214,7 +214,7 @@ def biorthogonal_system(spec: HamiltonianSpec) -> BiorthogonalSystem:
     within 1e-9 of the largest eigenvalue magnitude (at least 1), are
     rejected.
     """
-    lam = float(spec.lam)
+    lam = _float_coupling(spec.lam)
     if not -1.0 < lam < 1.0:
         raise DegenerateSpectrumError(
             "spectral representation requires a coupling inside (-1, 1)"
@@ -321,7 +321,7 @@ def closed_form_margin(n: int, lam: float, alpha: Any) -> float | np.ndarray:
     a = np.asarray(alpha, dtype=float)
     if a.shape[-1:] != (n,):
         raise DimensionError(f"need exactly {n} coefficients")
-    lam = float(lam)
+    lam = _float_coupling(lam)
     if n == 2:
         if not -1.0 < lam < 1.0:
             raise DomainError("size-2 inequalities need |lam| < 1")
@@ -377,7 +377,7 @@ def evaluate_basis_stack(n: int, lam: float) -> np.ndarray:
     from .closedform import basis_family
 
     family = basis_family(n)  # rejects a bad size before the stack exists
-    lam = float(lam)
+    lam = _float_coupling(lam)
     stack = np.zeros((n, n, n))
     for element, plane in zip(family, stack):
         for (i, k), value in element.values(lam).items():
@@ -404,7 +404,7 @@ def sample_blocks(n: int, lam: float, seed: int, count: int) -> Iterator[RegionS
     checked and built when this is called."""
     if count < 1:
         raise DomainError("need at least one sample")
-    lam = float(lam)
+    lam = _float_coupling(lam)
     stack = evaluate_basis_stack(n, lam)
     right = biorthogonal_system(HamiltonianSpec(n, lam)).right if -1.0 < lam < 1.0 else None
     rng = np.random.default_rng(seed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 from itertools import chain, repeat
@@ -623,6 +624,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except FloatingPointError as exc:
         print(f"error: a result overflows a float ({exc})", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # stdout is closed: point it at devnull, so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was complete", file=sys.stderr)
         return 2
     except (
         UsageError,

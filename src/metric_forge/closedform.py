@@ -24,10 +24,10 @@ The paper's recurrent growth of the S_j (`incidence_family`) is a second
 derivation, checked against the rule at every step.
 
 The family is complete at every coupling: each M_j satisfies the
-constraint as a polynomial identity (`intertwining_defect`, which sums
-integer coefficient tuples read against the nonzeros of the chain's rows
-and returns the cells that fail to cancel); row 1 of M_j holds one entry,
-at (1, j), and row n one, at (n, n + 1 - j), so the first rows (lam != 1)
+constraint as a polynomial identity (`intertwining_defect`, which holds
+each polynomial as one integer, its value at x = 2^B with B derived from
+the element's largest coefficient, and decodes the cells that fail to
+cancel); row 1 of M_j holds one entry, at (1, j), and row n one, at (n, n + 1 - j), so the first rows (lam != 1)
 or the last rows (lam != -1) make the n members independent; and no
 solution space is larger than n (`oracle`).
 """
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import zip_longest
 from typing import Any, Literal, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConstructionError, DimensionError, DomainError
@@ -259,12 +258,13 @@ def zero_coupling_reduction_holds(element: MetricBasisElement) -> bool:
     return nonzero == dict.fromkeys(occupancy_positions(element.n, element.j), 1)
 
 
-@cache
-def _hamiltonian_rows(n: int) -> tuple[tuple, ...]:
-    """Row r of the symbolic chain H (1-based; entry 0 is empty) as
-    (c, H[r, c], -H[r, c]) for each of its nonzeros."""
-    rows = _chain_rows(n, IntPolynomial((0, 1)), IntPolynomial((1,)), 0)
-    return ((),) + tuple(tuple((c, h, -h) for c, h in enumerate(row, 1) if h) for row in rows)
+def _decoded(image: int, bits: int) -> IntPolynomial:
+    """The polynomial of value `image` at 2^bits, each coefficient within 2^(bits-1)."""
+    coeffs, half = [], 1 << (bits - 1)
+    while image:
+        coeffs.append((image + half) % (half << 1) - half)
+        image = (image - coeffs[-1]) >> bits
+    return IntPolynomial._stripped(tuple(coeffs))
 
 
 def intertwining_defect(element: MetricBasisElement) -> dict[tuple[int, int], IntPolynomial]:
@@ -274,30 +274,23 @@ def intertwining_defect(element: MetricBasisElement) -> dict[tuple[int, int], In
     H is tridiagonal, so an occupied entry M[i, r] meets only the nonzeros
     H[r, c] of row r of H in M H, adding M[i, r] H[r, c] at (i, c), and
     only the nonzeros H[i, c] of row i in H^T M, adding -H[i, c] M[i, r]
-    at (c, r).  Each distinct product of an alphabet polynomial with a
-    band entry is formed once, as an integer coefficient tuple, and each
-    cell sums its at most six tuples coefficientwise, so the defect is an
-    exact polynomial identity over the integers."""
-    h_rows = _hamiltonian_rows(element.n)
-    products: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
-
-    def times(m: IntPolynomial, h: IntPolynomial) -> tuple[int, ...]:
-        key = (m.coeffs, h.coeffs)
-        if key not in products:
-            products[key] = (m * h).coeffs
-        return products[key]
-
-    terms: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for (i, r), m in element.entries.items():
-        for c, h, _ in h_rows[r]:
-            terms.setdefault((i, c), []).append(times(m, h))
-        for c, _, minus_h in h_rows[i]:
-            terms.setdefault((c, r), []).append(times(m, minus_h))
-    defect = {}
-    for cell, tuples in terms.items():
-        coeffs = [sum(column) for column in zip_longest(*tuples, fillvalue=0)]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        if coeffs:
-            defect[cell] = IntPolynomial._stripped(tuple(coeffs))
-    return defect
+    at (c, r).  Each polynomial is held as one integer, its value at
+    x = 2^B (Kronecker substitution), and a cell sums at most six integer
+    products.  B is five bits above the element's largest coefficient, so
+    a cell's coefficients stay below 12 max|c| < 2^(B-1): its integer is
+    zero exactly when its polynomial is, and a nonzero one decodes as
+    signed base-2^B digits.  So the defect is exact for any entries."""
+    n, entries = element.n, element.entries
+    distinct = set(entries.values())
+    bits = max((abs(c).bit_length() for p in distinct for c in p.coeffs), default=0) + 5
+    x = 1 << bits
+    images = {p: p(x) for p in distinct}
+    h_rows = [[(c, h) for c, h in enumerate(row, 1) if h] for row in _chain_rows(n, x, 1, 0)]
+    cells: dict[tuple[int, int], int] = {}
+    for (i, r), m in entries.items():
+        image = images[m]
+        for c, h in h_rows[r - 1]:
+            cells[i, c] = cells.get((i, c), 0) + image * h
+        for c, h in h_rows[i - 1]:
+            cells[c, r] = cells.get((c, r), 0) - h * image
+    return {cell: _decoded(image, bits) for cell, image in cells.items() if image}

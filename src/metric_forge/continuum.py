@@ -265,7 +265,7 @@ def opaque_wall_check(lam: float, sizes: Iterable[int]) -> WallReport:
     monotonically up to a 10% rise between neighbouring sizes.  The free
     chain (lam = 0) is rejected: there is no wall to become opaque.
     """
-    return sweep(float(lam), sizes, 1)[1]
+    return sweep(_float_coupling(lam), sizes, 1)[1]
 
 
 def sweep(lam: float, sizes: Iterable[int], state: int) -> tuple[list[float], WallReport]:

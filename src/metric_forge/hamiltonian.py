@@ -10,7 +10,7 @@ maps the chain onto a symmetric tridiagonal matrix (Parlett, The
 Symmetric Eigenvalue Problem).  There every eigenvalue is also explicit,
 one root of the chain's secular equation each (`closed_form_spectrum`).
 `_chain_rows` alone lays the bands out, as rows of Python scalars, for
-every chain of the package: exact, symbolic and float.  This module
+every chain of the package: exact, integer and float.  This module
 imports only the standard library, and numpy only inside the float branch
 of `build_hamiltonian`; that similarity and the dense float eigensolves
 live in `analysis`.
@@ -93,9 +93,9 @@ def _float_coupling(lam: ScalarLike) -> float:
 
 def _chain_bands(n: int, lam: Any, one: Any) -> tuple[list, list, list]:
     """Diagonal, super-diagonal and sub-diagonal of the chain over the
-    scalar kind of `one` (Fraction, float or IntPolynomial): 2 on the
-    diagonal, -1 off it, and the middle bond -1 - lam above against
-    -1 + lam below."""
+    scalar kind of `one` (Fraction, float or int; IntPolynomial only in
+    the tests' referee): 2 on the diagonal, -1 off it, and the middle bond
+    -1 - lam above against -1 + lam below."""
     upper = [-one] * (n - 1)
     lower = list(upper)
     upper[n // 2 - 1] = -one - lam

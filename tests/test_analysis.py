@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -22,6 +23,7 @@ from metric_forge.analysis import (
     weights_from_theta,
 )
 from metric_forge.closedform import assemble_theta
+from metric_forge.continuum import matching_data, opaque_wall_check
 from metric_forge.errors import (
     DegenerateSpectrumError,
     DimensionError,
@@ -448,3 +450,42 @@ class TestJoinedBlocks:
         assert _columns(result) == _concatenated(sample_blocks(n, lam, 9, count))
         present = [column is not None for column in result[3:5]]
         assert present == [verdicts, verdicts]
+
+
+class TestCouplingBeyondFloatRange:
+    # every library route from an exact coupling to a float reads it through
+    # `hamiltonian._float_coupling`, so it raises DomainError, never OverflowError
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda lam: analysis.symmetric_similarity(4, lam),
+            lambda lam: biorthogonal_system(HamiltonianSpec(4, lam)),
+            lambda lam: evaluate_basis_stack(4, lam),
+            lambda lam: assemble_theta(4, lam, (1.0, 0.0, 0.0, 0.0)),
+            lambda lam: closed_form_margin(2, lam, (1.0, 0.5)),
+            lambda lam: scan_blocks(4, [0.5, lam]),
+            lambda lam: reality_scan(4, [0.5, lam]),
+            lambda lam: sample_blocks(4, lam, 0, 10),
+            lambda lam: sample_positivity_region(4, lam, 0, 10),
+            lambda lam: opaque_wall_check(lam, [20, 40]),
+            lambda lam: matching_data(HamiltonianSpec(40, lam)),
+            lambda lam: verify_membership(np.eye(4), HamiltonianSpec(4, lam)),
+        ],
+        ids=[
+            "symmetric_similarity",
+            "biorthogonal_system",
+            "evaluate_basis_stack",
+            "assemble_theta",
+            "closed_form_margin",
+            "scan_blocks",
+            "reality_scan",
+            "sample_blocks",
+            "sample_positivity_region",
+            "opaque_wall_check",
+            "matching_data",
+            "verify_membership",
+        ],
+    )
+    def test_rejected_as_a_domain_error(self, call):
+        with pytest.raises(DomainError, match="too large for a float"):
+            call(Fraction(10**400, 3))

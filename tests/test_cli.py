@@ -1137,16 +1137,54 @@ class TestUsageErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def _fresh_python(code, *args):
-    """Run `code` in a new interpreter that imports the package from this
-    checkout; its stderr."""
+def _checkout_env():
+    """The environment of a new interpreter that imports the package from
+    this checkout."""
     src = str(Path(metric_forge.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _fresh_python(code, *args):
+    """Run `code` in a new interpreter that imports the package from this
+    checkout; its stderr."""
     result = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args],
+        env=_checkout_env(),
+        capture_output=True,
+        text=True,
+        check=True,
     )
     return result.stderr
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("positivity", "--n", "6", "--lambda", "0.5", "--sample", "100000"),
+            ("hamiltonian", "--n", "1000", "--lambda", "1/3", "--format", "csv"),
+        ],
+    )
+    def test_reader_that_stops_after_one_line(self, argv):
+        # both outputs are megabytes long, so the command is still writing
+        # when the reader closes the pipe
+        with subprocess.Popen(
+            [sys.executable, "-m", "metric_forge.cli", *argv],
+            env=_checkout_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        ) as process:
+            assert process.stdout.readline()
+            process.stdout.close()
+            err = process.stderr.read()
+            code = process.wait(timeout=120)
+        assert code == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 _EXACT_ARGV = [

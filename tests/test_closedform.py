@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -396,6 +397,45 @@ class TestBandedDefect:
                     defect = intertwining_defect(changed)
                     assert defect
                     assert defect == dense_defect_cells(changed)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_large_coefficient_faults(self, n):
+        # faults far beyond the alphabet's coefficients, of either sign: the
+        # digit width of the integer images follows the element's largest
+        # coefficient, not n
+        rng = random.Random(n)
+        for element in basis_family(n):
+            for bits in (1, 64, 300):
+                entries = dict(element.entries)
+                for _ in range(3):
+                    size = (1 << bits) - 1
+                    fault = IntPolynomial(rng.randint(-size, size) for _ in range(rng.randint(1, 4)))
+                    position = rng.randint(1, n), rng.randint(1, n)
+                    entries[position] = entries.get(position, IntPolynomial()) + fault
+                changed = MetricBasisElement(n, element.j, entries)
+                defect = intertwining_defect(changed)
+                assert defect
+                assert defect == dense_defect_cells(changed)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_largest_coefficient_in_every_cell(self, n):
+        # every coefficient of every cell at the largest magnitude, with
+        # random signs, so that the sums of up to six products come near
+        # the half digit the images leave them
+        rng = random.Random(n)
+        top = (1 << 300) - 1
+        for _ in range(20):
+            full = {
+                (i, k): IntPolynomial(rng.choice((top, -top)) for _ in range(3))
+                for i in range(1, n + 1)
+                for k in range(1, n + 1)
+            }
+            element = MetricBasisElement(n, 1, full)
+            assert intertwining_defect(element) == dense_defect_cells(element)
+
+    @pytest.mark.parametrize("n", [22, 40, 80])
+    def test_valid_family_at_larger_sizes(self, n):
+        assert all(intertwining_defect(element) == {} for element in basis_family(n))
 
 
 class TestAssembleTheta:

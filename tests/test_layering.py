@@ -64,3 +64,36 @@ def test_hamiltonian_imports_nothing_from_analysis():
     # `hamiltonian` lays out every chain, the float one too, and
     # `analysis` reads its bands and rows: the import runs one way only
     assert [name for source, name in _package_imports(hamiltonian) if source == "analysis"] == []
+
+
+# The one cached function of the package.  A cache hides a fault injected
+# into the function it wraps, or into anything that function calls, from
+# every call after the first warm one: a cache on `basis_family` once let a
+# verification pass after a fault that a cold call caught.  The judge's
+# fault rows need each call to take the cold path; `entry_polynomial` maps
+# a degree and a sign to an immutable polynomial, and a fault row patches
+# that name itself.
+CACHED = {"closedform.entry_polynomial"}
+
+
+def _is_cache(decorator):
+    """Whether a decorator is `cache` or `lru_cache`, bare, called or
+    reached through `functools`."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", "")
+    return name in ("cache", "lru_cache")
+
+
+def test_only_the_allowlisted_functions_are_cached():
+    cached = set()
+    for name in MODULES:
+        module = importlib.import_module(f"metric_forge.{name}")
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        cached.update(
+            f"{name}.{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(map(_is_cache, node.decorator_list))
+        )
+    assert cached == CACHED
