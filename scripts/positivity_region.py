@@ -2,8 +2,9 @@
 """Estimate how much of coefficient space yields a positive metric.
 
 Sweeps the coupling for a few sizes and reports the positive fraction of
-seeded uniform coefficient draws, plus verdict-agreement statistics
-between the eigenvalue test and the spectral-weight test.
+seeded uniform coefficient draws, plus how often the spectral-weight
+verdict and the closed-form cone verdict agree with the eigenvalue
+verdict, over the draws away from the boundary.
 """
 
 import argparse
@@ -11,17 +12,24 @@ import argparse
 from metric_forge.analysis import sample_positivity_region
 
 
+def _agreement(verdicts, result) -> float:
+    """The share of draws away from the boundary on which `verdicts`
+    equals the eigenvalue verdict; nan where there is none."""
+    comparable = ~result.near_boundary
+    if verdicts is None or not comparable.any():
+        return float("nan")
+    agree = verdicts[comparable] == result.positive[comparable]
+    return int(agree.sum()) / len(agree)
+
+
 def run(sizes: list[int], count: int, seed: int) -> None:
-    print("n,lambda,fraction_positive,weight_agreement")
+    print("n,lambda,fraction_positive,weight_agreement,closed_form_agreement")
     for n in sizes:
         for lam in (-0.8, -0.4, 0.0, 0.4, 0.8):
             result = sample_positivity_region(n, lam, seed=seed, count=count)
-            comparable = ~result.near_boundary
-            ratio = float("nan")
-            if result.weights_positive is not None and comparable.any():
-                agree = result.weights_positive[comparable] == result.positive[comparable]
-                ratio = int(agree.sum()) / len(agree)
-            print(f"{n},{lam},{result.fraction_positive:.4f},{ratio:.4f}")
+            weights = _agreement(result.weights_positive, result)
+            closed_form = _agreement(result.closed_form_positive, result)
+            print(f"{n},{lam},{result.fraction_positive:.4f},{weights:.4f},{closed_form:.4f}")
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ positive; equivalently, writing Theta = sum_n t_n w_n w_n^T over the
 left eigenvectors w_n of the chain, iff all spectral weights t_n are
 positive.  This module provides both verdicts (the first through the
 symmetric eigensolver `eigs_symmetric`), the conversion between
-coefficient coordinates and spectral weights, the explicit low-size
-positivity inequalities, a seeded sampler over coefficient space, and
-the two-parameter positive metric family of the uncoupled chain.
+coefficient coordinates and spectral weights, one closed-form verdict
+for every size, a seeded sampler over coefficient space, and the
+two-parameter positive metric family of the uncoupled chain.
 
 Each float sweep has one result type, a NamedTuple of columns:
 `ScanBlock` for the reality scan and `RegionSample` for the sampler.
@@ -30,7 +30,8 @@ from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence, Type
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DimensionError, DomainError
-from .hamiltonian import HamiltonianSpec, _chain_bands, _chain_rows, _check_size, _float_coupling
+from .hamiltonian import HamiltonianSpec, _chain_bands, _chain_rows, _check_size
+from .hamiltonian import _float_coupling, _secular_root
 
 __all__ = [
     "symmetric_similarity",
@@ -307,43 +308,40 @@ def positivity(theta: Any) -> PositivityReport:
     )
 
 
-def closed_form_margin(n: int, lam: float, alpha: Any) -> float | np.ndarray:
-    """Smallest of the explicit positivity expressions; positive iff the
-    candidate is positive definite.
+def _cone(n: int, lam: float) -> np.ndarray:
+    """Q[j, k] = q_j(x_k) of `closed_form_margin`, (n, n): q_{-1} = 0,
+    q_0 = 1 and q_j = (x q_{j-1} - q_{j-2}) / c_j (`closedform` docstring)."""
+    _check_size(n)
+    lam = _float_coupling(lam)
+    if not -1.0 < lam < 1.0:
+        raise DomainError("the closed-form positivity rule needs |lam| < 1")
+    x = np.array([2.0 * math.cos(_secular_root(n, lam, state)) for state in range(1, n + 1)])
+    rows = [np.zeros(n), np.ones(n)]
+    for j in range(1, n):
+        # c_K = 1 - lam^2, formed as (1 - lam)(1 + lam), exact near |lam| = 1
+        c = (1.0 - lam) * (1.0 + lam) if j == n // 2 else 1.0
+        rows.append((x * rows[-1] - rows[-2]) / c)
+    return np.array(rows[1:])
 
-    Size 2 (any |lam| < 1): alpha_1 and alpha_1^2 (1 - lam^2) - alpha_2^2.
-    Size 4 at lam = 0: the four quantities
-        2 alpha_1 - 2 alpha_4 - alpha_2 + alpha_3 +/- sqrt(5)(alpha_3 - alpha_2)
-        2 alpha_1 + 2 alpha_4 + alpha_2 + alpha_3 +/- sqrt(5)(alpha_2 + alpha_3)
-    which equal twice the eigenvalues of the candidate.  One coefficient
-    vector gives a float; a (count, n) array gives one margin per row.
-    """
+
+def closed_form_margin(n: int, lam: float, alpha: Any) -> float | np.ndarray:
+    """min_k p(x_k), with p(x) = sum_j alpha_j q_{j-1}(x) and x_k = 2 cos(eps_k)
+    the eigenvalues of 2 - H (`hamiltonian._secular_root`): positive iff
+    Theta is positive definite, at every size and |lam| < 1, since
+    Theta = Theta_0 p(2 - H) (`closedform` docstring) is congruent to
+    p(2 - S) by H = D S D^{-1} and Theta_0 = (1 - lam) D^{-2}.  At size 2
+    this is the paper's pair alpha_1 > 0, alpha_1^2 (1 - lam^2) > alpha_2^2.
+    A vector gives a float, a (count, n) array a margin per row with the
+    bits it gets alone; |lam| >= 1 is a DomainError."""
     a = np.asarray(alpha, dtype=float)
     if a.shape[-1:] != (n,):
         raise DimensionError(f"need exactly {n} coefficients")
-    lam = _float_coupling(lam)
-    if n == 2:
-        if not -1.0 < lam < 1.0:
-            raise DomainError("size-2 inequalities need |lam| < 1")
-        a1, a2 = np.moveaxis(a, -1, 0)
-        margin = np.minimum(a1, a1 * a1 * (1.0 - lam * lam) - a2 * a2)
-    elif n == 4 and lam == 0.0:
-        root5 = math.sqrt(5.0)
-        a1, a2, a3, a4 = np.moveaxis(a, -1, 0)
-        expressions = (
-            2.0 * a1 - 2.0 * a4 - a2 + a3 + root5 * (a3 - a2),
-            2.0 * a1 - 2.0 * a4 - a2 + a3 - root5 * (a3 - a2),
-            2.0 * a1 + 2.0 * a4 + a2 + a3 + root5 * (a2 + a3),
-            2.0 * a1 + 2.0 * a4 + a2 + a3 - root5 * (a2 + a3),
-        )
-        margin = np.min(expressions, axis=0)
-    else:
-        raise DomainError("closed-form inequalities cover size 2, or size 4 at lam = 0")
-    return float(margin) if margin.ndim == 0 else margin
+    margins = np.min(superpose(_cone(n, lam), a.reshape(-1, n)), axis=1)
+    return float(margins[0]) if a.ndim == 1 else margins
 
 
 def positivity_closed_form(n: int, lam: float, alpha: Sequence[float]) -> bool:
-    """Literal evaluation of the explicit positivity inequalities."""
+    """The verdict of `closed_form_margin`, at every size and |lam| < 1."""
     return closed_form_margin(n, lam, alpha) > 0.0
 
 
@@ -352,7 +350,7 @@ class RegionSample(NamedTuple):
     columns in the order of the `positivity --sample` CSV.
 
     `alphas` has shape (count, n); the other columns have length count.
-    A verdict column that does not apply at the size and coupling is None.
+    `closed_form_positive` and `weights_positive` are None at |lam| >= 1.
     """
 
     alphas: np.ndarray
@@ -388,48 +386,47 @@ def evaluate_basis_stack(n: int, lam: float) -> np.ndarray:
 
 
 def superpose(stack: np.ndarray, alphas: Any) -> np.ndarray:
-    """Theta = sum_j alpha_j M_j over a basis stack (n, n, n) for each row
-    of `alphas` (count, n), as (count, n, n).  The batched matmul gives a
-    row the bits it gets alone, which a 2-D product of the rows does not."""
-    n = len(stack)
+    """sum_j alpha_j stack[j] for each row of `alphas` (count, n): Theta
+    over a basis stack (n, n, n), or p(x_k) over the rows (n, n) of
+    `_cone`.  The batched matmul gives a row the bits it gets alone, which
+    a 2-D product of the rows does not."""
     rows = np.asarray(alphas, dtype=float)[:, None, :]
-    return np.matmul(rows, stack.reshape(n, n * n)).reshape(-1, n, n)
+    return np.matmul(rows, stack.reshape(len(stack), -1)).reshape(-1, *stack.shape[1:])
 
 
 def sample_blocks(n: int, lam: float, seed: int, count: int) -> Iterator[RegionSample]:
     """The draws of `sample_positivity_region` in draw order, one solved
     block at a time, each a `RegionSample` of its own draws: a block is
     drawn from the sweep's one generator and solved only when it is asked
-    for.  The count, the basis stack and the biorthogonal system are
-    checked and built when this is called."""
+    for.  The count, the basis stack, and for |lam| < 1 the cone rows and
+    the biorthogonal vectors, are checked and built when this is called."""
     if count < 1:
         raise DomainError("need at least one sample")
     lam = _float_coupling(lam)
     stack = evaluate_basis_stack(n, lam)
-    right = biorthogonal_system(HamiltonianSpec(n, lam)).right if -1.0 < lam < 1.0 else None
+    inside = -1.0 < lam < 1.0
+    cone = _cone(n, lam) if inside else None
+    right = biorthogonal_system(HamiltonianSpec(n, lam)).right if inside else None
     rng = np.random.default_rng(seed)
     return (
-        _sample_block(n, lam, stack, right, rng.uniform(-1.0, 1.0, (part.stop - part.start, n)))
+        _sample_block(stack, cone, right, rng.uniform(-1.0, 1.0, (part.stop - part.start, n)))
         for part in _blocks(count, n)
     )
 
 
 def _sample_block(
-    n: int, lam: float, stack: np.ndarray, right: Optional[np.ndarray], alphas: np.ndarray
+    stack: np.ndarray, cone: Optional[np.ndarray], right: Optional[np.ndarray], alphas: np.ndarray
 ) -> RegionSample:
     lead = alphas[:, 0] > 0
     alphas[lead] /= alphas[lead, :1]
     thetas = superpose(stack, alphas)
     minima = np.linalg.eigvalsh(thetas)[:, 0]
     near = np.abs(minima) <= SAMPLE_MARGIN
-    try:
-        cf_margin = closed_form_margin(n, lam, alphas)
-    except DomainError:
-        cf_positive = None
-    else:
-        cf_positive = cf_margin > 0.0
-        near |= np.abs(cf_margin) <= SAMPLE_MARGIN
-    weights_positive = None
+    cf_positive = weights_positive = None
+    if cone is not None:
+        margins = np.min(superpose(cone, alphas), axis=1)
+        cf_positive = margins > 0.0
+        near |= np.abs(margins) <= SAMPLE_MARGIN
     if right is not None:
         weights = np.einsum("in,sij,jn->sn", right, thetas, right)
         weights_positive = np.min(weights, axis=1) > 0.0
@@ -443,8 +440,8 @@ def sample_positivity_region(n: int, lam: float, seed: int, count: int) -> Regio
     positivity verdicts.
 
     Vectors with a positive leading coefficient are rescaled so it equals
-    one (the verdict is scale invariant).  Verdict columns that do not
-    apply at the given size/coupling are recorded as None.  Samples whose
+    one (the verdict is scale invariant).  At |lam| >= 1 the closed-form
+    and weight verdicts are recorded as None.  Samples whose
     minimum eigenvalue, closed-form margin, or smallest weight lies within
     `SAMPLE_MARGIN` of zero are flagged near-boundary.  The draws are
     solved in the stacked blocks of `sample_blocks` and joined into one

@@ -13,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
 from itertools import chain, repeat
 from typing import (
     TYPE_CHECKING,
@@ -24,7 +23,6 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
-    TextIO,
 )
 
 from .errors import ConstructionError, DegenerateSpectrumError, DimensionError, DomainError
@@ -218,25 +216,22 @@ def _json(payload: Any) -> str:
         raise DomainError("a result overflows a float") from exc
 
 
-@contextmanager
-def _output(output: Optional[str]) -> Iterator[TextIO]:
-    """The stream a command writes to: stdout, or the `--output` file.  An
+def _emit(pieces: Iterable[str], output: Optional[str]) -> None:
+    """Write the text pieces in order, each as it is made, to stdout or the
+    `--output` file, which is opened only once the first piece is made; an
     OSError on opening or writing the file is a usage error."""
+    pieces = iter(pieces)
+    text = chain([next(pieces, "")], pieces)
     if not output:
-        yield sys.stdout
+        for piece in text:
+            sys.stdout.write(piece)
         return
     try:
         with open(output, "w", encoding="utf-8") as stream:
-            yield stream
+            for piece in text:
+                stream.write(piece)
     except OSError as exc:
         raise UsageError(f"cannot write --output: {exc}") from exc
-
-
-def _emit(pieces: Iterable[str], output: Optional[str]) -> None:
-    """Write the text pieces in order, each as it is made."""
-    with _output(output) as stream:
-        for piece in pieces:
-            stream.write(piece)
 
 
 def _check_command_size(n: int, limit: int) -> None:
@@ -438,11 +433,8 @@ def cmd_positivity(args: argparse.Namespace) -> int:
             raise UsageError(f"--alpha needs exactly {args.n} values")
         theta = assemble_theta(args.n, lam_float, alpha)
         report = positivity(theta)
-        closed_form: Optional[bool]
-        try:
-            closed_form = positivity_closed_form(args.n, lam_float, alpha)
-        except DomainError:
-            closed_form = None
+        inside = -1.0 < lam_float < 1.0
+        closed_form = positivity_closed_form(args.n, lam_float, alpha) if inside else None
         payload = {
             "n": args.n,
             "lambda": lam_float,

@@ -30,6 +30,14 @@ the element's largest coefficient, and decodes the cells that fail to
 cancel); row 1 of M_j holds one entry, at (1, j), and row n one, at (n, n + 1 - j), so the first rows (lam != 1)
 or the last rows (lam != -1) make the n members independent; and no
 solution space is larger than n (`oracle`).
+
+It is an H-module: M_1 = Theta_0 = diag((1 - lam) I_K, (1 + lam) I_K) and
+M_j (2 - H) = M_{j-1} + c_j M_{j+1}, M_0 = M_{n+1} = 0, c_j = 1 but
+c_K = 1 - lam^2; so M_j = Theta_0 q_{j-1}(2 - H)
+(`analysis.closed_form_margin`).  At lam = +/-1, c_K = 0: span(M_1 ..
+M_K) is closed under H, and no member is positive definite, which would
+make H, with Jordan blocks there, self-adjoint in the metric's inner
+product.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from typing import Any, Literal, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConstructionError, DimensionError, DomainError
 from .exact import IntPolynomial, Matrix
-from .hamiltonian import _chain_rows, _check_size
+from .hamiltonian import _chain_bands, _check_size
 
 Sign = Optional[Literal["minus", "plus"]]
 
@@ -285,7 +293,9 @@ def intertwining_defect(element: MetricBasisElement) -> dict[tuple[int, int], In
     bits = max((abs(c).bit_length() for p in distinct for c in p.coeffs), default=0) + 5
     x = 1 << bits
     images = {p: p(x) for p in distinct}
-    h_rows = [[(c, h) for c, h in enumerate(row, 1) if h] for row in _chain_rows(n, x, 1, 0)]
+    diag, upper, lower = _chain_bands(n, x, 1)
+    bands = zip([0, *lower], diag, [*upper, 0])  # row r at columns r - 1, r, r + 1
+    h_rows = [[(c, h) for c, h in zip((r - 1, r, r + 1), b) if h] for r, b in enumerate(bands, 1)]
     cells: dict[tuple[int, int], int] = {}
     for (i, r), m in entries.items():
         image = images[m]

@@ -10,7 +10,7 @@ maps the chain onto a symmetric tridiagonal matrix (Parlett, The
 Symmetric Eigenvalue Problem).  There every eigenvalue is also explicit,
 one root of the chain's secular equation each (`closed_form_spectrum`).
 `_chain_rows` alone lays the bands out, as rows of Python scalars, for
-every chain of the package: exact, integer and float.  This module
+every dense chain of the package, exact and float.  This module
 imports only the standard library, and numpy only inside the float branch
 of `build_hamiltonian`; that similarity and the dense float eigensolves
 live in `analysis`.

@@ -1,6 +1,9 @@
 """Reference computations that the package itself does not run: a general
-dense float eigensolver and the chain with its coupling kept symbolic.
-The tests check the package's own routes against them."""
+dense float eigensolver, the chain with its coupling kept symbolic, and
+the paper's explicit positivity expressions at size 2 and at size 4 with
+zero coupling.  The tests check the package's own routes against them."""
+
+import math
 
 import numpy as np
 
@@ -29,3 +32,30 @@ def hamiltonian_polynomial(n):
     # the zero polynomial, not the int 0, which an IntPolynomial never equals
     one, zero = IntPolynomial((1,)), IntPolynomial()
     return Matrix.from_rows(_chain_rows(n, IntPolynomial((0, 1)), one, zero))
+
+
+def paper_size2_margin(lam, alpha):
+    """The smaller of the paper's two size-2 expressions, alpha_1 and
+    alpha_1^2 (1 - lam^2) - alpha_2^2: positive iff Theta > 0 (|lam| < 1).
+    `alpha` is one vector (2,) or a stack (count, 2)."""
+    a1, a2 = np.moveaxis(np.asarray(alpha, dtype=float), -1, 0)
+    return np.minimum(a1, a1 * a1 * (1.0 - lam * lam) - a2 * a2)
+
+
+def free_size4_margin(alpha):
+    """The smallest of the four size-4 expressions at lam = 0,
+
+        2 alpha_1 - 2 alpha_4 - alpha_2 + alpha_3 +/- sqrt(5)(alpha_3 - alpha_2)
+        2 alpha_1 + 2 alpha_4 + alpha_2 + alpha_3 +/- sqrt(5)(alpha_2 + alpha_3),
+
+    which equal twice the eigenvalues of Theta.  `alpha` is one vector (4,)
+    or a stack (count, 4)."""
+    root5 = math.sqrt(5.0)
+    a1, a2, a3, a4 = np.moveaxis(np.asarray(alpha, dtype=float), -1, 0)
+    expressions = (
+        2.0 * a1 - 2.0 * a4 - a2 + a3 + root5 * (a3 - a2),
+        2.0 * a1 - 2.0 * a4 - a2 + a3 - root5 * (a3 - a2),
+        2.0 * a1 + 2.0 * a4 + a2 + a3 + root5 * (a2 + a3),
+        2.0 * a1 + 2.0 * a4 + a2 + a3 - root5 * (a2 + a3),
+    )
+    return np.min(expressions, axis=0)

@@ -31,6 +31,7 @@ from metric_forge.errors import (
 )
 from metric_forge.hamiltonian import HamiltonianSpec, build_hamiltonian
 from metric_forge.oracle import verify_membership
+from referees import free_size4_margin, paper_size2_margin
 
 
 def _columns(block):
@@ -301,41 +302,131 @@ class TestPositivity:
 
 
 class TestClosedForm:
+    """The cone rule of `closed_form_margin` against the paper's explicit
+    expressions, which the tests keep as referees (`tests/referees.py`)."""
+
     def test_identity_coefficients_size4(self):
-        assert closed_form_margin(4, 0.0, [1, 0, 0, 0]) == 2.0
+        # Theta = M_1 = I at lam = 0: every p(x_k) is 1, the referee reads 2
+        assert closed_form_margin(4, 0.0, [1, 0, 0, 0]) == 1.0
+        assert free_size4_margin([1, 0, 0, 0]) == 2.0
         assert positivity_closed_form(4, 0.0, [1, 0, 0, 0])
 
     def test_boundary_sample_size4(self):
         # expressions evaluate to {10 +/- 2 sqrt5, 0, 0}: boundary, not positive
         margin = closed_form_margin(4, 0.0, [2, -1, 1, -2])
-        assert margin == 0.0
+        assert margin == 0.0 == free_size4_margin([2, -1, 1, -2])
         assert not positivity_closed_form(4, 0.0, [2, -1, 1, -2])
         eigenvalues = positivity(assemble_theta(4, 0.0, [2, -1, 1, -2])).eigenvalues
         golden = [0.0, 0.0, 5 - math.sqrt(5), 5 + math.sqrt(5)]
         assert np.allclose(eigenvalues, golden, atol=1e-12)
 
     def test_strictly_positive_sample_size4(self):
-        assert closed_form_margin(4, 0.0, [4, -1, 1, -1]) == 6.0
+        assert closed_form_margin(4, 0.0, [4, -1, 1, -1]) == 3.0
+        assert free_size4_margin([4, -1, 1, -1]) == 6.0
         assert positivity_closed_form(4, 0.0, [4, -1, 1, -1])
 
-    def test_expressions_are_twice_the_eigenvalues(self):
+    def test_margin_is_the_eigenvalue_and_half_the_referee_size4(self):
+        # at lam = 0, Theta_0 = I and Theta = p(2 - H) is symmetric, so the
+        # margin is its smallest eigenvalue, and the paper's expressions
+        # are twice the eigenvalues
         rng = np.random.default_rng(9)
         for _ in range(50):
             alpha = rng.uniform(-1, 1, 4)
             margin = closed_form_margin(4, 0.0, alpha)
             eigenvalues = np.linalg.eigvalsh(assemble_theta(4, 0.0, alpha))
-            assert abs(margin - 2.0 * eigenvalues[0]) < 1e-10
+            assert abs(margin - eigenvalues[0]) < 1e-12
+            assert abs(free_size4_margin(alpha) - 2.0 * margin) < 1e-12
 
     def test_size2_examples(self):
         assert positivity_closed_form(2, 0.6, [1.0, 0.5])
         assert not positivity_closed_form(2, 0.6, [1.0, 0.9])
         assert not positivity_closed_form(2, 0.0, [-1.0, 0.0])
 
-    def test_unsupported_combination(self):
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("lam", [1.0, -1.0, 1.5, -1e300])
+    def test_outside_the_window_is_a_domain_error(self, n, lam):
         with pytest.raises(DomainError):
-            closed_form_margin(4, 0.5, [1, 0, 0, 0])
-        with pytest.raises(DomainError):
-            closed_form_margin(6, 0.0, [1, 0, 0, 0, 0, 0])
+            closed_form_margin(n, lam, np.ones(n))
+
+    @pytest.mark.parametrize(
+        "n, alpha", [(4, [1, 0, 0]), (4, np.ones((3, 5))), (3, [1, 0, 0]), (0, [])]
+    )
+    def test_bad_shapes_are_dimension_errors(self, n, alpha):
+        with pytest.raises(DimensionError):
+            closed_form_margin(n, 0.3, alpha)
+
+    def test_one_vector_gives_a_float_and_a_stack_one_margin_a_row(self):
+        rows = np.random.default_rng(1).uniform(-1, 1, (7, 6))
+        margins = closed_form_margin(6, 0.4, rows)
+        assert margins.shape == (7,)
+        assert [closed_form_margin(6, 0.4, row) for row in rows] == margins.tolist()
+        assert type(closed_form_margin(6, 0.4, rows[0])) is float
+
+
+# the cone table: sizes and couplings, each cell with its own seed
+CONE_SIZES = (2, 4, 6, 8, 12)
+CONE_COUPLINGS = (0.0, 0.3, -0.7, 0.95)
+
+
+class TestConeTable:
+    """The cone verdict of `closed_form_margin` over fixed seeded draws at
+    every size and coupling of the table, against the eigenvalue verdict,
+    the spectral weights and the paper's explicit expressions."""
+
+    @pytest.mark.parametrize("n", CONE_SIZES)
+    @pytest.mark.parametrize("lam", CONE_COUPLINGS)
+    def test_cone_equals_eigenvalues_and_weights(self, n, lam):
+        seed = 100 * CONE_SIZES.index(n) + CONE_COUPLINGS.index(lam)
+        alphas = np.random.default_rng(seed).uniform(-1.0, 1.0, (1000, n))
+        margins = closed_form_margin(n, lam, alphas)
+        thetas = analysis.superpose(evaluate_basis_stack(n, lam), alphas)
+        minima = np.linalg.eigvalsh(thetas)[:, 0]
+        right = biorthogonal_system(HamiltonianSpec(n, lam)).right
+        weights = np.einsum("in,sij,jn->sn", right, thetas, right)
+        # the spectral weights are (1 - lam^2) p(x_k), in the same ascending
+        # order of the energies: the mirror halves of each unit right vector
+        # carry equal norm
+        values = analysis.superpose(analysis._cone(n, lam), alphas)
+        assert np.array_equal(values.min(axis=1), margins)
+        scaled = (1.0 - lam) * (1.0 + lam) * values
+        assert np.max(np.abs(weights - scaled)) <= 1e-12 * np.max(np.abs(scaled))
+        weights = weights.min(axis=1)
+        far = np.min(np.abs([margins, minima, weights]), axis=0) > analysis.SAMPLE_MARGIN
+        assert far.sum() > 990
+        assert np.array_equal((margins > 0)[far], (minima > 0)[far])
+        assert np.array_equal((margins > 0)[far], (weights > 0)[far])
+        # the sampler prints the same verdict for the same draws
+        sample = sample_positivity_region(n, lam, seed, 1000)
+        far = ~sample.near_boundary
+        assert np.array_equal(sample.closed_form_positive[far], sample.positive[far])
+        assert np.array_equal(sample.closed_form_positive[far], sample.weights_positive[far])
+
+    @pytest.mark.parametrize("lam", CONE_COUPLINGS)
+    def test_paper_size2_pair_agrees_in_sign(self, lam):
+        alphas = np.random.default_rng(7).uniform(-1.0, 1.0, (5000, 2))
+        margins, paper = closed_form_margin(2, lam, alphas), paper_size2_margin(lam, alphas)
+        far = np.minimum(np.abs(margins), np.abs(paper)) > analysis.SAMPLE_MARGIN
+        assert far.sum() > 4990
+        assert np.array_equal((margins > 0)[far], (paper > 0)[far])
+
+    def test_paper_size4_expressions_agree_and_are_twice_the_margin(self):
+        alphas = np.random.default_rng(8).uniform(-1.0, 1.0, (5000, 4))
+        margins, paper = closed_form_margin(4, 0.0, alphas), free_size4_margin(alphas)
+        assert np.max(np.abs(paper - 2.0 * margins)) < 1e-12
+        far = np.abs(margins) > analysis.SAMPLE_MARGIN
+        assert np.array_equal((margins > 0)[far], (paper > 0)[far])
+
+    @pytest.mark.parametrize("n", CONE_SIZES)
+    @pytest.mark.parametrize("lam", [1 - 1e-11, -(1 - 1e-11)])
+    def test_first_member_next_to_the_exceptional_points(self, n, lam):
+        # Theta = Theta_0 has smallest eigenvalue 1 - |lam| = 1e-11, inside
+        # the absolute POSITIVE_MARGIN, while its cone margin is 1 at every k
+        alpha = np.zeros(n)
+        alpha[0] = 1.0
+        assert closed_form_margin(n, lam, alpha) == 1.0
+        assert positivity_closed_form(n, lam, alpha)
+        assert not positivity_closed_form(n, lam, -alpha)
+        assert not positivity(assemble_theta(n, lam, alpha)).positive
 
 
 class TestSampling:
@@ -358,10 +449,11 @@ class TestSampling:
         lead = result.alphas[:, 0] > 0
         assert lead.any() and np.all(result.alphas[lead, 0] == 1.0)
 
+    @pytest.mark.parametrize("n", [2, 6])
     @pytest.mark.parametrize("lam", [1.0, 1.5])
-    def test_size2_outside_window_leaves_closed_form_empty(self, lam):
-        # closed_form_margin covers size 2 only for |lam| < 1
-        result = sample_positivity_region(2, lam, seed=5, count=20)
+    def test_outside_window_leaves_closed_form_empty(self, n, lam):
+        # the closed form, like the weights, is defined only for |lam| < 1
+        result = sample_positivity_region(n, lam, seed=5, count=20)
         assert result.closed_form_positive is None
         assert result.weights_positive is None
 

@@ -759,6 +759,29 @@ class TestPositivityCommand:
             ]
             assert printed == cells[n + 1 : n + 4], cells[0]
 
+    @pytest.mark.parametrize("lam", ["0.99999999999", "-0.99999999999"])
+    def test_first_member_next_to_the_exceptional_points(self, capsys, lam):
+        # Theta = Theta_0 is positive definite for every |lam| < 1: its cone
+        # margin is 1, while its smallest eigenvalue 1e-11 lies inside the
+        # absolute margin of `positive`
+        code, out, _ = run_cli(
+            capsys, "positivity", "--n", "4", "--lambda", lam, "--alpha", "1,0,0,0"
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["closed_form_positive"] is True
+        assert payload["positive"] is False and payload["near_boundary"] is True
+
+    @pytest.mark.parametrize("n", [4, 6, 12])
+    def test_closed_form_verdict_at_every_size_inside_the_window(self, capsys, n):
+        alpha = ",".join(["1"] + ["0"] * (n - 1))
+        for lam, verdict in (("0.5", True), ("-0.9", True), ("1", None), ("1.5", None)):
+            code, out, _ = run_cli(
+                capsys, "positivity", "--n", str(n), "--lambda", lam, "--alpha", alpha
+            )
+            assert code == 0
+            assert json.loads(out)["closed_form_positive"] is verdict
+
     def test_alpha_length_mismatch(self, capsys):
         code, _, err = run_cli(
             capsys, "positivity", "--n", "4", "--lambda", "0", "--alpha", "1,2"
@@ -823,7 +846,7 @@ _SWEEP_CASES = [
         (40, "-1.2:1.2:77", "json"),
     ),
     (("spectrum", "--n", "6", "--grid", "1.5:1.5:1", "--format", "json"), (6, "1.5:1.5:1", "json")),
-    # every verdict column; the closed form alone; no weights column
+    # every verdict column, at n = 2 and n = 4; no verdict column outside the window
     (("positivity", "--n", "2", "--lambda", "0.3", "--sample", "1100", "--seed", "5"), (2, 0.3, 5, 1100)),
     (("positivity", "--n", "4", "--lambda", "0", "--sample", "300", "--seed", "9"), (4, 0.0, 9, 300)),
     (("positivity", "--n", "6", "--lambda", "1.5", "--sample", "250", "--seed", "3"), (6, 1.5, 3, 250)),
@@ -908,6 +931,58 @@ class TestStreamedSweeps:
         assert len(lines) == 1 + analysis._MIN_BLOCK_ROWS
         assert complete.startswith(out)
         assert [(s["over"], s["invalid"]) for s in states] == [("raise", "raise")] * 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a float overflow in the first block of draws
+            ("positivity", "--n", "4", "--lambda", "1.3e154", "--sample", "3"),
+            ("metric", "basis", "--n", "8", "--lambda", "1e200"),
+        ],
+        ids=["positivity", "metric-basis"],
+    )
+    @pytest.mark.parametrize("existing", [b"keep\n", None], ids=["existing", "missing"])
+    def test_error_in_the_first_block_leaves_the_output_file_alone(
+        self, capsys, tmp_path, argv, existing
+    ):
+        # the first piece is made before the file is opened: an existing
+        # file keeps its bytes, and a missing one is not created
+        target = tmp_path / "out.txt"
+        if existing is not None:
+            target.write_bytes(existing)
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        if existing is None:
+            assert not target.exists()
+        else:
+            assert target.read_bytes() == existing
+
+    def test_error_in_a_later_block_replaces_the_output_file(self, capsys, monkeypatch, tmp_path):
+        # once the first block is made the file is opened and truncated, and
+        # the header and that block's rows stay written
+        argv = ("positivity", "--n", "4", "--lambda", "0", "--sample", "100")
+        blocks_of = analysis.sample_blocks
+
+        def failing(*args, **kwargs):
+            def blocks():
+                for index, block in enumerate(blocks_of(*args, **kwargs)):
+                    if index == 1:
+                        raise DomainError("no such block")
+                    yield block
+
+            return blocks()
+
+        monkeypatch.setattr(analysis, "_BLOCK_FLOATS", 1)
+        code, complete, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr(analysis, "sample_blocks", failing)
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"x" * 100_000)
+        code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 2 and out == ""
+        written = target.read_text()
+        assert len(written.splitlines()) == 1 + analysis._MIN_BLOCK_ROWS
+        assert complete.startswith(written)
 
 
 def test_reality_tol_default_is_the_library_default():

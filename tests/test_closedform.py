@@ -438,6 +438,76 @@ class TestBandedDefect:
         assert all(intertwining_defect(element) == {} for element in basis_family(n))
 
 
+def module_identity_failures(family) -> list[int]:
+    """The indices j at which the dense polynomial matrices of `family`
+    break the H-module identity: M_1 = Theta_0 = diag((1 - x) I_K,
+    (1 + x) I_K) (j = 0 in the list), and M_j (2 - H) = M_{j-1} + c_j M_{j+1}
+    with M_0 = M_{n+1} = 0, c_j = 1 except c_K = 1 - x^2, K = n/2."""
+    n = len(family)
+    zero, one, x = IntPolynomial(), poly(1), poly(0, 1)
+    h = hamiltonian_polynomial(n)
+    two_minus_h = Matrix.from_rows(
+        [[(one + one if i == k else zero) - h[i, k] for k in range(n)] for i in range(n)]
+    )
+    empty = dense({}, n, zero)
+    members = [empty, *(dense(element.entries, n, zero) for element in family), empty]
+    theta0 = {(i, i): one - x if i <= n // 2 else one + x for i in range(1, n + 1)}
+    failures = [] if members[1] == dense(theta0, n, zero) else [0]
+    for j in range(1, n + 1):
+        c = poly(1, 0, -1) if j == n // 2 else one
+        scaled = Matrix.from_rows([[c * p for p in row] for row in members[j + 1].entries])
+        if members[j] @ two_minus_h != members[j - 1] + scaled:
+            failures.append(j)
+    return failures
+
+
+def with_valid_solution_added(family, j=3):
+    """The family with M_j replaced by M_j + x^2 M_1: a valid metric, but not
+    the paper's member."""
+    entries = dict(family[j - 1].entries)
+    for position, p in family[0].entries.items():
+        entries[position] = entries.get(position, IntPolynomial()) + poly(0, 0, 1) * p
+    changed = MetricBasisElement(family[0].n, j, dict(sorted(entries.items())))
+    return family[: j - 1] + (changed,) + family[j:]
+
+
+class TestModuleIdentity:
+    """The family is an H-module, as a polynomial identity over the dense
+    referee chain: M_1 = Theta_0 and M_j (2 - H) = M_{j-1} + c_j M_{j+1}.
+    So M_j = Theta_0 q_{j-1}(2 - H), the form `analysis.closed_form_margin`
+    reads positivity from."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 16])
+    def test_family_obeys_the_identity(self, n):
+        assert module_identity_failures(basis_family(n)) == []
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_changed_entry_breaks_the_identity(self, n):
+        family = basis_family(n)
+        for j, element in enumerate(family, 1):
+            entries = dict(element.entries)
+            entries[1, 1] = entries.get((1, 1), IntPolynomial()) + poly(1)
+            changed = family[: j - 1] + (MetricBasisElement(n, j, entries),) + family[j:]
+            assert module_identity_failures(changed)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize(
+        "lam", [Fraction(5, 9), Fraction(-7, 3), Fraction(1), Fraction(-1)], ids=str
+    )
+    def test_known_gap_valid_solution_passes_the_five_checks(self, monkeypatch, n, lam):
+        # KNOWN GAP: M_3 + x^2 M_1 solves the constraint, so `metric verify`
+        # passes all five checks, although it is not the paper's member.
+        # Only the module identity catches it; it is not yet a check of
+        # `metric verify`, so this row asserts the pass.
+        from metric_forge import cli
+
+        changed = with_valid_solution_added(basis_family(n))
+        assert module_identity_failures(changed) == [2, 3, 4]
+        monkeypatch.setattr(closedform, "basis_family", lambda size: changed)
+        checks = cli.run_verification(n, lam)
+        assert len(checks) == 5 and all(check.passed for check in checks)
+
+
 class TestAssembleTheta:
     def test_printed_entry_pattern_size4(self):
         lam = Fraction(1, 5)

@@ -16,16 +16,16 @@ def _load(name):
 
 
 def test_positivity_region(capsys):
-    _load("positivity_region").run([2], 50, 0)
+    _load("positivity_region").run([2, 4], 50, 0)
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "n,lambda,fraction_positive,weight_agreement"
+    assert lines[0] == "n,lambda,fraction_positive,weight_agreement,closed_form_agreement"
     assert [line.split(",")[:2] for line in lines[1:]] == [
-        ["2", str(lam)] for lam in (-0.8, -0.4, 0.0, 0.4, 0.8)
+        [n, str(lam)] for n in ("2", "4") for lam in (-0.8, -0.4, 0.0, 0.4, 0.8)
     ]
     for line in lines[1:]:
-        fraction, agreement = map(float, line.split(",")[2:])
+        fraction, weights, closed_form = map(float, line.split(",")[2:])
         assert 0.0 <= fraction <= 1.0
-        assert agreement == 1.0
+        assert weights == closed_form == 1.0
 
 
 def test_continuum_convergence(capsys):
